@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success (for `test`: accept), 3 reject, 64 usage error,
-65 malformed data, 66 missing input file. JSON and CSV outputs contain no
-timestamps or timings, so identical invocations produce identical bytes.
+65 malformed data, 66 missing or unreadable input, 73 output not written.
+JSON and CSV outputs contain no timestamps or timings, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EX_REJECT = 3
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
+EX_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,6 +44,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
+
+
+class _OutputError(Exception):
+    """An output file could not be written."""
+
+
+def _write(write, *args) -> None:
+    """Call ``write(*args)``; an OSError it raises becomes an _OutputError."""
+    try:
+        write(*args)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 def _print_json(obj) -> None:
@@ -161,7 +175,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_build_knn(args) -> int:
-    write_knng(build_exact_knn_graph(_load_points(args.points), args.k), args.output)
+    _write(write_knng, build_exact_knn_graph(_load_points(args.points), args.k), args.output)
     _print_json({"output": args.output})
     return EX_OK
 
@@ -204,22 +218,22 @@ def _cmd_generate(args) -> int:
         g = line_gadget(args.x, args.k, args.delta)
     elif args.generator == "tight":
         g, focal = tight_witness_construction(args.delta, args.k)
-        write_knng(g, args.output)
+        _write(write_knng, g, args.output)
         _print_json({"output": args.output, "n": g.n, "focal": focal})
         return EX_OK
     elif args.generator == "dimlb":
         far, exact_g = dimension_lb_instances(args.k, args.epsilon, args.c)
         far_path = Path(args.output)
         exact_path = far_path.with_suffix(".exact.knng")
-        write_knng(far, far_path)
-        write_knng(exact_g, exact_path)
+        _write(write_knng, far, far_path)
+        _write(write_knng, exact_g, exact_path)
         _print_json({"far": str(far_path), "exact": str(exact_path), "n_far": far.n})
         return EX_OK
     elif args.generator == "corrupt":
         g = corrupt_edges(_load_graph(args.graph), args.fraction, args.seed, k=args.k)
     else:  # pragma: no cover - argparse enforces choices
         raise ValueError(args.generator)
-    write_knng(g, args.output)
+    _write(write_knng, g, args.output)
     _print_json({"output": args.output, "n": g.n})
     return EX_OK
 
@@ -246,9 +260,9 @@ def _cmd_adversary(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = sweep_config_from_json(Path(args.config).read_text(encoding="utf-8"))
     report = run_sweep(cfg, args.seed)
-    Path(args.output).write_bytes(export_report(report, "csv"))
+    _write(Path(args.output).write_bytes, export_report(report, "csv"))
     if args.json:
-        Path(args.json).write_bytes(export_report(report, "json"))
+        _write(Path(args.json).write_bytes, export_report(report, "json"))
     _print_json({"rows": len(report.rows), "csv": args.output, "json": args.json})
     return EX_OK
 
@@ -275,9 +289,9 @@ def main(argv=None) -> int:
     except KnngFormatError as exc:
         print(f"knncheck: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except FileNotFoundError as exc:
+    except _OutputError as exc:
         print(f"knncheck: {exc}", file=sys.stderr)
-        return EX_NOINPUT
+        return EX_CANTCREAT
     except OSError as exc:
         print(f"knncheck: {exc}", file=sys.stderr)
         return EX_NOINPUT

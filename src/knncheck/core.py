@@ -74,6 +74,28 @@ def dist2_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _check_rows(n: int, ndims, degrees: np.ndarray, ids: np.ndarray) -> None:
+    """Validate all adjacency rows at once; ``ids`` concatenates the 1-d rows.
+
+    Raises for the first offending vertex in id order, naming the first
+    failing check in the order: row shape, id range, self-loop, duplicate.
+    """
+    owner = np.repeat(np.arange(n), degrees)
+    in_range = (ids >= 0) & (ids < n)
+    keys = np.sort(owner[in_range] * n + ids[in_range])
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    checks = (
+        (np.flatnonzero(np.asarray(ndims) != 1), "adjacency row must be 1-d"),
+        (owner[~in_range], f"neighbor id out of range [0, {n})"),
+        (owner[ids == owner], "self-loop"),
+        (repeated // n, "duplicate neighbor"),
+    )
+    firsts = [int(bad.min()) if bad.size else n for bad, _ in checks]
+    v = min(firsts)
+    if v < n:
+        raise ValueError(f"vertex {v}: {checks[firsts.index(v)][1]}")
+
+
 @dataclass(frozen=True, eq=False)
 class GeometricGraph:
     """Immutable directed geometric graph.
@@ -99,24 +121,15 @@ class GeometricGraph:
         n = coords.shape[0]
         if len(self.adjacency) != n:
             raise ValueError(f"adjacency has {len(self.adjacency)} rows, expected {n}")
-        rows = []
-        for v, row in enumerate(self.adjacency):
-            a = np.asarray(row, dtype=np.int64)
-            if a.ndim != 1:
-                raise ValueError(f"vertex {v}: adjacency row must be 1-d")
-            if a.size:
-                if a.min() < 0 or a.max() >= n:
-                    raise ValueError(f"vertex {v}: neighbor id out of range [0, {n})")
-                if np.any(a == v):
-                    raise ValueError(f"vertex {v}: self-loop")
-                if np.unique(a).size != a.size:
-                    raise ValueError(f"vertex {v}: duplicate neighbor")
+        rows = [np.asarray(row, dtype=np.int64) for row in self.adjacency]
+        flat_rows = [a if a.ndim == 1 else a.reshape(-1)[:0] for a in rows]
+        degrees = np.fromiter(map(len, flat_rows), dtype=np.int64, count=n)
+        _check_rows(n, [a.ndim for a in rows], degrees, np.concatenate(flat_rows))
+        for a in rows:
             a.setflags(write=False)
-            rows.append(a)
         if self.k_hint is not None and self.k_hint < 1:
             raise ValueError("k_hint must be positive when given")
         coords.setflags(write=False)
-        degrees = np.array([a.size for a in rows], dtype=np.int64)
         degrees.setflags(write=False)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "adjacency", tuple(rows))

@@ -1,14 +1,23 @@
-"""Exact brute-force k-nearest-neighbor semantics.
+"""Exact k-nearest-neighbor semantics.
 
 Everything here reads the graph directly (never through an OracleSession) and
-serves as the ground truth the sublinear tester is validated against. All
-routines are O(n^2 * delta) or better, which is fine at desk scale.
+serves as the ground truth the sublinear tester is validated against.
+
+One kernel computes, for every vertex, its k-th smallest squared distance,
+the ids strictly inside it and the ids exactly at it. A uniform grid over the
+first min(delta, 2) coordinates only proposes candidates: a coordinate gap is
+a lower bound on the full distance, so pruning is exact in every dimension.
+Candidates are ranked by :func:`core.dist2_block`, the same binary64
+operations a scan over all points would use, so strict inequalities and
+tie-breaking equal those of a brute-force pass bit for bit. A vertex the grid
+cannot prove settled is scanned against all points in bounded blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,17 +38,161 @@ __all__ = [
 
 # rows per distance block, sized to keep temporaries around 64 MB
 _BLOCK_FLOATS = 8_000_000
+# query rows the grid aims to put in one tile
+_TILE_ROWS = 256
+# rows scanned in full to size the grid cells from their k-th distances
+_PROBE_ROWS = 64
 
 
 def _block_size(n: int) -> int:
     return max(1, min(n, _BLOCK_FLOATS // max(1, n)))
 
 
-def _self_masked_block(coords: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Squared distances from rows lo..hi to all points, self distances set to inf."""
-    d2 = dist2_block(coords[lo:hi], coords)
-    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+def _masked_d2(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Squared distances from ``rows`` to the ascending ids ``cand``; a row's own id gets inf."""
+    d2 = dist2_block(coords[rows], coords[cand])
+    pos = np.minimum(np.searchsorted(cand, rows), cand.size - 1)
+    own = cand[pos] == rows
+    d2[np.flatnonzero(own), pos[own]] = np.inf
     return d2
+
+
+@dataclass(frozen=True)
+class _Selection:
+    """Exact k-th-distance structure of some rows, flattened row after row."""
+
+    rows: np.ndarray  # vertex ids
+    kth: np.ndarray  # k-th smallest squared distance per row
+    knn: np.ndarray  # (rows, k): first k ids by (squared distance, id)
+    inside_of: np.ndarray  # owning vertex of each entry of inside_ids
+    inside_ids: np.ndarray  # strictly nearer than the k-th distance, ascending per row
+    at_of: np.ndarray
+    at_ids: np.ndarray  # exactly at the k-th distance, ascending per row
+
+
+def _select(
+    coords: np.ndarray,
+    rows: np.ndarray,
+    cand: np.ndarray,
+    k: int,
+    bound: np.ndarray | None = None,
+) -> tuple[_Selection, np.ndarray]:
+    """The one exact selection: ``rows`` against the ascending candidate ids ``cand``.
+
+    The result is exact for every row whose vertices at or within the k-th
+    distance are all candidates. With ``bound``, rows whose k-th candidate
+    distance is not strictly below their bound are left out of the selection
+    and returned as the second value.
+    """
+    d2 = _masked_d2(coords, rows, cand)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    rest = rows[:0]
+    if bound is not None:
+        done = kth < bound
+        if not done.all():
+            rest = rows[~done]
+            rows, d2, kth = rows[done], d2[done], kth[done]
+    r, c = np.nonzero(d2 <= kth[:, None])
+    d = d2[r, c]
+    # (row, distance, id) order; cand is ascending, so column order is id order
+    order = np.lexsort((c, d, r))
+    counts = np.bincount(r, minlength=rows.size)
+    first = np.cumsum(counts) - counts
+    knn = cand[c[order][first[:, None] + np.arange(k)]]
+    inside = d < kth[r]
+    owner, ids = rows[r], cand[c]
+    sel = _Selection(rows, kth, knn, owner[inside], ids[inside], owner[~inside], ids[~inside])
+    return sel, rest
+
+
+def _scan(coords: np.ndarray, rows: np.ndarray, k: int) -> list[_Selection]:
+    """Selections of ``rows`` against all points, in blocks of bounded size."""
+    everyone = np.arange(coords.shape[0])
+    step = _block_size(everyone.size)
+    return [_select(coords, rows[lo : lo + step], everyone, k)[0] for lo in range(0, rows.size, step)]
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, e) over paired bounds."""
+    lengths = ends - starts
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _grid_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray]:
+    """Selections for the vertices a uniform grid settles, and the vertices it leaves.
+
+    The grid covers the first min(delta, 2) coordinates and is walked in tiles
+    of cells. A tile's candidates are the points of its cells and one ring of
+    cells around them. Any point outside that region is at least the
+    coordinate gap from a query away, so a query whose k-th candidate distance
+    lies strictly below the squared gap (less a margin for the rounding of
+    cell assignment) is settled.
+    """
+    n = coords.shape[0]
+    everyone = np.arange(n)
+    proj = coords[:, :2]
+    if proj.shape[1] == 1:
+        proj = np.hstack([proj, np.zeros_like(proj)])
+    lo = proj.min(axis=0)
+    span = proj.max(axis=0) - lo
+    if not np.all(np.isfinite(span)):
+        return [], everyone
+
+    probe = np.unique(np.linspace(0, n - 1, min(n, _PROBE_ROWS)).astype(np.int64))
+    kth = np.sort(np.concatenate([sel.kth for sel in _scan(coords, probe, k)]))
+    axes = max(1, int(np.count_nonzero(span)))
+    # cells 1.5 times the median probed k-th distance wide (the median shrugs
+    # off outliers), and at most about 4n of them
+    width = max(1.5 * math.sqrt(kth[kth.size // 2]), float(span.max()) / (4 * n) ** (1 / axes))
+    if not 0.0 < width < math.inf:
+        return [], everyone  # all points coincide, or distances overflow
+
+    shape = (span // width).astype(np.int64) + 1
+    cell = np.minimum(((proj - lo) / width).astype(np.int64), shape - 1)
+    flat = cell[:, 0] * shape[1] + cell[:, 1]
+    order = np.argsort(flat, kind="stable")
+    cell_start = np.zeros(shape[0] * shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=shape[0] * shape[1]), out=cell_start[1:])
+
+    occupancy = n / float(shape[0] * shape[1])
+    side = max(1, round((_TILE_ROWS / occupancy) ** (1 / axes)))
+    tiles = cell // side
+    tile_cols = -(-shape[1] // side)
+    tol = 1e-9 * (float(np.abs(proj).max()) + float(span.max()))
+
+    parts, rest = [], []
+    for t in np.unique(tiles[:, 0] * tile_cols + tiles[:, 1]):
+        first = np.array(divmod(int(t), int(tile_cols))) * side
+        q_hi = np.minimum(first + side, shape) - 1
+        r_lo = np.maximum(first - 1, 0)
+        r_hi = np.minimum(first + side, shape - 1)
+        xs = np.arange(first[0], q_hi[0] + 1) * shape[1]
+        queries = order[_ranges(cell_start[xs + first[1]], cell_start[xs + q_hi[1] + 1])]
+        xs = np.arange(r_lo[0], r_hi[0] + 1) * shape[1]
+        cand = np.sort(order[_ranges(cell_start[xs + r_lo[1]], cell_start[xs + r_hi[1] + 1])])
+        if cand.size <= k:
+            rest.append(queries)
+            continue
+        # sides of the region at the grid's border have nothing beyond them
+        edge_lo = np.where(r_lo > 0, lo + r_lo * width, -np.inf)
+        edge_hi = np.where(r_hi < shape - 1, lo + (r_hi + 1) * width, np.inf)
+        q = proj[queries]
+        gap = np.minimum(q - edge_lo, edge_hi - q).min(axis=1) - tol
+        bound = np.where(gap > 0, gap * gap, 0.0)
+        step = _block_size(cand.size)
+        for b in range(0, queries.size, step):
+            sel, left = _select(coords, queries[b : b + step], cand, k, bound[b : b + step])
+            parts.append(sel)
+            rest.append(left)
+    return parts, np.concatenate(rest) if rest else everyone[:0]
+
+
+def _csr(n: int, owner: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) grouping ``ids`` by ``owner``; a stable sort keeps each row's order."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return indptr, ids[np.argsort(owner, kind="stable")]
 
 
 def num_nearer(g: GeometricGraph, v: int, w: int) -> int:
@@ -48,8 +201,13 @@ def num_nearer(g: GeometricGraph, v: int, w: int) -> int:
     w = g.check_vertex(w)
     if v == w:
         raise ValueError("num_nearer is undefined for v == w")
-    d2 = _self_masked_block(g.coords, v, v + 1)[0]
+    d2 = _masked_d2(g.coords, np.array([v]), np.arange(g.n))[0]
     return int(np.sum(d2 < d2[w]))
+
+
+def _vertex_selection(coords: np.ndarray, v: int, k: int) -> _Selection:
+    """Selection of one vertex against all points; builds no index."""
+    return _scan(coords, np.array([v]), k)[0]
 
 
 def k_nearest_set(g: GeometricGraph, v: int, k: int) -> set[int]:
@@ -59,9 +217,8 @@ def k_nearest_set(g: GeometricGraph, v: int, k: int) -> set[int]:
     """
     v = g.check_vertex(v)
     _check_k(g.n, k)
-    d2 = _self_masked_block(g.coords, v, v + 1)[0]
-    dk = np.partition(d2, k - 1)[k - 1]
-    return set(int(u) for u in np.flatnonzero(d2 <= dk))
+    sel = _vertex_selection(g.coords, v, k)
+    return set(sel.inside_ids.tolist()) | set(sel.at_ids.tolist())
 
 
 @dataclass(frozen=True)
@@ -92,35 +249,27 @@ def knn_adjacency_row(coords: np.ndarray, v: int, k: int) -> np.ndarray:
     """
     coords = np.asarray(coords, dtype=np.float64)
     _check_k(coords.shape[0], k)
-    d2 = _self_masked_block(coords, v, v + 1)[0]
-    return _select_knn_ids(d2, np.partition(d2, k - 1)[k - 1], k)
+    return _vertex_selection(coords, v, k).knn[0].copy()
 
 
-def _select_knn_ids(d2: np.ndarray, cutoff: float, k: int) -> np.ndarray:
-    cand = np.flatnonzero(d2 <= cutoff)
-    order = np.lexsort((cand, d2[cand]))
-    return cand[order[:k]].astype(np.int64)
-
-
-def build_exact_knn_graph(points, k: int) -> GeometricGraph:
-    """Exact k-NN graph of a point set; every vertex gets out-degree exactly k."""
+def _check_points(points, k: int) -> np.ndarray:
     coords = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
     if coords.ndim != 2:
         raise ValueError("points must be a 2-d coordinate matrix")
     n = coords.shape[0]
     if n <= k:
         raise ValueError(f"need more than k={k} points, got {n}")
+    return coords
+
+
+def build_exact_knn_graph(points, k: int) -> GeometricGraph:
+    """Exact k-NN graph of a point set; every vertex gets out-degree exactly k."""
+    coords = _check_points(points, k)
     if k < 1:
         raise ValueError("k must be at least 1")
-    adjacency = []
-    step = _block_size(n)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        d2 = _self_masked_block(coords, lo, hi)
-        cutoffs = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        for i in range(hi - lo):
-            adjacency.append(_select_knn_ids(d2[i], cutoffs[i], k))
-    return GeometricGraph(coords, tuple(adjacency), k_hint=k)
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coordinates must be finite")
+    return NeighborhoodProfile(coords, k).graph
 
 
 @dataclass(frozen=True)
@@ -134,12 +283,14 @@ class DistanceReport:
 
 
 class NeighborhoodProfile:
-    """Per-vertex k-th-distance structure of a point set.
+    """Per-vertex k-th-distance structure of a point set, from one pass of the kernel.
 
-    Holds, for every vertex, the ids strictly inside its k-th smallest
-    distance and the ids exactly at it. This depends only on coordinates, so
-    one profile serves every graph over the same point set (the sweep harness
-    reuses it across many corrupted adjacencies).
+    For every vertex it holds the k-th smallest squared distance ``kth``, the
+    ids strictly inside it (``inside_indptr``/``inside_indices``), the ids
+    exactly at it (``at_indptr``/``at_indices``), both ascending per vertex,
+    and the exact k-NN adjacency ``knn``. This depends only on coordinates,
+    so one profile serves every graph over the same point set (the sweep
+    harness reuses it across many corrupted adjacencies).
     """
 
     def __init__(self, coords: np.ndarray, k: int):
@@ -147,42 +298,28 @@ class NeighborhoodProfile:
         _check_k(coords.shape[0], k)
         self.k = k
         self.n = coords.shape[0]
-        self._inside: list[frozenset[int]] = []
-        self._at: list[frozenset[int]] = []
-        step = _block_size(self.n)
-        for lo in range(0, self.n, step):
-            hi = min(self.n, lo + step)
-            d2 = _self_masked_block(coords, lo, hi)
-            dks = np.partition(d2, k - 1, axis=1)[:, k - 1]
-            for i in range(hi - lo):
-                self._inside.append(frozenset(np.flatnonzero(d2[i] < dks[i]).tolist()))
-                self._at.append(frozenset(np.flatnonzero(d2[i] == dks[i]).tolist()))
+        self.coords = coords
+        parts, rest = _grid_pass(coords, k)
+        parts += _scan(coords, rest, k)
 
-    def vertex_edits(self, v: int, neighbors) -> int:
-        """Minimum insertions to give v a valid tie-broken k-nearest set.
+        def merged(field):
+            return np.concatenate([getattr(p, field) for p in parts])
 
-        Vertices strictly inside the k-th distance are mandatory; ties at the
-        k-th distance fill the remaining slots preferring existing neighbors.
-        """
-        nbrs = self._as_set(neighbors)
-        inside = self._inside[v]
-        inside_nbr = len(inside & nbrs)
-        at_nbr = len(self._at[v] & nbrs)
-        return (len(inside) - inside_nbr) + max(0, self.k - len(inside) - at_nbr)
+        rows = merged("rows")
+        self.kth = np.empty(self.n)
+        self.kth[rows] = merged("kth")
+        self.knn = np.empty((self.n, k), dtype=np.int64)
+        self.knn[rows] = merged("knn")
+        self.inside_indptr, self.inside_indices = _csr(self.n, merged("inside_of"), merged("inside_ids"))
+        self.at_indptr, self.at_indices = _csr(self.n, merged("at_of"), merged("at_ids"))
+        for a in (self.kth, self.knn, self.inside_indptr, self.inside_indices,
+                  self.at_indptr, self.at_indices):
+            a.setflags(write=False)
 
-    def vertex_incomplete(self, v: int, neighbors) -> bool:
-        nbrs = self._as_set(neighbors)
-        if len(nbrs) < self.k:
-            return True
-        inside = self._inside[v]
-        at = self._at[v]
-        return len(inside) + len(at) > len(inside & nbrs) + len(at & nbrs)
-
-    @staticmethod
-    def _as_set(neighbors) -> frozenset[int]:
-        if isinstance(neighbors, (set, frozenset)):
-            return neighbors
-        return frozenset(np.asarray(neighbors).tolist())
+    @cached_property
+    def graph(self) -> GeometricGraph:
+        """The exact k-NN graph: k out-neighbors per vertex by (squared distance, id)."""
+        return GeometricGraph(self.coords, tuple(self.knn), k_hint=self.k)
 
     def report(
         self,
@@ -190,27 +327,51 @@ class NeighborhoodProfile:
         budget: EdgeBudget | None = None,
         epsilon: float | None = None,
     ) -> DistanceReport:
+        """Minimum insertions and incomplete vertices of ``g`` against this profile.
+
+        Per vertex, the ids strictly inside the k-th distance are mandatory;
+        ties at the k-th distance fill the remaining slots preferring existing
+        neighbors. A vertex is incomplete when its degree is below k or some id
+        inside or at the k-th distance is not a neighbor.
+        """
         if g.n != self.n:
             raise ValueError("graph does not match the profiled point set")
         if budget is None:
             budget = EdgeBudget.computed(g)
-        cap = None if epsilon is None else math.ceil(100.0 * self.k / epsilon)
-        min_edits = 0
-        incomplete = 0
-        low_degree_incomplete = 0
-        for v in range(self.n):
-            nbrs = frozenset(g.adjacency[v].tolist())
-            min_edits += self.vertex_edits(v, nbrs)
-            if self.vertex_incomplete(v, nbrs):
-                incomplete += 1
-                if cap is not None and len(nbrs) <= cap:
-                    low_degree_incomplete += 1
+        n, k = self.n, self.k
+        degrees = g.degrees
+        edges = np.sort(np.repeat(np.arange(n), degrees) * n + np.concatenate(g.adjacency))
+        inside = np.diff(self.inside_indptr)
+        at = np.diff(self.at_indptr)
+        inside_hits = _edge_hits(edges, inside, self.inside_indices)
+        at_hits = _edge_hits(edges, at, self.at_indices)
+        edits = (inside - inside_hits) + np.maximum(0, k - inside - at_hits)
+        incomplete = (degrees < k) | (inside + at > inside_hits + at_hits)
+        min_edits = int(edits.sum())
+        low_degree_incomplete = None
+        if epsilon is not None:
+            cap = math.ceil(100.0 * k / epsilon)
+            low_degree_incomplete = int(np.count_nonzero(incomplete & (degrees <= cap)))
         return DistanceReport(
             min_edits=min_edits,
-            epsilon_distance=min_edits / (budget.d * self.n),
-            incomplete_count=incomplete,
-            low_degree_incomplete_count=None if cap is None else low_degree_incomplete,
+            epsilon_distance=min_edits / (budget.d * n),
+            incomplete_count=int(np.count_nonzero(incomplete)),
+            low_degree_incomplete_count=low_degree_incomplete,
         )
+
+
+def _edge_hits(edges: np.ndarray, counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per vertex v, how many of its ``ids`` (CSR with ``counts``) are out-neighbors of v.
+
+    ``edges`` holds the sorted keys v*n + u of the graph's edges.
+    """
+    n = counts.size
+    owner = np.repeat(np.arange(n), counts)
+    keys = owner * n + ids
+    if edges.size == 0:
+        return np.zeros(n, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(edges, keys), edges.size - 1)
+    return np.bincount(owner[edges[pos] == keys], minlength=n)
 
 
 def epsilon_distance(
@@ -232,19 +393,10 @@ def epsilon_distance(
 
 def max_shared_knn(points, k: int) -> int:
     """Largest number of points that share one point among their k nearest."""
-    coords = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-    if coords.ndim != 2:
-        raise ValueError("points must be a 2-d coordinate matrix")
-    n = coords.shape[0]
-    if n <= k:
-        raise ValueError(f"need more than k={k} points, got {n}")
-    counts = np.zeros(n, dtype=np.int64)
-    step = _block_size(n)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        d2 = _self_masked_block(coords, lo, hi)
-        dks = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        counts += np.sum(d2 <= dks[:, None], axis=0)
+    coords = _check_points(points, k)
+    p = NeighborhoodProfile(coords, k)
+    counts = np.bincount(p.inside_indices, minlength=p.n)
+    counts += np.bincount(p.at_indices, minlength=p.n)
     return int(counts.max())
 
 

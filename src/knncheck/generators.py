@@ -203,21 +203,25 @@ def corrupt_edges(
     rng = rng_from(seed)
     chosen = sample_without_replacement(total_slots, count, rng)
 
-    adjacency = [row.copy() for row in g.adjacency]
-    current = [set(int(u) for u in row) for row in g.adjacency]
+    adjacency = list(g.adjacency)
+    current = {}  # a copied row's neighbor set, kept in step with the row
     for flat in chosen:
         v = int(np.searchsorted(starts, flat, side="right")) - 1
         slot = int(flat - starts[v])
-        if n - 1 <= len(current[v]):
+        if v not in current:
+            adjacency[v] = adjacency[v].copy()
+            current[v] = set(adjacency[v].tolist())
+        nbrs = current[v]
+        if n - 1 <= len(nbrs):
             raise ValueError(f"vertex {v} is adjacent to every other vertex; cannot corrupt")
         old = int(adjacency[v][slot])
         while True:
             cand = int(rng.integers(0, n))
-            if cand != v and cand not in current[v]:
+            if cand != v and cand not in nbrs:
                 break
         adjacency[v][slot] = cand
-        current[v].discard(old)
-        current[v].add(cand)
+        nbrs.discard(old)
+        nbrs.add(cand)
     return GeometricGraph(g.coords, tuple(adjacency), k_hint=g.k_hint)
 
 

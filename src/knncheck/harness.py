@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .core import OracleSession
-from .exact import NeighborhoodProfile, build_exact_knn_graph
+from .exact import NeighborhoodProfile
 from .generators import corrupt_edges
 from .sampling import derive_seed, rng_from
 from .tester import TesterConfig, Verdict, run_tester
@@ -142,9 +142,10 @@ def run_sweep(cfg: SweepConfig, seed: int) -> SweepReport:
     instances = []  # (bucket index or None, graph, DistanceReport)
     for di, spec in enumerate(cfg.datasets):
         for si, pseed in enumerate(spec.seeds):
-            base = build_exact_knn_graph(_make_points(spec, pseed), cfg.k)
-            # the k-th-distance structure is shared by every corruption of this point set
-            profile = NeighborhoodProfile(base.coords, cfg.k)
+            # one kernel pass gives the exact graph and the k-th-distance
+            # structure shared by every corruption of this point set
+            profile = NeighborhoodProfile(_make_points(spec, pseed), cfg.k)
+            base = profile.graph
             for fi, fraction in enumerate(spec.fractions):
                 for j in range(spec.corruptions_per_fraction):
                     cseed = derive_seed(seed, di, si, fi, j)

@@ -184,7 +184,8 @@ def run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
 
     Rejects on the first v in S with deg(v) < k, or the first pair (v, u) in
     S x T order passing the local witness check; accepts otherwise. Rejection
-    evidence is re-verified against ground truth under assertions.
+    evidence is re-verified against ground truth, also under ``python -O``;
+    evidence that fails it raises AssertionError.
     """
     g = session.graph
     n = g.n
@@ -215,7 +216,8 @@ def run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
         witness = None if t_idx is None else int(t_draws[t_idx])
         evidence = Evidence(vertex, witness, kind)
         decision = "reject"
-        assert _evidence_confirmed(g, evidence, cfg.k), evidence
+        if not _evidence_confirmed(g, evidence, cfg.k):
+            raise AssertionError(f"rejection evidence fails ground truth: {evidence}")
 
     return Verdict(
         decision=decision,

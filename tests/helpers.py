@@ -8,10 +8,12 @@ only run at small sizes.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from knncheck.core import GeometricGraph, OracleSession, dist2
+from knncheck.core import EdgeBudget, GeometricGraph, OracleSession, dist2, dist2_block
+from knncheck.exact import DistanceReport
 from knncheck.sampling import rng_from, sample_without_replacement, split_seed
 from knncheck.tester import Evidence, TesterConfig, Verdict, local_witness_check, sample_sizes
 
@@ -129,3 +131,86 @@ def random_small_graph(rng: np.random.Generator, k: int) -> GeometricGraph:
         idx = sample_without_replacement(len(others), deg, rng)
         adjacency.append(np.array([others[i] for i in idx], dtype=np.int64))
     return GeometricGraph(coords, tuple(adjacency))
+
+
+class BruteForceProfile:
+    """Exact k-NN structure of a point set by a full O(n^2) distance scan.
+
+    The reference for the indexed kernel in ``knncheck.exact``: every row is
+    compared with every point in bounded blocks. It holds, per vertex, the
+    ids strictly inside the k-th smallest squared distance (``inside``), the
+    ids exactly at it (``at``) and the k ids first by (squared distance, id)
+    (``knn``).
+    """
+
+    _BLOCK_FLOATS = 8_000_000
+
+    def __init__(self, points, k: int):
+        coords = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
+        n = coords.shape[0]
+        if not 1 <= k < n:
+            raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+        self.coords, self.k, self.n = coords, k, n
+        self.inside: list[frozenset[int]] = []
+        self.at: list[frozenset[int]] = []
+        self.knn: list[np.ndarray] = []
+        step = max(1, min(n, self._BLOCK_FLOATS // n))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            d2 = dist2_block(coords[lo:hi], coords)
+            d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            dks = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            for i in range(hi - lo):
+                self.inside.append(frozenset(np.flatnonzero(d2[i] < dks[i]).tolist()))
+                self.at.append(frozenset(np.flatnonzero(d2[i] == dks[i]).tolist()))
+                cand = np.flatnonzero(d2[i] <= dks[i])
+                order = np.lexsort((cand, d2[i][cand]))
+                self.knn.append(cand[order[:k]].astype(np.int64))
+
+    def graph(self) -> GeometricGraph:
+        return GeometricGraph(self.coords, tuple(self.knn), k_hint=self.k)
+
+    def max_shared(self) -> int:
+        counts = np.zeros(self.n, dtype=np.int64)
+        for v in range(self.n):
+            for u in self.inside[v] | self.at[v]:
+                counts[u] += 1
+        return int(counts.max())
+
+    def report(self, g: GeometricGraph, budget=None, epsilon=None) -> DistanceReport:
+        """Minimum insertions and incomplete vertices, one vertex at a time."""
+        if budget is None:
+            budget = EdgeBudget.computed(g)
+        cap = None if epsilon is None else math.ceil(100.0 * self.k / epsilon)
+        min_edits = incomplete = low_degree_incomplete = 0
+        for v in range(self.n):
+            nbrs = frozenset(g.adjacency[v].tolist())
+            inside, at = self.inside[v], self.at[v]
+            inside_nbr, at_nbr = len(inside & nbrs), len(at & nbrs)
+            min_edits += (len(inside) - inside_nbr) + max(0, self.k - len(inside) - at_nbr)
+            if len(nbrs) < self.k or len(inside) + len(at) > inside_nbr + at_nbr:
+                incomplete += 1
+                if cap is not None and len(nbrs) <= cap:
+                    low_degree_incomplete += 1
+        return DistanceReport(
+            min_edits=min_edits,
+            epsilon_distance=min_edits / (budget.d * self.n),
+            incomplete_count=incomplete,
+            low_degree_incomplete_count=None if cap is None else low_degree_incomplete,
+        )
+
+
+def first_adjacency_error(n: int, adjacency) -> str | None:
+    """The message GeometricGraph must raise for ``adjacency``, checked row by row."""
+    for v, row in enumerate(adjacency):
+        a = np.asarray(row, dtype=np.int64)
+        if a.ndim != 1:
+            return f"vertex {v}: adjacency row must be 1-d"
+        if a.size:
+            if a.min() < 0 or a.max() >= n:
+                return f"vertex {v}: neighbor id out of range [0, {n})"
+            if np.any(a == v):
+                return f"vertex {v}: self-loop"
+            if np.unique(a).size != a.size:
+                return f"vertex {v}: duplicate neighbor"
+    return None

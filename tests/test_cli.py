@@ -60,6 +60,27 @@ class TestExitCodes:
         code, _ = _run(capsys, ["distance", str(bad), "--k", "1"])
         assert code == 65
 
+    def test_unwritable_output_is_73(self, capsys, tmp_path, knn_graph_file):
+        missing_dir = tmp_path / "no-such-dir"
+        code, _ = _run(capsys, ["generate", "corrupt", str(knn_graph_file), "--fraction",
+                                "0.1", "--seed", "1", "-o", str(missing_dir / "bad.knng")])
+        assert code == 73
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({
+            "k": 2, "grid": [[0.5, 1.0]], "bucket_bounds": [0.05], "min_bucket": 1,
+            "datasets": [{"n": 32, "delta": 2, "distribution": "uniform",
+                          "fractions": [0.2], "seeds": [0]}],
+        }))
+        csv_path = tmp_path / "report.csv"
+        for argv in (["-o", str(missing_dir / "report.csv")],
+                     ["-o", str(csv_path), "--json", str(missing_dir / "report.json")]):
+            code, _ = _run(capsys, ["sweep", "--config", str(cfg_path), *argv])
+            assert code == 73
+        # a missing input keeps its own code
+        code, _ = _run(capsys, ["generate", "corrupt", str(missing_dir / "in.knng"),
+                                "--fraction", "0.1", "-o", str(tmp_path / "out.knng")])
+        assert code == 66
+
 
 class TestCommands:
     def test_distance_reports_source(self, capsys, knn_graph_file):

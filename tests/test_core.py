@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import first_adjacency_error
 from knncheck.core import (
     EdgeBudget,
     GeometricGraph,
@@ -85,6 +86,30 @@ class TestGeometricGraphInvariants:
     def test_rejects_wrong_adjacency_length(self):
         with pytest.raises(ValueError, match="adjacency"):
             GeometricGraph(np.zeros((3, 2)), (np.array([]),))
+
+    def test_first_faulty_vertex_and_check_match_row_by_row_reference(self):
+        rng = np.random.default_rng(14)
+        faults = (
+            lambda v, row: np.append(row, v),  # self-loop
+            lambda v, row: np.append(row, row[:1]),  # duplicate
+            lambda v, row: np.append(row, -1),
+            lambda v, row: np.append(row, 30),  # out of range
+            lambda v, row: row.reshape(1, -1),  # 2-d row
+            lambda v, row: np.append(np.append(row, v), 99),  # two faults at once
+        )
+        for _ in range(200):
+            n = 30
+            adjacency = [rng.permutation(np.delete(np.arange(n), v))[: rng.integers(1, 5)]
+                         for v in range(n)]
+            for v in rng.choice(n, size=int(rng.integers(0, 4)), replace=False):
+                adjacency[v] = faults[rng.integers(len(faults))](v, adjacency[v])
+            expected = first_adjacency_error(n, adjacency)
+            if expected is None:
+                GeometricGraph(np.zeros((n, 2)), tuple(adjacency))
+                continue
+            with pytest.raises(ValueError) as err:
+                GeometricGraph(np.zeros((n, 2)), tuple(adjacency))
+            assert str(err.value) == expected
 
     def test_immutable_arrays(self):
         g = line_gadget(0.0, 1)

@@ -3,17 +3,26 @@
 import numpy as np
 import pytest
 
-from helpers import exhaustive_min_edits, k_reduce, random_small_graph
+from helpers import BruteForceProfile, exhaustive_min_edits, k_reduce, random_small_graph
+from knncheck import exact
 from knncheck.core import EdgeBudget, GeometricGraph
 from knncheck.exact import (
+    NeighborhoodProfile,
     build_exact_knn_graph,
     epsilon_distance,
     k_nearest_set,
+    knn_adjacency_row,
     max_shared_knn,
     num_nearer,
     witnesses_of,
 )
-from knncheck.generators import line_gadget, sample_d1, tight_witness_construction
+from knncheck.generators import (
+    corrupt_edges,
+    dimension_lb_instances,
+    line_gadget,
+    sample_d1,
+    tight_witness_construction,
+)
 from knncheck.tester import kissing_number
 
 
@@ -233,3 +242,120 @@ class TestKReducing:
         survivors, removals = k_reduce(g.coords, focal, k)
         assert len(survivors) <= kissing_number(3)
         assert all(r <= k - 1 for r in removals)
+
+
+def _csr_sets(indptr, indices):
+    return [frozenset(indices[indptr[v] : indptr[v + 1]].tolist()) for v in range(indptr.size - 1)]
+
+
+def _assert_matches_brute_force(points, k, graphs=()):
+    """The indexed kernel equals the O(n^2) reference on every vertex and report."""
+    p = NeighborhoodProfile(points, k)
+    ref = BruteForceProfile(points, k)
+    assert _csr_sets(p.inside_indptr, p.inside_indices) == ref.inside
+    assert _csr_sets(p.at_indptr, p.at_indices) == ref.at
+    for indptr, indices in ((p.inside_indptr, p.inside_indices), (p.at_indptr, p.at_indices)):
+        assert all(np.all(np.diff(indices[indptr[v] : indptr[v + 1]]) > 0) for v in range(p.n))
+    assert np.array_equal(p.knn, np.stack(ref.knn))
+    built = build_exact_knn_graph(points, k)
+    assert built.equals(ref.graph()) and built.k_hint == k
+    assert max_shared_knn(points, k) == ref.max_shared()
+    base = ref.graph()
+    checked = [base, *graphs]
+    if p.n > k + 1:  # a complete digraph has no slot to corrupt
+        checked.append(corrupt_edges(base, 0.3, 1))
+    for g in checked:
+        # a computed budget needs at least one edge
+        budgets = [None] if g.num_edges else []
+        for budget in budgets + [EdgeBudget.provided(float(k))]:
+            for epsilon in (None, 0.5):
+                assert p.report(g, budget, epsilon) == ref.report(g, budget, epsilon)
+
+
+class TestKernelMatchesBruteForce:
+    """Cross-checks of the grid-indexed kernel against tests/helpers.BruteForceProfile."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_small_lattice_graphs(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(10):
+            k = int(rng.integers(1, 4))
+            g = random_small_graph(rng, k)
+            _assert_matches_brute_force(g.coords, k, [g])
+
+    @pytest.mark.parametrize("delta", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tight_witness_construction(self, delta, k):
+        g, _ = tight_witness_construction(delta, k)
+        _assert_matches_brute_force(g.coords, k, [g])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dimension_lb_instances(self, k):
+        for g in dimension_lb_instances(k, 0.1, 8):
+            _assert_matches_brute_force(g.coords, k, [g])
+
+    @pytest.mark.parametrize("delta", [1, 2, 5])
+    def test_all_coincident_points(self, delta):
+        _assert_matches_brute_force(np.full((40, delta), 0.25), 3)
+
+    def test_collinear_gadgets(self):
+        for k in (1, 2, 3):
+            gadget = line_gadget(2.0, k)
+            _assert_matches_brute_force(gadget.coords, k, [gadget])
+            g = sample_d1(60 * (k + 1), k, seed=k)
+            _assert_matches_brute_force(g.coords, k, [g])
+
+    def test_delta8_gaussian_mixture(self):
+        rng = np.random.default_rng(8)
+        centers = rng.random((8, 8))
+        pts = centers[rng.integers(0, 8, size=1500)] + rng.normal(0.0, 0.05, size=(1500, 8))
+        _assert_matches_brute_force(pts, 10)
+
+    @pytest.mark.parametrize("delta", [1, 2, 3])
+    def test_uniform_points(self, delta):
+        pts = np.random.default_rng(delta).random((3000, delta))
+        _assert_matches_brute_force(pts, 10)
+
+    def test_integer_lattice_with_repeated_points(self):
+        # ties at the k-th distance straddle grid cells on every vertex
+        rng = np.random.default_rng(9)
+        pts = rng.integers(0, 40, size=(2500, 2)).astype(np.float64)
+        _assert_matches_brute_force(pts, 6)
+        _assert_matches_brute_force(np.vstack([pts, pts[:500]]), 4)
+
+    def test_far_outlier_and_distant_clusters(self):
+        rng = np.random.default_rng(10)
+        pts = np.vstack([rng.random((800, 2)), rng.random((800, 2)) + 1e3, [[-1e6, 5.0]]])
+        _assert_matches_brute_force(pts, 5)
+
+    def test_grid_settles_most_uniform_vertices(self):
+        pts = np.random.default_rng(11).random((4096, 2))
+        parts, rest = exact._grid_pass(pts, 10)
+        assert sum(part.rows.size for part in parts) + rest.size == 4096
+        assert rest.size < 4096 // 10
+
+    def test_per_vertex_views_equal_kernel_rows(self):
+        rng = np.random.default_rng(12)
+        pts = rng.integers(0, 6, size=(300, 2)).astype(np.float64)
+        k = 4
+        p = NeighborhoodProfile(pts, k)
+        g = p.graph
+        inside = _csr_sets(p.inside_indptr, p.inside_indices)
+        at = _csr_sets(p.at_indptr, p.at_indices)
+        for v in range(0, g.n, 7):
+            assert k_nearest_set(g, v, k) == inside[v] | at[v]
+            assert np.array_equal(knn_adjacency_row(pts, v, k), p.knn[v])
+            assert all(num_nearer(g, v, int(u)) == len(inside[v]) for u in at[v])
+            assert witnesses_of(g, v, k).witnesses == (inside[v] | at[v]) - set(p.knn[v].tolist())
+
+    def test_scipy_ckdtree_k_sets_without_ties(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        n, k = 16384, 10
+        pts = np.random.default_rng(13).random((n, 2))
+        p = NeighborhoodProfile(pts, k)
+        # no ties: exactly k ids within the k-th distance, none of them at a tie
+        assert np.all(np.diff(p.inside_indptr) == k - 1)
+        assert np.all(np.diff(p.at_indptr) == 1)
+        _, ids = spatial.cKDTree(pts).query(pts, k + 1)
+        assert np.all(ids[:, 0] == np.arange(n))
+        assert np.array_equal(np.sort(ids[:, 1:], axis=1), np.sort(p.knn, axis=1))

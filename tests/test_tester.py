@@ -1,5 +1,11 @@
 """The sublinear tester: sizing, local check, full runs, query accounting."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,6 +171,33 @@ class TestRunTester:
         assert e.reason == "witness"
         assert witnesses_of(g, e.vertex, 2).incomplete
         assert e.witness not in set(g.adjacency[e.vertex].tolist())
+
+    def test_unconfirmed_evidence_raises_under_optimize(self):
+        # ground truth that calls every vertex complete contradicts the
+        # witness rejection above; the check must survive python -O
+        script = textwrap.dedent(
+            """
+            import sys
+            from knncheck import exact
+            from knncheck.core import OracleSession
+            from knncheck.generators import sample_d2
+            from knncheck.tester import TesterConfig, run_tester
+
+            print("optimize:", sys.flags.optimize)
+            exact.witnesses_of = lambda g, v, k: exact.WitnessSet(v, frozenset(), 0)
+            g = sample_d2(120, 2, 0.1, seed=3)
+            try:
+                run_tester(OracleSession(g), TesterConfig(k=2, epsilon=0.1, delta=1, seed=4))
+            except AssertionError as exc:
+                print("raised:", exc)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, env=env, check=True).stdout.splitlines()
+        assert out[0] == "optimize: 1"
+        assert out[1].startswith("raised: rejection evidence fails ground truth")
 
     def test_deterministic_verdict_and_tallies(self):
         g = sample_d2(60, 1, 0.15, seed=6)
