@@ -26,7 +26,6 @@ from .tester import (
     TesterConfig,
     Verdict,
     kissing_number,
-    local_witness_check,
     run_tester,
     sample_sizes,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "Evidence",
     "kissing_number",
     "sample_sizes",
-    "local_witness_check",
     "run_tester",
     "GadgetLayout",
     "line_gadget",

@@ -17,9 +17,6 @@ from .sampling import rng_from, sample_without_replacement, split_seed
 
 __all__ = ["KnowledgeState", "simulate_queries", "estimate_collision_probability"]
 
-STRATEGIES = ("uniform-fresh",)
-
-
 @dataclass(frozen=True)
 class KnowledgeState:
     """What a query-bounded algorithm has seen: gadgets with their base coordinates."""
@@ -35,7 +32,6 @@ def simulate_queries(
     k: int,
     epsilon: float | None,
     budget: int,
-    strategy: str = "uniform-fresh",
     seed: int = 0,
 ) -> KnowledgeState:
     """Reveal ``budget`` fresh gadgets uniformly at random from D1 or D2.
@@ -46,8 +42,6 @@ def simulate_queries(
     """
     if dist not in ("D1", "D2"):
         raise ValueError(f"distribution must be 'D1' or 'D2', got {dist!r}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     k1 = k + 1
     if n % k1:
         raise ValueError(f"n={n} must be a multiple of k+1={k1}")

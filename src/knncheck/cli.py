@@ -62,10 +62,6 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _load_graph(path: str):
-    return read_knng(path)
-
-
 def _load_points(path: str) -> np.ndarray:
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -159,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_distance(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_knng(args.graph)
     budget = EdgeBudget.provided(args.d) if args.d is not None else EdgeBudget.computed(g)
     report = epsilon_distance(g, args.k, budget)
     _print_json(
@@ -181,7 +177,7 @@ def _cmd_build_knn(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    g = _load_graph(args.graph)
+    g = read_knng(args.graph)
     cfg = TesterConfig(
         k=args.k,
         epsilon=args.epsilon,
@@ -230,7 +226,7 @@ def _cmd_generate(args) -> int:
         _print_json({"far": str(far_path), "exact": str(exact_path), "n_far": far.n})
         return EX_OK
     elif args.generator == "corrupt":
-        g = corrupt_edges(_load_graph(args.graph), args.fraction, args.seed, k=args.k)
+        g = corrupt_edges(read_knng(args.graph), args.fraction, args.seed, k=args.k)
     else:  # pragma: no cover - argparse enforces choices
         raise ValueError(args.generator)
     _write(write_knng, g, args.output)

@@ -40,13 +40,14 @@ def dist2(p, q) -> float:
 def dist2_row(p: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Squared distances from point ``p`` to every row of ``pts``.
 
+    ``p`` may also hold one point per row of ``pts``, paired row by row.
     Uses the same per-dimension accumulation order as :func:`dist2`.
     """
     p = np.asarray(p, dtype=np.float64)
     pts = np.asarray(pts, dtype=np.float64)
     acc = np.zeros(pts.shape[0], dtype=np.float64)
     for j in range(pts.shape[1]):
-        d = pts[:, j] - p[j]
+        d = pts[:, j] - p[..., j]
         acc += d * d
     return acc
 
@@ -278,20 +279,24 @@ class OracleSession:
 
     def neighbors_all(self, v: int) -> np.ndarray:
         """All out-neighbors of v in storage order, charging slots 1..deg(v)."""
-        deg = self.degree(v)
-        if not self._nbr_all[v]:
-            already = self._nbr_slots.get(v)
-            charged = 0
-            if already is not None:
-                charged = sum(1 for i in already if i <= deg)
-                leftover = {i for i in already if i > deg}
-                if leftover:
-                    self._nbr_slots[v] = leftover
-                else:
-                    del self._nbr_slots[v]
-            self._n_neighbor += deg - charged
-            self._nbr_all[v] = True
+        v = self.graph.check_vertex(v)
+        self.charge_neighbor_rows([v])
         return self.graph.adjacency[v]
+
+    def charge_neighbor_rows(self, vs) -> None:
+        """Charge what neighbors_all(v) charges for every v in vs: deg(v) and slots 1..deg(v)."""
+        vs = np.unique(np.asarray(vs, dtype=np.int64))
+        self.degrees(vs)
+        fresh = vs[~self._nbr_all[vs]]
+        # slots already charged one at a time through neighbor(v, i)
+        already = sum(
+            1
+            for v in self._nbr_slots.keys() & set(fresh.tolist())
+            for i in self._nbr_slots[v]
+            if i <= self.graph._degrees[v]
+        )
+        self._n_neighbor += int(self.graph._degrees[fresh].sum()) - already
+        self._nbr_all[fresh] = True
 
     def coords_many(self, vs) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64)

@@ -1,10 +1,14 @@
 """One-sided sublinear tester for the k-nearest-neighborhood property.
 
-The tester touches the graph only through an OracleSession. It samples a
-vertex pool S', filters it by a degree cap into S, samples a witness pool T
-with replacement, and rejects as soon as some v in S has degree below k or
-some u in T passes the local witness check against some v in S. A graph that
-is a k-NN graph is never rejected, for any seed.
+The tester samples a vertex pool S', filters it by a degree cap into S,
+samples a witness pool T with replacement, and rejects as soon as some v in S
+has degree below k or some u in T passes the local witness check against
+some v in S. A graph that is a k-NN graph is never rejected, for any seed.
+
+Its cost is the number of distinct oracle reads of that sequential scan. The
+scan itself works on the graph's arrays one block of S at a time and charges
+the OracleSession, in bulk, for exactly the reads the sequential scan makes
+up to where it stops, so the session's QueryTally is the tester's cost.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .core import GeometricGraph, OracleSession, QueryTally, dist2, dist2_block, dist2_row
+from .core import GeometricGraph, OracleSession, QueryTally, dist2_block, dist2_row
 from .sampling import rng_from, sample_without_replacement, split_seed
 
 __all__ = [
@@ -26,7 +30,6 @@ __all__ = [
     "Evidence",
     "Verdict",
     "sample_sizes",
-    "local_witness_check",
     "run_tester",
 ]
 
@@ -153,39 +156,17 @@ def sample_sizes(n: int, cfg: TesterConfig) -> tuple[int, int, int]:
     return s_prime, t, cap
 
 
-def local_witness_check(session: OracleSession, v: int, u: int, k: int) -> bool:
-    """Purely local witness test for the pair (v, u).
-
-    Reads v's degree, its neighbors and their coordinates, and u's
-    coordinate. Returns True when u is a non-neighbor strictly inside the
-    k-th smallest neighbor distance of v, or unconditionally when
-    deg(v) < k. Ties at the k-th distance are not flagged: they are
-    satisfiable by arbitrary tie-breaking, which keeps the check one-sided.
-    """
-    v = session.graph.check_vertex(v)
-    u = session.graph.check_vertex(u)
-    if u == v:
-        raise ValueError("witness check is undefined for u == v")
-    deg = session.degree(v)
-    if deg < k:
-        return True
-    nbrs = session.neighbors_all(v)
-    vc = session.coord(v)
-    nd = dist2_row(vc, session.coords_many(nbrs))
-    rk = np.partition(nd, k - 1)[k - 1]
-    du = dist2(vc, session.coord(u))
-    if np.any(nbrs == u):
-        return False
-    return bool(du < rk)
-
-
 def run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
     """Run the tester once; deterministic in (graph, cfg, seed) including tallies.
 
     Rejects on the first v in S with deg(v) < k, or the first pair (v, u) in
-    S x T order passing the local witness check; accepts otherwise. Rejection
-    evidence is re-verified against ground truth, also under ``python -O``;
-    evidence that fails it raises AssertionError.
+    S x T order passing the local witness check; accepts otherwise. The
+    session is charged for the distinct reads of that scan up to its stop:
+    the degrees of S', and for every scanned v its degree, neighbors and
+    their coordinates and its own, plus the coordinates of T (only up to the
+    witness when the scan stops at the first v of S). Rejection evidence is
+    re-verified against ground truth, also under ``python -O``; evidence
+    that fails it raises AssertionError.
     """
     g = session.graph
     n = g.n
@@ -205,8 +186,7 @@ def run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
     s_vertices = s_prime[keep]
     s_degs = degs[keep]
 
-    event = _find_event(g, s_vertices, s_degs, t_draws, cfg.k)
-    _charge_scan_queries(session, s_vertices, t_draws, event)
+    event = _scan(session, s_vertices, s_degs, t_draws, cfg.k)
 
     if event is None:
         decision, evidence = "accept", None
@@ -230,8 +210,8 @@ def run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
     )
 
 
-def _find_event(
-    g: GeometricGraph,
+def _scan(
+    session: OracleSession,
     s_vertices: np.ndarray,
     s_degs: np.ndarray,
     t_draws: np.ndarray,
@@ -240,67 +220,52 @@ def _find_event(
     """First rejection event in S-major scan order, or None.
 
     Returns ("low-degree", v_index, None) or ("witness", v_index, t_index).
-    Vectorized over distinct T values; equivalent to the literal nested loop
-    because the witness predicate for (v, u) depends only on u's value.
+    Each block of S is evaluated on the graph's arrays, vectorized over the
+    distinct T values; this equals the literal nested loop because the
+    witness predicate for (v, u) depends only on u's value. Each block then
+    charges the session for the reads of the nested loop up to its stop.
     """
+    g = session.graph
     low = np.flatnonzero(s_degs < k)
-    first_low = int(low[0]) if low.size else None
-    limit = first_low if first_low is not None else s_vertices.size
+    limit = int(low[0]) if low.size else s_vertices.size
+    u_vals = np.unique(t_draws)
+    u_coords = g.coords[u_vals]
+    for lo in range(0, limit, _SCAN_BLOCK):
+        block = s_vertices[lo : min(limit, lo + _SCAN_BLOCK)]
+        degs = s_degs[lo : lo + block.size]
+        nbrs = np.concatenate([g.adjacency[v] for v in block])
+        owner = np.repeat(np.arange(block.size), degs)
+        starts = np.cumsum(degs) - degs
+        block_coords = g.coords[block]
+        nd = dist2_row(block_coords[owner], g.coords[nbrs])
+        rk = nd[np.lexsort((nd, owner))[starts + k - 1]]
+        mask = dist2_block(block_coords, u_coords) < rk[:, None]
+        # the guard requires u != v and u not in N(v)
+        ids = np.concatenate((nbrs, block))
+        rows = np.concatenate((owner, np.arange(block.size)))
+        pos = np.minimum(np.searchsorted(u_vals, ids), u_vals.size - 1)
+        found = u_vals[pos] == ids
+        mask[rows[found], pos[found]] = False
 
-    if limit > 0 and t_draws.size > 0:
-        u_vals = np.unique(t_draws)
-        u_coords = g.coords[u_vals]
-        for lo in range(0, limit, _SCAN_BLOCK):
-            hi = min(limit, lo + _SCAN_BLOCK)
-            block = s_vertices[lo:hi]
-            rk = np.empty(hi - lo, dtype=np.float64)
-            for i, v in enumerate(block):
-                nd = dist2_row(g.coords[v], g.coords[g.adjacency[v]])
-                rk[i] = np.partition(nd, k - 1)[k - 1]
-            mask = dist2_block(g.coords[block], u_coords) < rk[:, None]
-            for i, v in enumerate(block):
-                # the guard requires u != v and u not in N(v)
-                targets = np.append(g.adjacency[v], v)
-                pos = np.searchsorted(u_vals, targets)
-                inside = pos < u_vals.size
-                pos = pos[inside]
-                mask[i, pos[u_vals[pos] == targets[inside]]] = False
-            hits = np.flatnonzero(mask.any(axis=1))
-            if hits.size:
-                row = int(hits[0])
-                wit_vals = u_vals[mask[row]]
-                t_idx = int(np.flatnonzero(np.isin(t_draws, wit_vals))[0])
-                return ("witness", lo + row, t_idx)
+        # the first v of S reads T, only up to the witness if it is the stop
+        event = None
+        t_read = t_draws if lo == 0 else t_draws[:0]
+        hits = np.flatnonzero(mask.any(axis=1))
+        if hits.size:
+            row = int(hits[0])
+            t_idx = int(np.flatnonzero(np.isin(t_draws, u_vals[mask[row]]))[0])
+            event = ("witness", lo + row, t_idx)
+            block = block[: row + 1]
+            if lo + row == 0:
+                t_read = t_draws[: t_idx + 1]
+        session.charge_neighbor_rows(block)
+        session.coords_many(np.concatenate((block, nbrs[: degs[: block.size].sum()], t_read)))
+        if event is not None:
+            return event
 
-    if first_low is not None:
-        return ("low-degree", first_low, None)
+    if low.size:
+        return ("low-degree", limit, None)
     return None
-
-
-def _charge_scan_queries(session, s_vertices, t_draws, event) -> None:
-    """Replay the exact query trace of the sequential scan for accounting.
-
-    The per-kind tallies depend only on the set of distinct reads, so charging
-    in bulk reproduces the sequential counts.
-    """
-    if event is None:
-        v_stop, charge_stop_vertex, t_charged = s_vertices.size, False, s_vertices.size > 0
-        t_prefix = None
-    else:
-        kind, v_idx, t_idx = event
-        v_stop = v_idx
-        charge_stop_vertex = kind == "witness"
-        t_charged = v_idx > 0
-        t_prefix = None if t_idx is None else t_idx + 1
-
-    upto = v_stop + 1 if charge_stop_vertex else v_stop
-    for v in s_vertices[:upto]:
-        nbrs = session.neighbors_all(int(v))
-        session.coords_many(np.append(np.int64(v), nbrs))
-    if t_charged:
-        session.coords_many(t_draws)
-    elif charge_stop_vertex and t_prefix is not None:
-        session.coords_many(t_draws[:t_prefix])
 
 
 def _evidence_confirmed(g: GeometricGraph, ev: Evidence, k: int) -> bool:

@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from knncheck.core import EdgeBudget, GeometricGraph, OracleSession, dist2, dist2_block
+from knncheck.core import EdgeBudget, GeometricGraph, OracleSession, dist2, dist2_block, dist2_row
 from knncheck.exact import DistanceReport
 from knncheck.sampling import rng_from, sample_without_replacement, split_seed
-from knncheck.tester import Evidence, TesterConfig, Verdict, local_witness_check, sample_sizes
+from knncheck.tester import Evidence, TesterConfig, Verdict, sample_sizes
 
 
 def exhaustive_min_edits(g: GeometricGraph, k: int) -> int:
@@ -43,6 +43,32 @@ def exhaustive_min_edits(g: GeometricGraph, k: int) -> int:
             best = cost if best is None else min(best, cost)
         total += best
     return total
+
+
+def local_witness_check(session: OracleSession, v: int, u: int, k: int) -> bool:
+    """Purely local witness test for the pair (v, u).
+
+    Reads v's degree, its neighbors and their coordinates, and u's
+    coordinate. Returns True when u is a non-neighbor strictly inside the
+    k-th smallest neighbor distance of v, or unconditionally when
+    deg(v) < k. Ties at the k-th distance are not flagged: they are
+    satisfiable by arbitrary tie-breaking, which keeps the check one-sided.
+    """
+    v = session.graph.check_vertex(v)
+    u = session.graph.check_vertex(u)
+    if u == v:
+        raise ValueError("witness check is undefined for u == v")
+    deg = session.degree(v)
+    if deg < k:
+        return True
+    nbrs = session.neighbors_all(v)
+    vc = session.coord(v)
+    nd = dist2_row(vc, session.coords_many(nbrs))
+    rk = np.partition(nd, k - 1)[k - 1]
+    du = dist2(vc, session.coord(u))
+    if np.any(nbrs == u):
+        return False
+    return bool(du < rk)
 
 
 def naive_run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:

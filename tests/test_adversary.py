@@ -54,8 +54,6 @@ class TestSimulateQueries:
             simulate_queries("D2", 120, 1, 0.1, budget=61)
         with pytest.raises(ValueError):
             simulate_queries("D2", 120, 1, None, budget=1)
-        with pytest.raises(ValueError):
-            simulate_queries("D1", 120, 1, None, budget=1, strategy="adaptive")
 
 
 class TestCollisionProbability:

@@ -1,8 +1,10 @@
 """Command line interface: subcommands, exit codes, byte-stable output."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,7 +210,9 @@ class TestDeterminism:
     def test_subprocess_rerun_identical(self, knn_graph_file):
         argv = [sys.executable, "-m", "knncheck", "test", str(knn_graph_file),
                 "--k", "3", "--epsilon", "0.2", "--seed", "12", "--json"]
-        a = subprocess.run(argv, capture_output=True)
-        b = subprocess.run(argv, capture_output=True)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        a = subprocess.run(argv, capture_output=True, env=env)
+        b = subprocess.run(argv, capture_output=True, env=env)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout

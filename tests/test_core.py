@@ -64,6 +64,9 @@ def test_dist2_scalar_row_block_bit_identical(delta):
         assert np.array_equal(row, block[i])
         for j in range(b.shape[0]):
             assert dist2(a[i], b[j]) == row[j]
+    # one point per row, paired row by row
+    paired = dist2_row(np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1)))
+    assert np.array_equal(paired, block.ravel())
 
 
 class TestGeometricGraphInvariants:
@@ -229,6 +232,23 @@ class TestOracleSession:
         b.degree(2)
         for i in range(1, b.degree(2) + 1):
             b.neighbor(2, i)
+        assert a.query_count == b.query_count
+        # whole rows after partial reads, including star slots past deg = 5
+        for s in (a, b):
+            s.neighbor(4, 2)
+            s.neighbor(4, 6)
+            s.neighbor(1, 1)
+        a.charge_neighbor_rows([4, 1, 4, 2, 0])
+        for v in (4, 1, 0):
+            b.degree(v)
+            for i in range(1, b.degree(v) + 1):
+                b.neighbor(v, i)
+        assert a.query_count == b.query_count
+        for s in (a, b):
+            s.neighbor(4, 6)
+            s.neighbor(4, 3)
+            s.neighbor(0, 6)
+            s.neighbors_all(1)
         assert a.query_count == b.query_count
 
     def test_sessions_on_shared_graph_are_independent(self):

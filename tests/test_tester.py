@@ -9,15 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import naive_run_tester
+from helpers import local_witness_check, naive_run_tester, random_small_graph
 from knncheck.core import GeometricGraph, OracleSession
 from knncheck.exact import build_exact_knn_graph, max_shared_knn, witnesses_of
 from knncheck.generators import corrupt_edges, line_gadget, sample_d2, tight_witness_construction
+from knncheck.sampling import rng_from, sample_without_replacement, split_seed
 from knncheck.tester import (
+    _SCAN_BLOCK,
     KISSING_NUMBERS,
     TesterConfig,
     kissing_number,
-    local_witness_check,
     run_tester,
     sample_sizes,
 )
@@ -252,6 +253,7 @@ class TestNaiveEquivalence:
             slow.s_size,
             slow.t_size,
         )
+        return fast
 
     @pytest.mark.parametrize("seed", range(10))
     def test_on_accepting_graphs(self, seed):
@@ -291,3 +293,65 @@ class TestNaiveEquivalence:
             k=2, epsilon=0.5, delta=2, mode="experiment", c1=0.5, c2=0.5, seed=seed
         )
         self._compare(g, cfg)
+
+    # the inputs below reach what the small graphs above do not: several scan
+    # blocks, an event at S position 0, a filtered S, lattice ties
+
+    @staticmethod
+    def _s_prime(n, cfg):
+        """S' in scan order, as run_tester samples it."""
+        seq_s, _ = split_seed(cfg.seed, 2)
+        return sample_without_replacement(n, sample_sizes(n, cfg)[0], rng_from(seq_s))
+
+    @pytest.mark.parametrize("reason", ["witness", "low-degree", None])
+    @pytest.mark.parametrize("position", [0, 7, _SCAN_BLOCK + 44])
+    def test_event_at_scan_position(self, reason, position):
+        n, k = 400, 2
+        g = build_exact_knn_graph(np.random.default_rng(position).random((n, 2)), k)
+        cfg = TesterConfig(k=k, epsilon=0.5, delta=2, mode="experiment", c1=2.0, c2=0.2,
+                           seed=position)
+        v = int(self._s_prime(n, cfg)[position])
+        adjacency = list(g.adjacency)
+        if reason == "witness":  # the k farthest points leave v incomplete
+            adjacency[v] = np.argsort(((g.coords - g.coords[v]) ** 2).sum(axis=1))[-k:]
+        elif reason == "low-degree":
+            adjacency[v] = adjacency[v][: k - 1]
+        g = GeometricGraph(g.coords, tuple(adjacency))
+        verdict = self._compare(g, cfg)
+        if reason is None:
+            assert verdict.decision == "accept" and verdict.s_size == n
+        else:
+            assert verdict.evidence.reason == reason and verdict.evidence.vertex == v
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_degree_cap_filters_s(self, seed):
+        n, k = 400, 2
+        rng = np.random.default_rng(500 + seed)
+        g = build_exact_knn_graph(rng.random((n, 2)), k)
+        cfg = TesterConfig(k=k, epsilon=0.5, delta=2, mode="experiment", c1=2.0, c2=0.2,
+                           seed=seed, degree_cap_override=4)
+        s_prime = self._s_prime(n, cfg)
+        adjacency = list(g.adjacency)
+        # incomplete hubs above the cap, S position 0 among them, then a
+        # witness vertex late in the scan
+        for v in np.append(s_prime[0], rng.choice(s_prime[1:300], size=40, replace=False)):
+            adjacency[v] = np.setdiff1d(rng.choice(n, size=9, replace=False), [v])[:8]
+        late = int(s_prime[350])
+        adjacency[late] = np.setdiff1d(rng.choice(n, size=k + 1, replace=False), [late])[:k]
+        g = GeometricGraph(g.coords, tuple(adjacency))
+        verdict = self._compare(g, cfg)
+        assert verdict.s_size == verdict.s_prime_size - 41
+        assert verdict.evidence.vertex == late
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_on_lattices_with_ties(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        delta = 1 + seed % 3
+        pts = rng.integers(0, 4, size=(300, delta)).astype(np.float64)
+        g = corrupt_edges(build_exact_knn_graph(pts, 3), 0.02 * (seed % 4), seed)
+        self._compare(g, TesterConfig(k=3, epsilon=0.5, delta=delta, seed=seed, mode="experiment",
+                                      c1=0.3 * (1 + seed % 4), c2=0.1))
+        for _ in range(5):
+            k = int(rng.integers(1, 4))
+            small = random_small_graph(rng, k)
+            self._compare(small, TesterConfig(k=k, epsilon=0.5, delta=small.delta, seed=seed))
