@@ -75,40 +75,49 @@ def dist2_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _check_rows(n: int, ndims, degrees: np.ndarray, ids: np.ndarray) -> None:
-    """Validate all adjacency rows at once; ``ids`` concatenates the 1-d rows.
+def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, e) over paired bounds; gathers CSR rows."""
+    lengths = ends - starts
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
-    Raises for the first offending vertex in id order, naming the first
-    failing check in the order: row shape, id range, self-loop, duplicate.
+
+def row_fault(n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple[int, str] | None:
+    """(vertex, message) for the first faulty CSR row over ids [0, n), or None.
+
+    The message names the first failing check in the order: id range,
+    self-loop, duplicate. The rows may be a prefix of a graph's n rows.
     """
-    owner = np.repeat(np.arange(n), degrees)
-    in_range = (ids >= 0) & (ids < n)
-    keys = np.sort(owner[in_range] * n + ids[in_range])
+    owner = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    in_range = (indices >= 0) & (indices < n)
+    keys = np.sort(owner[in_range] * n + indices[in_range])
     repeated = keys[1:][keys[1:] == keys[:-1]]
     checks = (
-        (np.flatnonzero(np.asarray(ndims) != 1), "adjacency row must be 1-d"),
         (owner[~in_range], f"neighbor id out of range [0, {n})"),
-        (owner[ids == owner], "self-loop"),
+        (owner[indices == owner], "self-loop"),
         (repeated // n, "duplicate neighbor"),
     )
     firsts = [int(bad.min()) if bad.size else n for bad, _ in checks]
     v = min(firsts)
     if v < n:
-        raise ValueError(f"vertex {v}: {checks[firsts.index(v)][1]}")
+        return v, f"vertex {v}: {checks[firsts.index(v)][1]}"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
 class GeometricGraph:
-    """Immutable directed geometric graph.
+    """Immutable directed geometric graph in CSR form.
 
-    ``coords`` holds one row of ``delta`` binary64 reals per vertex and
-    ``adjacency`` one ordered out-neighbor id array per vertex. Vertices are
-    identified by position; coincident coordinates are legal. Adjacency order
-    is the storage order of the source and carries no distance meaning.
+    ``coords`` holds one row of ``delta`` binary64 reals per vertex. The
+    out-neighbors of vertex v are ``indices[indptr[v]:indptr[v+1]]`` in
+    storage order, which is the order of the source and carries no distance
+    meaning. Vertices are identified by position; coincident coordinates are
+    legal.
     """
 
     coords: np.ndarray
-    adjacency: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     k_hint: int | None = None
 
     def __post_init__(self):
@@ -120,20 +129,26 @@ class GeometricGraph:
         if not np.all(np.isfinite(coords)):
             raise ValueError("coordinates must be finite")
         n = coords.shape[0]
-        if len(self.adjacency) != n:
-            raise ValueError(f"adjacency has {len(self.adjacency)} rows, expected {n}")
-        rows = [np.asarray(row, dtype=np.int64) for row in self.adjacency]
-        flat_rows = [a if a.ndim == 1 else a.reshape(-1)[:0] for a in rows]
-        degrees = np.fromiter(map(len, flat_rows), dtype=np.int64, count=n)
-        _check_rows(n, [a.ndim for a in rows], degrees, np.concatenate(flat_rows))
-        for a in rows:
-            a.setflags(write=False)
+        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in (indptr, indices)):
+            raise ValueError("adjacency indptr and indices must be 1-d integer arrays")
+        indptr, indices = (np.ascontiguousarray(a, dtype=np.int64) for a in (indptr, indices))
+        degrees = np.diff(indptr)
+        if indptr.size != n + 1 or indptr[0] != 0 or indptr[-1] != indices.size or np.any(degrees < 0):
+            raise ValueError(
+                f"adjacency indptr must hold n+1 = {n + 1} non-decreasing offsets "
+                f"from 0 to len(indices) = {indices.size}"
+            )
+        fault = row_fault(n, indptr, indices)
+        if fault is not None:
+            raise ValueError(fault[1])
         if self.k_hint is not None and self.k_hint < 1:
             raise ValueError("k_hint must be positive when given")
-        coords.setflags(write=False)
-        degrees.setflags(write=False)
+        for a in (coords, indptr, indices, degrees):
+            a.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "adjacency", tuple(rows))
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "_degrees", degrees)
 
     @property
@@ -146,7 +161,7 @@ class GeometricGraph:
 
     @property
     def num_edges(self) -> int:
-        return int(self._degrees.sum())
+        return self.indices.size
 
     @property
     def degrees(self) -> np.ndarray:
@@ -163,20 +178,22 @@ class GeometricGraph:
         return int(self._degrees[self.check_vertex(v)])
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.adjacency[self.check_vertex(v)]
+        """Out-neighbors of v in storage order: a read-only view, no copy."""
+        v = self.check_vertex(v)
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def coord(self, v: int) -> np.ndarray:
         return self.coords[self.check_vertex(v)]
 
     def equals(self, other: "GeometricGraph") -> bool:
         """Bit-exact structural equality (coordinates, adjacency order, k_hint)."""
-        if self.n != other.n or self.delta != other.delta or self.k_hint != other.k_hint:
-            return False
-        if not np.array_equal(
-            self.coords.view(np.uint64), other.coords.view(np.uint64)
-        ):
-            return False
-        return all(np.array_equal(a, b) for a, b in zip(self.adjacency, other.adjacency))
+        return (
+            self.coords.shape == other.coords.shape
+            and self.k_hint == other.k_hint
+            and np.array_equal(self.coords.view(np.uint64), other.coords.view(np.uint64))
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
 
 @dataclass(frozen=True)
@@ -228,8 +245,8 @@ class OracleSession:
         n = graph.n
         self._deg_seen = np.zeros(n, dtype=bool)
         self._coord_seen = np.zeros(n, dtype=bool)
-        self._nbr_all = np.zeros(n, dtype=bool)  # slots 1..deg(v) all charged
-        self._nbr_slots: dict[int, set[int]] = {}
+        self._slot_seen = np.zeros(graph.num_edges, dtype=bool)  # slot i of v: indptr[v] + i - 1
+        self._star_seen: set[tuple[int, int]] = set()  # (v, i) read with i > deg(v)
         self._n_neighbor = 0
         self._n_degree = 0
         self._n_coord = 0
@@ -253,11 +270,16 @@ class OracleSession:
         i = int(i)
         if not 1 <= i <= self.graph.n:
             raise ValueError(f"neighbor index {i} out of range [1, {self.graph.n}]")
-        self._charge_neighbor(v, i)
-        row = self.graph.adjacency[v]
-        if i <= row.size:
-            return int(row[i - 1])
-        return None
+        if i > self.graph._degrees[v]:
+            if (v, i) not in self._star_seen:
+                self._star_seen.add((v, i))
+                self._n_neighbor += 1
+            return None
+        pos = int(self.graph.indptr[v]) + i - 1
+        if not self._slot_seen[pos]:
+            self._slot_seen[pos] = True
+            self._n_neighbor += 1
+        return int(self.graph.indices[pos])
 
     def coord(self, v: int) -> np.ndarray:
         v = self.graph.check_vertex(v)
@@ -281,22 +303,15 @@ class OracleSession:
         """All out-neighbors of v in storage order, charging slots 1..deg(v)."""
         v = self.graph.check_vertex(v)
         self.charge_neighbor_rows([v])
-        return self.graph.adjacency[v]
+        return self.graph.neighbors(v)
 
     def charge_neighbor_rows(self, vs) -> None:
         """Charge what neighbors_all(v) charges for every v in vs: deg(v) and slots 1..deg(v)."""
         vs = np.unique(np.asarray(vs, dtype=np.int64))
         self.degrees(vs)
-        fresh = vs[~self._nbr_all[vs]]
-        # slots already charged one at a time through neighbor(v, i)
-        already = sum(
-            1
-            for v in self._nbr_slots.keys() & set(fresh.tolist())
-            for i in self._nbr_slots[v]
-            if i <= self.graph._degrees[v]
-        )
-        self._n_neighbor += int(self.graph._degrees[fresh].sum()) - already
-        self._nbr_all[fresh] = True
+        slots = concat_ranges(self.graph.indptr[vs], self.graph.indptr[vs + 1])
+        self._n_neighbor += int(np.count_nonzero(~self._slot_seen[slots]))
+        self._slot_seen[slots] = True
 
     def coords_many(self, vs) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64)
@@ -306,12 +321,3 @@ class OracleSession:
         self._coord_seen[fresh] = True
         self._n_coord += fresh.size
         return self.graph.coords[vs]
-
-    def _charge_neighbor(self, v: int, i: int) -> None:
-        deg = int(self.graph._degrees[v])
-        if self._nbr_all[v] and i <= deg:
-            return
-        slots = self._nbr_slots.setdefault(v, set())
-        if i not in slots:
-            slots.add(i)
-            self._n_neighbor += 1

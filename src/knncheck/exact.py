@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import EdgeBudget, GeometricGraph, dist2_block
+from .core import EdgeBudget, GeometricGraph, concat_ranges, dist2_block
 
 __all__ = [
     "WitnessSet",
@@ -112,13 +112,6 @@ def _scan(coords: np.ndarray, rows: np.ndarray, k: int) -> list[_Selection]:
     return [_select(coords, rows[lo : lo + step], everyone, k)[0] for lo in range(0, rows.size, step)]
 
 
-def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, e) over paired bounds."""
-    lengths = ends - starts
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-
-
 def _grid_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray]:
     """Selections for the vertices a uniform grid settles, and the vertices it leaves.
 
@@ -168,9 +161,9 @@ def _grid_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray
         r_lo = np.maximum(first - 1, 0)
         r_hi = np.minimum(first + side, shape - 1)
         xs = np.arange(first[0], q_hi[0] + 1) * shape[1]
-        queries = order[_ranges(cell_start[xs + first[1]], cell_start[xs + q_hi[1] + 1])]
+        queries = order[concat_ranges(cell_start[xs + first[1]], cell_start[xs + q_hi[1] + 1])]
         xs = np.arange(r_lo[0], r_hi[0] + 1) * shape[1]
-        cand = np.sort(order[_ranges(cell_start[xs + r_lo[1]], cell_start[xs + r_hi[1] + 1])])
+        cand = np.sort(order[concat_ranges(cell_start[xs + r_lo[1]], cell_start[xs + r_hi[1] + 1])])
         if cand.size <= k:
             rest.append(queries)
             continue
@@ -237,7 +230,7 @@ class WitnessSet:
 def witnesses_of(g: GeometricGraph, v: int, k: int) -> WitnessSet:
     v = g.check_vertex(v)
     _check_k(g.n, k)
-    wit = k_nearest_set(g, v, k) - set(int(u) for u in g.adjacency[v])
+    wit = k_nearest_set(g, v, k) - set(g.neighbors(v).tolist())
     return WitnessSet(v, frozenset(wit), max(0, k - g.degree(v)))
 
 
@@ -319,7 +312,7 @@ class NeighborhoodProfile:
     @cached_property
     def graph(self) -> GeometricGraph:
         """The exact k-NN graph: k out-neighbors per vertex by (squared distance, id)."""
-        return GeometricGraph(self.coords, tuple(self.knn), k_hint=self.k)
+        return GeometricGraph(self.coords, np.arange(self.n + 1) * self.k, self.knn.ravel(), self.k)
 
     def report(
         self,
@@ -340,7 +333,7 @@ class NeighborhoodProfile:
             budget = EdgeBudget.computed(g)
         n, k = self.n, self.k
         degrees = g.degrees
-        edges = np.sort(np.repeat(np.arange(n), degrees) * n + np.concatenate(g.adjacency))
+        edges = np.sort(np.repeat(np.arange(n), degrees) * n + g.indices)
         inside = np.diff(self.inside_indptr)
         at = np.diff(self.at_indptr)
         inside_hits = _edge_hits(edges, inside, self.inside_indices)

@@ -46,12 +46,6 @@ class GadgetLayout:
     positions: np.ndarray
     duplicated_pairs: tuple[tuple[int, int], ...] = ()
 
-    def effective_base(self, gadget: int) -> float:
-        for src, dst in self.duplicated_pairs:
-            if gadget == src:
-                return float(self.positions[dst])
-        return float(self.positions[gadget])
-
 
 def line_gadget(x: float, k: int, delta: int = 1) -> GeometricGraph:
     """Complete digraph on k+1 unit-spaced collinear points starting at x.
@@ -63,27 +57,25 @@ def line_gadget(x: float, k: int, delta: int = 1) -> GeometricGraph:
         raise ValueError("k must be at least 1")
     if delta < 1:
         raise ValueError("delta must be at least 1")
-    size = k + 1
-    coords = np.zeros((size, delta), dtype=np.float64)
-    coords[:, 0] = x + np.arange(size, dtype=np.float64)
-    adjacency = tuple(
-        np.array([u for u in range(size) if u != v], dtype=np.int64) for v in range(size)
-    )
-    return GeometricGraph(coords, adjacency, k_hint=k)
+    layout = GadgetLayout(k + 1, 1, np.array([float(x)]))
+    return _gadget_graph(k + 1, k, layout, np.arange(k + 1), delta)
 
 
-def _gadget_graph(n: int, k: int, layout: GadgetLayout, perm: np.ndarray) -> GeometricGraph:
+def _gadget_graph(
+    n: int, k: int, layout: GadgetLayout, perm: np.ndarray, delta: int = 1
+) -> GeometricGraph:
+    """Gadget g holds vertices perm[g*k':(g+1)*k'] along its line, each adjacent to the others."""
     k1 = layout.k_prime
-    coords = np.zeros((n, 1), dtype=np.float64)
-    adjacency: list[np.ndarray | None] = [None] * n
-    for gadget in range(layout.gadget_count):
-        base = layout.effective_base(gadget)
-        slots = range(gadget * k1, (gadget + 1) * k1)
-        for offset, slot in enumerate(slots):
-            vid = int(perm[slot])
-            coords[vid, 0] = base + offset
-            adjacency[vid] = perm[[s for s in slots if s != slot]].astype(np.int64)
-    return GeometricGraph(coords, tuple(adjacency), k_hint=k)
+    slots = perm.reshape(layout.gadget_count, k1)
+    base = layout.positions.copy()
+    for src, dst in layout.duplicated_pairs:
+        base[src] = layout.positions[dst]
+    coords = np.zeros((n, delta), dtype=np.float64)
+    coords[slots, 0] = base[:, None] + np.arange(k1)
+    others = np.arange(k) + (np.arange(k) >= np.arange(k1)[:, None])  # row o: offsets other than o
+    knn = np.empty((n, k), dtype=np.int64)
+    knn[slots] = slots[:, others]
+    return GeometricGraph(coords, np.arange(n + 1) * k, knn.ravel(), k_hint=k)
 
 
 def _base_positions(gadget_count: int, k1: int) -> np.ndarray:
@@ -174,8 +166,8 @@ def tight_witness_construction(delta: int, k: int) -> tuple[GeometricGraph, int]
     for d in dirs:
         rows.extend([d] * k)
     coords = np.vstack(rows)
-    adjacency = tuple(np.empty(0, dtype=np.int64) for _ in range(coords.shape[0]))
-    return GeometricGraph(coords, adjacency, k_hint=k), 0
+    indptr = np.zeros(coords.shape[0] + 1, dtype=np.int64)
+    return GeometricGraph(coords, indptr, indptr[:0], k_hint=k), 0
 
 
 def corrupt_edges(
@@ -198,31 +190,22 @@ def corrupt_edges(
         raise ValueError("corrupt_edges expects min out-degree >= k")
     n = g.n
     count = math.ceil(fraction * n * k)
-    starts = np.concatenate(([0], np.cumsum(g.degrees)))
-    total_slots = int(starts[-1])
     rng = rng_from(seed)
-    chosen = sample_without_replacement(total_slots, count, rng)
+    chosen = sample_without_replacement(g.num_edges, count, rng)
 
-    adjacency = list(g.adjacency)
-    current = {}  # a copied row's neighbor set, kept in step with the row
-    for flat in chosen:
-        v = int(np.searchsorted(starts, flat, side="right")) - 1
-        slot = int(flat - starts[v])
-        if v not in current:
-            adjacency[v] = adjacency[v].copy()
-            current[v] = set(adjacency[v].tolist())
-        nbrs = current[v]
-        if n - 1 <= len(nbrs):
+    # a chosen slot is a position in indices; its row is edited in place
+    indices = g.indices.copy()
+    owners = np.searchsorted(g.indptr, chosen, side="right") - 1
+    for slot, v in zip(chosen.tolist(), owners.tolist()):
+        nbrs = indices[g.indptr[v] : g.indptr[v + 1]]
+        if n - 1 <= nbrs.size:
             raise ValueError(f"vertex {v} is adjacent to every other vertex; cannot corrupt")
-        old = int(adjacency[v][slot])
         while True:
             cand = int(rng.integers(0, n))
-            if cand != v and cand not in nbrs:
+            if cand != v and not np.any(nbrs == cand):
                 break
-        adjacency[v][slot] = cand
-        nbrs.discard(old)
-        nbrs.add(cand)
-    return GeometricGraph(g.coords, tuple(adjacency), k_hint=g.k_hint)
+        indices[slot] = cand
+    return GeometricGraph(g.coords, g.indptr, indices, k_hint=g.k_hint)
 
 
 # scaled radius of each split cluster and the center displacement; eta must be
@@ -305,14 +288,16 @@ def dimension_lb_instances(
     for i, (cid, sid) in enumerate(zip(center_ids, split_ids)):
         far_coords[cid, 0] -= _LB_ETA
         far_coords[sid] = [float(i + 1) + _LB_ETA, 0.0, 0.0]
-    far_adjacency = list(base.adjacency) + [np.empty(0, dtype=np.int64)] * m
-    g_far = GeometricGraph(far_coords, tuple(far_adjacency), k_hint=k)
+    # the split points get no out-edges
+    indptr = np.concatenate([base.indptr, np.full(m, base.indptr[-1])])
+    g_far = GeometricGraph(far_coords, indptr, base.indices, k_hint=k)
 
     exact_coords = far_coords.copy()
     for sid in split_ids:
         exact_coords[sid] = [-1.0, 0.0, 0.0]
-    exact_adjacency = list(far_adjacency)
+    knn = np.empty((n + m, k), dtype=np.int64)
+    knn[:n] = base.indices.reshape(n, k)
     for vid in center_ids + split_ids:
-        exact_adjacency[vid] = knn_adjacency_row(exact_coords, vid, k)
-    g_exact = GeometricGraph(exact_coords, tuple(exact_adjacency), k_hint=k)
+        knn[vid] = knn_adjacency_row(exact_coords, vid, k)
+    g_exact = GeometricGraph(exact_coords, np.arange(n + m + 1) * k, knn.ravel(), k_hint=k)
     return g_far, g_exact

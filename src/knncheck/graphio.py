@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GeometricGraph
+from .core import GeometricGraph, row_fault
 
 __all__ = ["KnngFormatError", "graph_to_text", "graph_from_text", "write_knng", "read_knng"]
 
@@ -36,8 +36,9 @@ def graph_to_text(graph: GeometricGraph) -> str:
     lines = [f"{MAGIC} {FORMAT_VERSION} {graph.n} {graph.delta} {k_hint}"]
     for row in graph.coords:
         lines.append(" ".join(repr(float(x)) for x in row))
-    for nbrs in graph.adjacency:
-        lines.append(" ".join([str(nbrs.size)] + [str(int(u)) for u in nbrs]))
+    ids, bounds = graph.indices.tolist(), graph.indptr.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        lines.append(" ".join(map(str, [hi - lo, *ids[lo:hi]])))
     return "\n".join(lines) + "\n"
 
 
@@ -80,29 +81,36 @@ def graph_from_text(text: str) -> GeometricGraph:
             raise KnngFormatError(lineno, "coordinates must be finite")
         coords[v] = row
 
-    adjacency = []
-    for v in range(n):
-        lineno = 2 + n + v
-        toks = lines[1 + n + v].split()
+    # one pass checks each line's syntax and declared degree; core's row check
+    # runs on the rows before the first such fault, so the earlier line wins
+    ids: list[int] = []
+    ends = [0]
+    fault = None
+    for v, line in enumerate(lines[1 + n :]):
+        toks = line.split()
         if not toks:
-            raise KnngFormatError(lineno, "missing degree field")
+            fault = (v, "missing degree field")
+            break
         try:
-            vals = [int(t) for t in toks]
+            deg, *nbrs = map(int, toks)
         except ValueError:
-            raise KnngFormatError(lineno, "adjacency entries must be integers") from None
-        deg, nbrs = vals[0], vals[1:]
+            fault = (v, "adjacency entries must be integers")
+            break
         if deg < 0 or len(nbrs) != deg:
-            raise KnngFormatError(lineno, f"declared degree {deg} but found {len(nbrs)} ids")
-        for u in nbrs:
-            if not 0 <= u < n:
-                raise KnngFormatError(lineno, f"neighbor id {u} out of range [0, {n})")
-            if u == v:
-                raise KnngFormatError(lineno, f"self-loop at vertex {v}")
-        if len(set(nbrs)) != deg:
-            raise KnngFormatError(lineno, f"duplicate neighbor in adjacency of vertex {v}")
-        adjacency.append(np.array(nbrs, dtype=np.int64))
+            fault = (v, f"declared degree {deg} but found {len(nbrs)} ids")
+            break
+        ids += nbrs
+        ends.append(len(ids))
+    indptr = np.array(ends, dtype=np.int64)
+    try:
+        indices = np.array(ids, dtype=np.int64)
+    except OverflowError:  # such an id is out of range, and so is its clipped value
+        indices = np.clip(np.array(ids, dtype=object), -1, n).astype(np.int64)
+    fault = row_fault(n, indptr, indices) or fault
+    if fault is not None:
+        raise KnngFormatError(2 + n + fault[0], fault[1])
 
-    return GeometricGraph(coords, tuple(adjacency), k_hint=k_hint if k_hint > 0 else None)
+    return GeometricGraph(coords, indptr, indices, k_hint=k_hint if k_hint > 0 else None)
 
 
 def write_knng(graph: GeometricGraph, path) -> None:

@@ -136,42 +136,15 @@ def run_sweep(cfg: SweepConfig, seed: int) -> SweepReport:
 
     Instances at exact distance 0 land in no bucket; they are still run and
     asserted to be accepted. Buckets with fewer than min_bucket instances are
-    dropped with a warning.
+    dropped with a warning. Each instance runs on every cell before the next
+    is made, and only per-(cell, bucket) sums are kept, so memory stays flat.
     """
     buckets = cfg.buckets()
-    instances = []  # (bucket index or None, graph, DistanceReport)
-    for di, spec in enumerate(cfg.datasets):
-        for si, pseed in enumerate(spec.seeds):
-            # one kernel pass gives the exact graph and the k-th-distance
-            # structure shared by every corruption of this point set
-            profile = NeighborhoodProfile(_make_points(spec, pseed), cfg.k)
-            base = profile.graph
-            for fi, fraction in enumerate(spec.fractions):
-                for j in range(spec.corruptions_per_fraction):
-                    cseed = derive_seed(seed, di, si, fi, j)
-                    g = corrupt_edges(base, fraction, cseed, k=cfg.k)
-                    report = profile.report(g)
-                    instances.append((_bucket_of(buckets, report), g, report))
-
-    bucket_sizes = [0] * len(buckets)
-    for b, _, _ in instances:
-        if b is not None:
-            bucket_sizes[b] += 1
-
-    kept = set()
-    for b, size in enumerate(bucket_sizes):
-        if size < cfg.min_bucket:
-            log.warning(
-                "dropping bucket (%g, %g]: only %d instances (minimum %d)",
-                buckets[b][0], buckets[b][1], size, cfg.min_bucket,
-            )
-            continue
-        kept.add(b)
-
-    rows = []
-    for c1, c2 in cfg.grid:
-        stats = {b: [0, 0, 0.0, 0.0] for b in kept}  # runs, rejects, queries, ratio
-        for ii, (b, g, report) in enumerate(instances):
+    # per cell and bucket: runs, rejects, queries, ratio
+    stats = [[[0, 0, 0.0, 0.0] for _ in buckets] for _ in cfg.grid]
+    for ii, (g, report) in enumerate(_instances(cfg, seed)):
+        b = _bucket_of(buckets, report)
+        for cell, (c1, c2) in zip(stats, cfg.grid):
             for trial in range(cfg.trials_per_cell):
                 tcfg = TesterConfig(
                     k=cfg.k,
@@ -185,15 +158,29 @@ def run_sweep(cfg: SweepConfig, seed: int) -> SweepReport:
                 verdict = run_tester(OracleSession(g), tcfg)
                 if verdict.decision == "reject" and report.min_edits == 0:
                     raise AssertionError("tester rejected a graph at distance 0")
-                if b not in stats:
+                if b is None:
                     continue
-                cell = stats[b]
-                cell[0] += 1
-                cell[1] += verdict.decision == "reject"
-                cell[2] += verdict.queries.total
-                cell[3] += query_budget_ratio(verdict, g.n, cfg.k)
-        for b in sorted(kept):
-            runs, rejects, queries, ratio = stats[b]
+                sums = cell[b]
+                sums[0] += 1
+                sums[1] += verdict.decision == "reject"
+                sums[2] += verdict.queries.total
+                sums[3] += query_budget_ratio(verdict, g.n, cfg.k)
+
+    kept = []
+    for b, (runs, *_) in enumerate(stats[0]):
+        size = runs // cfg.trials_per_cell  # each instance runs that often per cell
+        if size < cfg.min_bucket:
+            log.warning(
+                "dropping bucket (%g, %g]: only %d instances (minimum %d)",
+                buckets[b][0], buckets[b][1], size, cfg.min_bucket,
+            )
+        else:
+            kept.append(b)
+
+    rows = []
+    for cell, (c1, c2) in zip(stats, cfg.grid):
+        for b in kept:
+            runs, rejects, queries, ratio = cell[b]
             rows.append(
                 SweepRow(
                     c1=c1,
@@ -218,6 +205,21 @@ def run_sweep(cfg: SweepConfig, seed: int) -> SweepReport:
         ),
     }
     return SweepReport(rows=tuple(rows), metadata=metadata)
+
+
+def _instances(cfg: SweepConfig, seed: int):
+    """(corrupted graph, DistanceReport) pairs in sweep order, made one at a time."""
+    for di, spec in enumerate(cfg.datasets):
+        for si, pseed in enumerate(spec.seeds):
+            # one kernel pass gives the exact graph and the k-th-distance
+            # structure shared by every corruption of this point set
+            profile = NeighborhoodProfile(_make_points(spec, pseed), cfg.k)
+            base = profile.graph
+            for fi, fraction in enumerate(spec.fractions):
+                for j in range(spec.corruptions_per_fraction):
+                    cseed = derive_seed(seed, di, si, fi, j)
+                    g = corrupt_edges(base, fraction, cseed, k=cfg.k)
+                    yield g, profile.report(g)
 
 
 def _bucket_of(buckets, report) -> int | None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .core import GeometricGraph, OracleSession, QueryTally, dist2_block, dist2_row
+from .core import GeometricGraph, OracleSession, QueryTally, concat_ranges, dist2_block, dist2_row
 from .sampling import rng_from, sample_without_replacement, split_seed
 
 __all__ = [
@@ -164,7 +164,8 @@ def run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
     session is charged for the distinct reads of that scan up to its stop:
     the degrees of S', and for every scanned v its degree, neighbors and
     their coordinates and its own, plus the coordinates of T (only up to the
-    witness when the scan stops at the first v of S). Rejection evidence is
+    witness when the scan stops at the first v of S). A v whose every draw
+    of T equals v reads nothing beyond its degree. Rejection evidence is
     re-verified against ground truth, also under ``python -O``; evidence
     that fails it raises AssertionError.
     """
@@ -233,7 +234,7 @@ def _scan(
     for lo in range(0, limit, _SCAN_BLOCK):
         block = s_vertices[lo : min(limit, lo + _SCAN_BLOCK)]
         degs = s_degs[lo : lo + block.size]
-        nbrs = np.concatenate([g.adjacency[v] for v in block])
+        nbrs = g.indices[concat_ranges(g.indptr[block], g.indptr[block + 1])]
         owner = np.repeat(np.arange(block.size), degs)
         starts = np.cumsum(degs) - degs
         block_coords = g.coords[block]
@@ -247,19 +248,21 @@ def _scan(
         found = u_vals[pos] == ids
         mask[rows[found], pos[found]] = False
 
-        # the first v of S reads T, only up to the witness if it is the stop
         event = None
-        t_read = t_draws if lo == 0 else t_draws[:0]
+        scanned = block.size
         hits = np.flatnonzero(mask.any(axis=1))
         if hits.size:
-            row = int(hits[0])
-            t_idx = int(np.flatnonzero(np.isin(t_draws, u_vals[mask[row]]))[0])
-            event = ("witness", lo + row, t_idx)
-            block = block[: row + 1]
-            if lo + row == 0:
-                t_read = t_draws[: t_idx + 1]
-        session.charge_neighbor_rows(block)
-        session.coords_many(np.concatenate((block, nbrs[: degs[: block.size].sum()], t_read)))
+            scanned = int(hits[0]) + 1
+            t_idx = int(np.flatnonzero(np.isin(t_draws, u_vals[mask[scanned - 1]]))[0])
+            event = ("witness", lo + scanned - 1, t_idx)
+        reads = (np.arange(block.size) < scanned) & ((block != u_vals[0]) | (u_vals.size > 1))
+        # the first v that reads anything reads T, up to the witness if it is the
+        # stop; only when T has one distinct value can that v follow S position 0
+        t_read = t_draws[:0]
+        if lo == 0 and reads.any():
+            t_read = t_draws[: t_idx + 1] if event is not None and scanned == 1 else t_draws
+        session.charge_neighbor_rows(block[reads])
+        session.coords_many(np.concatenate((block[reads], nbrs[reads[owner]], t_read)))
         if event is not None:
             return event
 
@@ -278,6 +281,6 @@ def _evidence_confirmed(g: GeometricGraph, ev: Evidence, k: int) -> bool:
     if ev.reason == "low-degree":
         return g.degree(ev.vertex) < k
     u = ev.witness
-    if u is None or u == ev.vertex or np.any(g.adjacency[ev.vertex] == u):
+    if u is None or u == ev.vertex or np.any(g.neighbors(ev.vertex) == u):
         return False
     return exact.witnesses_of(g, ev.vertex, k).incomplete

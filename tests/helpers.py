@@ -18,6 +18,24 @@ from knncheck.sampling import rng_from, sample_without_replacement, split_seed
 from knncheck.tester import Evidence, TesterConfig, Verdict, sample_sizes
 
 
+def csr_from_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) whose row v is ``rows[v]``, in order."""
+    rows = [np.asarray(row, dtype=np.int64) for row in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([row.size for row in rows], out=indptr[1:])
+    return indptr, np.concatenate(rows) if rows else indptr[:0]
+
+
+def graph_from_rows(coords, rows, k_hint=None) -> GeometricGraph:
+    """GeometricGraph whose vertex v has the out-neighbors ``rows[v]``, in order."""
+    return GeometricGraph(coords, *csr_from_rows(rows), k_hint=k_hint)
+
+
+def rows_of(g: GeometricGraph) -> list[np.ndarray]:
+    """The out-neighbor rows of every vertex, as read-only views."""
+    return [g.neighbors(v) for v in range(g.n)]
+
+
 def exhaustive_min_edits(g: GeometricGraph, k: int) -> int:
     """Minimum insertions over all valid tie-broken k-nearest target sets.
 
@@ -33,7 +51,7 @@ def exhaustive_min_edits(g: GeometricGraph, k: int) -> int:
         dk = dists[k - 1][0]
         inside = [u for d, u in dists if d < dk]
         ties = [u for d, u in dists if d == dk]
-        nbrs = set(int(x) for x in g.adjacency[v])
+        nbrs = set(int(x) for x in g.neighbors(v))
         need = k - len(inside)
         best = None
         for chosen in itertools.combinations(ties, need):
@@ -156,7 +174,7 @@ def random_small_graph(rng: np.random.Generator, k: int) -> GeometricGraph:
         others = [u for u in range(n) if u != v]
         idx = sample_without_replacement(len(others), deg, rng)
         adjacency.append(np.array([others[i] for i in idx], dtype=np.int64))
-    return GeometricGraph(coords, tuple(adjacency))
+    return graph_from_rows(coords, tuple(adjacency))
 
 
 class BruteForceProfile:
@@ -194,7 +212,7 @@ class BruteForceProfile:
                 self.knn.append(cand[order[:k]].astype(np.int64))
 
     def graph(self) -> GeometricGraph:
-        return GeometricGraph(self.coords, tuple(self.knn), k_hint=self.k)
+        return graph_from_rows(self.coords, tuple(self.knn), k_hint=self.k)
 
     def max_shared(self) -> int:
         counts = np.zeros(self.n, dtype=np.int64)
@@ -210,7 +228,7 @@ class BruteForceProfile:
         cap = None if epsilon is None else math.ceil(100.0 * self.k / epsilon)
         min_edits = incomplete = low_degree_incomplete = 0
         for v in range(self.n):
-            nbrs = frozenset(g.adjacency[v].tolist())
+            nbrs = frozenset(g.neighbors(v).tolist())
             inside, at = self.inside[v], self.at[v]
             inside_nbr, at_nbr = len(inside & nbrs), len(at & nbrs)
             min_edits += (len(inside) - inside_nbr) + max(0, self.k - len(inside) - at_nbr)
@@ -230,8 +248,6 @@ def first_adjacency_error(n: int, adjacency) -> str | None:
     """The message GeometricGraph must raise for ``adjacency``, checked row by row."""
     for v, row in enumerate(adjacency):
         a = np.asarray(row, dtype=np.int64)
-        if a.ndim != 1:
-            return f"vertex {v}: adjacency row must be 1-d"
         if a.size:
             if a.min() < 0 or a.max() >= n:
                 return f"vertex {v}: neighbor id out of range [0, {n})"

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import exhaustive_min_edits, random_small_graph
+from helpers import exhaustive_min_edits, graph_from_rows, random_small_graph, rows_of
 from knncheck.adversary import estimate_collision_probability
 from knncheck.cli import main as cli_main
-from knncheck.core import EdgeBudget, GeometricGraph, OracleSession
+from knncheck.core import EdgeBudget, OracleSession
 from knncheck.exact import build_exact_knn_graph, epsilon_distance, max_shared_knn
 from knncheck.generators import (
     corrupt_edges,
@@ -191,11 +191,11 @@ def test_criterion_06_distance_oracle_equivalence():
     for k in (1, 2, 3):
         g = line_gadget(0.0, k)
         edge_cases.append((g, k))
-        adjacency = list(g.adjacency)
+        adjacency = rows_of(g)
         adjacency[0] = adjacency[0][1:]
-        edge_cases.append((GeometricGraph(g.coords, tuple(adjacency)), k))
+        edge_cases.append((graph_from_rows(g.coords, tuple(adjacency)), k))
         adjacency = [np.empty(0, dtype=np.int64)] * g.n
-        edge_cases.append((GeometricGraph(g.coords, tuple(adjacency)), k))
+        edge_cases.append((graph_from_rows(g.coords, tuple(adjacency)), k))
     edge_cases.append((sample_d2(12, 1, 0.2, seed=1), 1))
     edge_cases.append((sample_d1(12, 2, seed=1), 2))
     for g, k in edge_cases:

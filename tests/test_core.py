@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import first_adjacency_error
+from helpers import csr_from_rows, first_adjacency_error, graph_from_rows
 from knncheck.core import (
     EdgeBudget,
     GeometricGraph,
@@ -72,23 +72,23 @@ def test_dist2_scalar_row_block_bit_identical(delta):
 class TestGeometricGraphInvariants:
     def test_rejects_out_of_range_neighbor(self):
         with pytest.raises(ValueError, match="out of range"):
-            GeometricGraph(np.zeros((2, 1)), (np.array([1]), np.array([2])))
+            graph_from_rows(np.zeros((2, 1)), (np.array([1]), np.array([2])))
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            GeometricGraph(np.zeros((2, 1)), (np.array([0]), np.array([])))
+            graph_from_rows(np.zeros((2, 1)), (np.array([0]), np.array([])))
 
     def test_rejects_duplicate_neighbor(self):
         with pytest.raises(ValueError, match="duplicate"):
-            GeometricGraph(np.zeros((3, 1)), (np.array([1, 1]), np.array([]), np.array([])))
+            graph_from_rows(np.zeros((3, 1)), (np.array([1, 1]), np.array([]), np.array([])))
 
     def test_rejects_nonfinite_coordinates(self):
         with pytest.raises(ValueError, match="finite"):
-            GeometricGraph(np.array([[np.inf]]), (np.array([]),))
+            graph_from_rows(np.array([[np.inf]]), (np.array([]),))
 
     def test_rejects_wrong_adjacency_length(self):
         with pytest.raises(ValueError, match="adjacency"):
-            GeometricGraph(np.zeros((3, 2)), (np.array([]),))
+            graph_from_rows(np.zeros((3, 2)), (np.array([]),))
 
     def test_first_faulty_vertex_and_check_match_row_by_row_reference(self):
         rng = np.random.default_rng(14)
@@ -97,7 +97,6 @@ class TestGeometricGraphInvariants:
             lambda v, row: np.append(row, row[:1]),  # duplicate
             lambda v, row: np.append(row, -1),
             lambda v, row: np.append(row, 30),  # out of range
-            lambda v, row: row.reshape(1, -1),  # 2-d row
             lambda v, row: np.append(np.append(row, v), 99),  # two faults at once
         )
         for _ in range(200):
@@ -108,10 +107,10 @@ class TestGeometricGraphInvariants:
                 adjacency[v] = faults[rng.integers(len(faults))](v, adjacency[v])
             expected = first_adjacency_error(n, adjacency)
             if expected is None:
-                GeometricGraph(np.zeros((n, 2)), tuple(adjacency))
+                GeometricGraph(np.zeros((n, 2)), *csr_from_rows(adjacency))
                 continue
             with pytest.raises(ValueError) as err:
-                GeometricGraph(np.zeros((n, 2)), tuple(adjacency))
+                GeometricGraph(np.zeros((n, 2)), *csr_from_rows(adjacency))
             assert str(err.value) == expected
 
     def test_immutable_arrays(self):
@@ -119,10 +118,37 @@ class TestGeometricGraphInvariants:
         with pytest.raises(ValueError):
             g.coords[0, 0] = 9.0
         with pytest.raises(ValueError):
-            g.adjacency[0][0] = 1
+            g.neighbors(0)[0] = 1
+        with pytest.raises(ValueError):
+            g.indices[0] = 1
+        with pytest.raises(ValueError):
+            g.indptr[1] = 0
+
+    def test_neighbors_is_a_view_of_indices(self):
+        g = line_gadget(0.0, 2)
+        row = g.neighbors(1)
+        assert np.shares_memory(row, g.indices)
+        assert row.tolist() == g.indices[g.indptr[1] : g.indptr[2]].tolist()
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0, 1, 2], [1, 2]),  # len(indptr) != n+1
+            ([1, 1, 2, 3], [1, 2]),  # indptr[0] != 0
+            ([0, 2, 1, 3], [1, 2, 0]),  # decreasing indptr
+            ([0, 1, 2, 2], [1, 2, 0]),  # indptr[-1] != len(indices)
+            ([0, 1, 2, 3], [[1], [2], [0]]),  # 2-d indices
+            ([0, 1, 2, 3], [1.0, 2.0, 0.0]),  # non-integer ids
+            ([0.0, 1.0, 2.0, 3.0], [1, 2, 0]),  # non-integer offsets
+        ],
+    )
+    def test_rejects_malformed_csr(self, indptr, indices):
+        GeometricGraph(np.zeros((3, 1)), np.array([0, 1, 2, 3]), np.array([1, 2, 0]))
+        with pytest.raises(ValueError, match="^adjacency indptr"):
+            GeometricGraph(np.zeros((3, 1)), np.array(indptr), np.array(indices))
 
     def test_coincident_points_are_legal(self):
-        g = GeometricGraph(np.zeros((3, 2)), (np.array([1]), np.array([2]), np.array([0])))
+        g = graph_from_rows(np.zeros((3, 2)), (np.array([1]), np.array([2]), np.array([0])))
         assert g.n == 3 and g.num_edges == 3
 
 
@@ -132,10 +158,10 @@ class TestOracleSession:
         s = OracleSession(g)
         first = s.neighbor(0, 1)
         assert first in (1, 2)
-        assert first == int(g.adjacency[0][0])
+        assert first == int(g.neighbors(0)[0])
 
     def test_neighbor_star_for_isolated_vertex(self):
-        g = GeometricGraph(np.zeros((2, 1)), (np.array([]), np.array([0])))
+        g = graph_from_rows(np.zeros((2, 1)), (np.array([]), np.array([0])))
         s = OracleSession(g)
         assert s.neighbor(0, 1) is None
 
@@ -152,7 +178,7 @@ class TestOracleSession:
         assert s.degree(1) == 2
 
     def test_degree_of_isolated_vertex(self):
-        g = GeometricGraph(np.zeros((2, 1)), (np.array([]), np.array([0])))
+        g = graph_from_rows(np.zeros((2, 1)), (np.array([]), np.array([0])))
         assert OracleSession(g).degree(0) == 0
 
     def test_exact_knn_graph_degrees_at_least_k(self):
@@ -193,7 +219,7 @@ class TestOracleSession:
             s.coord(-1)
 
     def test_star_slot_reads_are_charged(self):
-        g = GeometricGraph(np.zeros((3, 1)), (np.array([1]), np.array([]), np.array([])))
+        g = graph_from_rows(np.zeros((3, 1)), (np.array([1]), np.array([]), np.array([])))
         s = OracleSession(g)
         assert s.neighbor(0, 2) is None
         assert s.neighbor(0, 2) is None
@@ -300,6 +326,6 @@ class TestEdgeBudget:
             EdgeBudget.provided(0.0)
 
     def test_computed_rejects_edgeless_graph(self):
-        g = GeometricGraph(np.zeros((2, 1)), (np.array([]), np.array([])))
+        g = graph_from_rows(np.zeros((2, 1)), (np.array([]), np.array([])))
         with pytest.raises(ValueError):
             EdgeBudget.computed(g)

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from helpers import BruteForceProfile, exhaustive_min_edits, k_reduce, random_small_graph
+from helpers import (
+    BruteForceProfile,
+    exhaustive_min_edits,
+    graph_from_rows,
+    k_reduce,
+    random_small_graph,
+    rows_of,
+)
 from knncheck import exact
-from knncheck.core import EdgeBudget, GeometricGraph
+from knncheck.core import EdgeBudget
 from knncheck.exact import (
     NeighborhoodProfile,
     build_exact_knn_graph,
@@ -30,7 +37,7 @@ def _points_graph(coords):
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim == 1:
         coords = coords[:, None]
-    return GeometricGraph(coords, tuple(np.empty(0, dtype=np.int64) for _ in coords))
+    return graph_from_rows(coords, tuple(np.empty(0, dtype=np.int64) for _ in coords))
 
 
 class TestNumNearer:
@@ -80,15 +87,15 @@ class TestWitnesses:
     def test_deleted_gadget_edge_leaves_witness(self):
         k = 2
         base = line_gadget(0.0, k)
-        adjacency = list(base.adjacency)
+        adjacency = rows_of(base)
         # remove edge 0 -> 1
         adjacency[0] = np.array([u for u in adjacency[0] if u != 1], dtype=np.int64)
-        g = GeometricGraph(base.coords, tuple(adjacency))
+        g = graph_from_rows(base.coords, tuple(adjacency))
         assert 1 in witnesses_of(g, 0, k).witnesses
 
     def test_low_degree_vertex_incomplete_via_degree_clause(self):
         k = 3
-        g = GeometricGraph(
+        g = graph_from_rows(
             np.arange(5, dtype=np.float64)[:, None],
             (np.array([1, 2]), np.array([0, 2, 3]), np.array([1, 3, 0]),
              np.array([2, 4, 1]), np.array([3, 2, 1])),
@@ -104,15 +111,15 @@ class TestBuildExactKnn:
         g = build_exact_knn_graph(gadget.coords, k)
         assert g.num_edges == (k + 1) * k
         for v in range(g.n):
-            assert set(g.adjacency[v].tolist()) == {u for u in range(g.n) if u != v}
+            assert set(g.neighbors(v).tolist()) == {u for u in range(g.n) if u != v}
 
     def test_symmetric_tie_broken_toward_smaller_id(self):
         # 3-4-5 layout: vertex 0 is equidistant from 1 and 2
         pts = [[0.0, 0.0], [3.0, 4.0], [-3.0, 4.0]]
         g = build_exact_knn_graph(pts, 1)
-        assert g.adjacency[0].tolist() == [1]
-        assert g.adjacency[1].tolist() == [0]
-        assert g.adjacency[2].tolist() == [0]
+        assert g.neighbors(0).tolist() == [1]
+        assert g.neighbors(1).tolist() == [0]
+        assert g.neighbors(2).tolist() == [0]
 
     def test_random_output_is_at_distance_zero(self):
         pts = np.random.default_rng(2).random((64, 2))
@@ -147,16 +154,16 @@ class TestEpsilonDistance:
         base = np.min(g.coords[:, 0])
         members = np.flatnonzero(g.coords[:, 0] <= base + k)
         assert members.size == k + 1
-        adjacency = list(g.adjacency)
+        adjacency = rows_of(g)
         for v in members:
             adjacency[int(v)] = np.empty(0, dtype=np.int64)
-        gutted = GeometricGraph(g.coords, tuple(adjacency))
+        gutted = graph_from_rows(g.coords, tuple(adjacency))
         rep = epsilon_distance(gutted, k, EdgeBudget.provided(k))
         assert rep.min_edits == k * (k + 1)
 
     def test_low_degree_incomplete_census(self):
         k = 2
-        g = GeometricGraph(
+        g = graph_from_rows(
             np.arange(4, dtype=np.float64)[:, None],
             (np.array([1]), np.array([0, 2]), np.array([1, 3]), np.array([2, 1])),
         )
@@ -172,10 +179,10 @@ class TestEpsilonDistance:
             k = int(rng.integers(1, 4))
             g = build_exact_knn_graph(pts, k)
             if rng.random() < 0.5:
-                adjacency = list(g.adjacency)
+                adjacency = rows_of(g)
                 v = int(rng.integers(0, n))
                 adjacency[v] = adjacency[v][1:]
-                g = GeometricGraph(g.coords, tuple(adjacency))
+                g = graph_from_rows(g.coords, tuple(adjacency))
             rep = epsilon_distance(g, k, EdgeBudget.provided(k))
             assert (rep.min_edits == 0) == (rep.incomplete_count == 0)
 
@@ -191,9 +198,9 @@ class TestEpsilonDistance:
             adjacency = [None] * g.n
             for v in range(g.n):
                 adjacency[perm[v]] = np.array(
-                    [perm[u] for u in g.adjacency[v]], dtype=np.int64
+                    [perm[u] for u in g.neighbors(v)], dtype=np.int64
                 )
-            permuted = GeometricGraph(coords, tuple(adjacency))
+            permuted = graph_from_rows(coords, tuple(adjacency))
             assert epsilon_distance(permuted, 2, EdgeBudget.provided(2)).min_edits == 0
 
     @pytest.mark.parametrize("seed", range(8))

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from knncheck.core import EdgeBudget, GeometricGraph
+from helpers import graph_from_rows
+from knncheck.core import EdgeBudget
 from knncheck.exact import build_exact_knn_graph, epsilon_distance, max_shared_knn, witnesses_of
 from knncheck.generators import (
     corrupt_edges,
@@ -183,7 +184,7 @@ class TestCorruptEdges:
         assert corrupt_edges(g, 0.3, seed=9).equals(corrupt_edges(g, 0.3, seed=9))
 
     def test_requires_min_degree(self):
-        g = GeometricGraph(np.arange(4, dtype=float)[:, None],
+        g = graph_from_rows(np.arange(4, dtype=float)[:, None],
                            (np.array([1]), np.array([0]), np.array([1]), np.array([2])))
         with pytest.raises(ValueError):
             corrupt_edges(g, 0.5, seed=0, k=2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from knncheck.core import GeometricGraph
+from helpers import graph_from_rows
 from knncheck.exact import build_exact_knn_graph
 from knncheck.generators import line_gadget, sample_d2, tight_witness_construction
 from knncheck.graphio import (
@@ -29,7 +29,7 @@ def _random_graph(seed):
         rng.shuffle(others)
         adjacency.append(others[:deg].astype(np.int64))
     k_hint = int(rng.integers(1, 5)) if rng.random() < 0.5 else None
-    return GeometricGraph(coords, tuple(adjacency), k_hint=k_hint)
+    return graph_from_rows(coords, tuple(adjacency), k_hint=k_hint)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -114,6 +114,26 @@ class TestRejection:
         lines = _lines(line_gadget(0.0, 2))
         lines[6] = "1 3"
         with pytest.raises(KnngFormatError, match="line 7"):
+            graph_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("ids", ["1 99999999999999999999", "-99999999999999999999 2"])
+    def test_id_beyond_int64_reports_line(self, ids):
+        lines = _lines(line_gadget(0.0, 2))
+        lines[5] = f"2 {ids}"
+        with pytest.raises(KnngFormatError, match="^line 6: vertex 1: neighbor id out of range"):
+            graph_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("2 0 1", "2 0 x", "vertex 0: self-loop"),
+            ("2 1 x", "2 1 0", "adjacency entries must be integers"),
+        ],
+    )
+    def test_earlier_of_row_and_syntax_faults_is_reported(self, first, second, message):
+        lines = _lines(line_gadget(0.0, 2))
+        lines[4], lines[5] = first, second
+        with pytest.raises(KnngFormatError, match=f"^line 5: {message}$"):
             graph_from_text("\n".join(lines) + "\n")
 
     def test_degree_mismatch(self):

@@ -2,10 +2,12 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from knncheck import harness
 from knncheck.core import OracleSession
 from knncheck.exact import build_exact_knn_graph
 from knncheck.harness import (
@@ -44,6 +46,26 @@ def _small_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def test_one_corrupted_graph_alive_per_tester_run(monkeypatch):
+    refs = []
+    original = harness.corrupt_edges
+
+    def corrupt(*args, **kwargs):
+        g = original(*args, **kwargs)
+        refs.append(weakref.ref(g))
+        return g
+
+    def tester(session, cfg):
+        alive = sum(ref() is not None for ref in refs)
+        assert alive <= 1, f"{alive} corrupted graphs alive during a tester run"
+        return run_tester(session, cfg)
+
+    monkeypatch.setattr(harness, "corrupt_edges", corrupt)
+    monkeypatch.setattr(harness, "run_tester", tester)
+    run_sweep(_small_config(), seed=11)
+    assert len(refs) == 18
 
 
 @pytest.fixture(scope="module")

@@ -9,14 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import local_witness_check, naive_run_tester, random_small_graph
-from knncheck.core import GeometricGraph, OracleSession
+from helpers import (
+    graph_from_rows,
+    local_witness_check,
+    naive_run_tester,
+    random_small_graph,
+    rows_of,
+)
+from knncheck.core import OracleSession, QueryTally
 from knncheck.exact import build_exact_knn_graph, max_shared_knn, witnesses_of
 from knncheck.generators import corrupt_edges, line_gadget, sample_d2, tight_witness_construction
 from knncheck.sampling import rng_from, sample_without_replacement, split_seed
 from knncheck.tester import (
     _SCAN_BLOCK,
     KISSING_NUMBERS,
+    Evidence,
     TesterConfig,
     kissing_number,
     run_tester,
@@ -86,9 +93,9 @@ class TestSampleSizes:
 
 
 def _delete_edge(g, v, u):
-    adjacency = list(g.adjacency)
+    adjacency = rows_of(g)
     adjacency[v] = np.array([x for x in adjacency[v] if x != u], dtype=np.int64)
-    return GeometricGraph(g.coords, tuple(adjacency), k_hint=g.k_hint)
+    return graph_from_rows(g.coords, tuple(adjacency), k_hint=g.k_hint)
 
 
 class TestLocalWitnessCheck:
@@ -105,22 +112,22 @@ class TestLocalWitnessCheck:
         k = 2
         gadget = line_gadget(0.0, k)
         coords = np.vstack([gadget.coords, [[100.0]]])
-        adjacency = list(gadget.adjacency) + [np.array([0], dtype=np.int64)]
+        adjacency = rows_of(gadget) + [np.array([0], dtype=np.int64)]
         # vertex 0 loses its edge to 1 and gains the far vertex instead
         adjacency[0] = np.array([2, 3], dtype=np.int64)
-        g = GeometricGraph(coords, tuple(adjacency))
+        g = graph_from_rows(coords, tuple(adjacency))
         assert local_witness_check(OracleSession(g), 0, 1, k)
 
     def test_tie_at_kth_distance_is_not_a_witness(self):
         # v at 0 with neighbor at +1; non-neighbor at -1 ties exactly
-        g = GeometricGraph(
+        g = graph_from_rows(
             np.array([[0.0], [1.0], [-1.0]]),
             (np.array([1]), np.array([0]), np.array([0])),
         )
         assert not local_witness_check(OracleSession(g), 0, 2, 1)
 
     def test_low_degree_fires_unconditionally(self):
-        g = GeometricGraph(
+        g = graph_from_rows(
             np.array([[0.0], [1.0], [2.0]]),
             (np.empty(0, dtype=np.int64), np.array([0]), np.array([1])),
         )
@@ -155,9 +162,9 @@ class TestRunTester:
     def test_low_degree_reject(self):
         pts = np.random.default_rng(2).random((64, 2))
         g = build_exact_knn_graph(pts, 4)
-        adjacency = list(g.adjacency)
+        adjacency = rows_of(g)
         adjacency[17] = adjacency[17][:2]
-        g = GeometricGraph(g.coords, tuple(adjacency))
+        g = graph_from_rows(g.coords, tuple(adjacency))
         cfg = TesterConfig(k=4, epsilon=0.1, delta=2, seed=0)  # s' clamps to n
         v = run_tester(OracleSession(g), cfg)
         assert v.decision == "reject"
@@ -171,7 +178,7 @@ class TestRunTester:
         e = v.evidence
         assert e.reason == "witness"
         assert witnesses_of(g, e.vertex, 2).incomplete
-        assert e.witness not in set(g.adjacency[e.vertex].tolist())
+        assert e.witness not in set(g.neighbors(e.vertex).tolist())
 
     def test_unconfirmed_evidence_raises_under_optimize(self):
         # ground truth that calls every vertex complete contradicts the
@@ -221,9 +228,9 @@ class TestRunTester:
         # one hub vertex with huge degree gets pruned out of S
         pts = np.random.default_rng(3).random((40, 2))
         g = build_exact_knn_graph(pts, 2)
-        adjacency = list(g.adjacency)
+        adjacency = rows_of(g)
         adjacency[0] = np.array([u for u in range(1, 40)], dtype=np.int64)
-        g = GeometricGraph(g.coords, tuple(adjacency))
+        g = graph_from_rows(g.coords, tuple(adjacency))
         cfg = TesterConfig(k=2, epsilon=0.9, delta=2, seed=1, degree_cap_override=10)
         v = run_tester(OracleSession(g), cfg)
         assert v.s_size == v.s_prime_size - 1
@@ -278,10 +285,10 @@ class TestNaiveEquivalence:
         rng = np.random.default_rng(200 + seed)
         pts = rng.random((40, 2))
         g = build_exact_knn_graph(pts, 2)
-        adjacency = list(g.adjacency)
+        adjacency = rows_of(g)
         for v in rng.integers(0, 40, size=3):
             adjacency[int(v)] = adjacency[int(v)][:1]
-        g = GeometricGraph(g.coords, tuple(adjacency))
+        g = graph_from_rows(g.coords, tuple(adjacency))
         self._compare(g, TesterConfig(k=2, epsilon=0.4, delta=2, seed=seed))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -311,12 +318,12 @@ class TestNaiveEquivalence:
         cfg = TesterConfig(k=k, epsilon=0.5, delta=2, mode="experiment", c1=2.0, c2=0.2,
                            seed=position)
         v = int(self._s_prime(n, cfg)[position])
-        adjacency = list(g.adjacency)
+        adjacency = rows_of(g)
         if reason == "witness":  # the k farthest points leave v incomplete
             adjacency[v] = np.argsort(((g.coords - g.coords[v]) ** 2).sum(axis=1))[-k:]
         elif reason == "low-degree":
             adjacency[v] = adjacency[v][: k - 1]
-        g = GeometricGraph(g.coords, tuple(adjacency))
+        g = graph_from_rows(g.coords, tuple(adjacency))
         verdict = self._compare(g, cfg)
         if reason is None:
             assert verdict.decision == "accept" and verdict.s_size == n
@@ -331,17 +338,48 @@ class TestNaiveEquivalence:
         cfg = TesterConfig(k=k, epsilon=0.5, delta=2, mode="experiment", c1=2.0, c2=0.2,
                            seed=seed, degree_cap_override=4)
         s_prime = self._s_prime(n, cfg)
-        adjacency = list(g.adjacency)
+        adjacency = rows_of(g)
         # incomplete hubs above the cap, S position 0 among them, then a
         # witness vertex late in the scan
         for v in np.append(s_prime[0], rng.choice(s_prime[1:300], size=40, replace=False)):
             adjacency[v] = np.setdiff1d(rng.choice(n, size=9, replace=False), [v])[:8]
         late = int(s_prime[350])
         adjacency[late] = np.setdiff1d(rng.choice(n, size=k + 1, replace=False), [late])[:k]
-        g = GeometricGraph(g.coords, tuple(adjacency))
+        g = graph_from_rows(g.coords, tuple(adjacency))
         verdict = self._compare(g, cfg)
         assert verdict.s_size == verdict.s_prime_size - 41
         assert verdict.evidence.vertex == late
+
+    @staticmethod
+    def _t(n, cfg):
+        """The draws of T, as run_tester samples them."""
+        _, seq_t = split_seed(cfg.seed, 2)
+        return rng_from(seq_t).integers(0, n, size=sample_sizes(n, cfg)[1])
+
+    def test_single_t_draw_on_line(self):
+        # |T| = 1, so the v of S equal to the draw reads nothing in the loop
+        g = build_exact_knn_graph(np.arange(3.0)[:, None], 1)
+        cfg = TesterConfig(k=1, epsilon=0.5, delta=1, mode="experiment", c1=5.0, c2=0.01, seed=0)
+        assert self._t(g.n, cfg).size == 1
+        self._compare(g, cfg)
+
+    def test_t_equal_to_first_of_s_before_low_degree_vertex(self):
+        n = 6
+        g = build_exact_knn_graph(np.arange(float(n))[:, None], 1)
+        cfg = next(
+            cfg
+            for seed in range(100)
+            for cfg in [TesterConfig(k=1, epsilon=0.5, delta=1, mode="experiment", c1=5.0,
+                                     c2=0.01, seed=seed)]
+            if self._t(n, cfg).tolist() == [self._s_prime(n, cfg)[0]]
+        )
+        v = int(self._s_prime(n, cfg)[1])
+        adjacency = rows_of(g)
+        adjacency[v] = adjacency[v][:0]
+        verdict = self._compare(graph_from_rows(g.coords, adjacency), cfg)
+        assert verdict.evidence == Evidence(v, None, "low-degree")
+        # S position 0 reads nothing, so T's coordinate is never read
+        assert verdict.queries == QueryTally(neighbor=0, degree=n, coord=0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_on_lattices_with_ties(self, seed):
