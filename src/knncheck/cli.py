@@ -68,7 +68,7 @@ def _load_points(path: str) -> np.ndarray:
     if not lines:
         raise ValueError(f"{path}: no points")
     delim = "," if "," in lines[0] else None
-    return np.loadtxt(path, delimiter=delim, dtype=np.float64, ndmin=2)
+    return np.loadtxt(lines, delimiter=delim, dtype=np.float64, ndmin=2)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -247,21 +247,21 @@ class OracleSession:
         self._coord_seen = np.zeros(n, dtype=bool)
         self._slot_seen = np.zeros(graph.num_edges, dtype=bool)  # slot i of v: indptr[v] + i - 1
         self._star_seen: set[tuple[int, int]] = set()  # (v, i) read with i > deg(v)
-        self._n_neighbor = 0
-        self._n_degree = 0
-        self._n_coord = 0
 
     @property
     def query_count(self) -> QueryTally:
-        return QueryTally(self._n_neighbor, self._n_degree, self._n_coord)
+        """Distinct reads so far: the entries set in the read masks."""
+        return QueryTally(
+            int(np.count_nonzero(self._slot_seen)) + len(self._star_seen),
+            int(np.count_nonzero(self._deg_seen)),
+            int(np.count_nonzero(self._coord_seen)),
+        )
 
     # single-item oracle functions
 
     def degree(self, v: int) -> int:
         v = self.graph.check_vertex(v)
-        if not self._deg_seen[v]:
-            self._deg_seen[v] = True
-            self._n_degree += 1
+        self._deg_seen[v] = True
         return int(self.graph._degrees[v])
 
     def neighbor(self, v: int, i: int) -> int | None:
@@ -271,32 +271,22 @@ class OracleSession:
         if not 1 <= i <= self.graph.n:
             raise ValueError(f"neighbor index {i} out of range [1, {self.graph.n}]")
         if i > self.graph._degrees[v]:
-            if (v, i) not in self._star_seen:
-                self._star_seen.add((v, i))
-                self._n_neighbor += 1
+            self._star_seen.add((v, i))
             return None
         pos = int(self.graph.indptr[v]) + i - 1
-        if not self._slot_seen[pos]:
-            self._slot_seen[pos] = True
-            self._n_neighbor += 1
+        self._slot_seen[pos] = True
         return int(self.graph.indices[pos])
 
     def coord(self, v: int) -> np.ndarray:
         v = self.graph.check_vertex(v)
-        if not self._coord_seen[v]:
-            self._coord_seen[v] = True
-            self._n_coord += 1
+        self._coord_seen[v] = True
         return self.graph.coords[v]
 
     # bulk variants with identical accounting
 
     def degrees(self, vs) -> np.ndarray:
-        vs = np.asarray(vs, dtype=np.int64)
-        if vs.size and (vs.min() < 0 or vs.max() >= self.graph.n):
-            raise ValueError("vertex id out of range")
-        fresh = np.unique(vs[~self._deg_seen[vs]])
-        self._deg_seen[fresh] = True
-        self._n_degree += fresh.size
+        vs = self._check_vertices(vs)
+        self._deg_seen[vs] = True
         return self.graph._degrees[vs]
 
     def neighbors_all(self, v: int) -> np.ndarray:
@@ -307,17 +297,17 @@ class OracleSession:
 
     def charge_neighbor_rows(self, vs) -> None:
         """Charge what neighbors_all(v) charges for every v in vs: deg(v) and slots 1..deg(v)."""
-        vs = np.unique(np.asarray(vs, dtype=np.int64))
+        vs = np.asarray(vs, dtype=np.int64)
         self.degrees(vs)
-        slots = concat_ranges(self.graph.indptr[vs], self.graph.indptr[vs + 1])
-        self._n_neighbor += int(np.count_nonzero(~self._slot_seen[slots]))
-        self._slot_seen[slots] = True
+        self._slot_seen[concat_ranges(self.graph.indptr[vs], self.graph.indptr[vs + 1])] = True
 
     def coords_many(self, vs) -> np.ndarray:
+        vs = self._check_vertices(vs)
+        self._coord_seen[vs] = True
+        return self.graph.coords[vs]
+
+    def _check_vertices(self, vs) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64)
         if vs.size and (vs.min() < 0 or vs.max() >= self.graph.n):
             raise ValueError("vertex id out of range")
-        fresh = np.unique(vs[~self._coord_seen[vs]])
-        self._coord_seen[fresh] = True
-        self._n_coord += fresh.size
-        return self.graph.coords[vs]
+        return vs

@@ -252,17 +252,16 @@ def _check_points(points, k: int) -> np.ndarray:
     n = coords.shape[0]
     if n <= k:
         raise ValueError(f"need more than k={k} points, got {n}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coordinates must be finite")
     return coords
 
 
 def build_exact_knn_graph(points, k: int) -> GeometricGraph:
     """Exact k-NN graph of a point set; every vertex gets out-degree exactly k."""
-    coords = _check_points(points, k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not np.all(np.isfinite(coords)):
-        raise ValueError("coordinates must be finite")
-    return NeighborhoodProfile(coords, k).graph
+    return NeighborhoodProfile(_check_points(points, k), k).graph
 
 
 @dataclass(frozen=True)

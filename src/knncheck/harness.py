@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +40,19 @@ log = logging.getLogger(__name__)
 DISTRIBUTIONS = ("uniform", "gaussian-mixture")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; accepts Python and numpy integers only."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _integers(obj, *names: str) -> None:
+    for name in names:
+        object.__setattr__(obj, name, _integer(name, getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """One family of synthetic corrupted indices.
@@ -55,6 +69,9 @@ class DatasetSpec:
     corruptions_per_fraction: int = 1
 
     def __post_init__(self):
+        _integers(self, "n", "delta", "corruptions_per_fraction")
+        object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
+        object.__setattr__(self, "seeds", tuple(_integer("seed", s) for s in self.seeds))
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.n < 4 or self.delta < 1:
@@ -63,8 +80,6 @@ class DatasetSpec:
             raise ValueError("dataset needs at least one fraction and one seed")
         if self.corruptions_per_fraction < 1:
             raise ValueError("corruptions_per_fraction must be positive")
-        object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
 @dataclass(frozen=True)
@@ -80,17 +95,23 @@ class SweepConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
+        _integers(self, "k", "trials_per_cell", "min_bucket")
+        object.__setattr__(self, "grid", tuple(tuple(float(c) for c in cell) for cell in self.grid))
+        object.__setattr__(self, "datasets", tuple(self.datasets))
+        object.__setattr__(self, "bucket_bounds", tuple(float(b) for b in self.bucket_bounds))
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not self.grid or not self.datasets:
             raise ValueError("sweep needs a grid and at least one dataset")
-        bounds = tuple(float(b) for b in self.bucket_bounds)
+        if any(len(cell) != 2 for cell in self.grid):
+            raise ValueError("each grid cell must be a (c1, c2) pair")
+        if not all(isinstance(d, DatasetSpec) for d in self.datasets):
+            raise ValueError("datasets must be DatasetSpec objects")
+        bounds = self.bucket_bounds
         if not bounds or bounds[0] <= 0 or any(a >= b for a, b in zip(bounds, bounds[1:])):
             raise ValueError("bucket bounds must be strictly increasing and start above 0")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be positive")
-        object.__setattr__(self, "grid", tuple((float(a), float(b)) for a, b in self.grid))
-        object.__setattr__(self, "bucket_bounds", bounds)
 
     def buckets(self) -> list[tuple[float, float]]:
         """Half-open intervals (lo, hi] partitioning (0, inf)."""
@@ -198,7 +219,7 @@ def run_sweep(cfg: SweepConfig, seed: int) -> SweepReport:
     metadata = {
         "seed": int(seed),
         "version": _version,
-        "config": sweep_config_to_dict(cfg),
+        "config": asdict(cfg),
         "note": (
             "corruption fractions are synthetic stand-ins for ANN build quality; "
             "the mapping to any real ANN algorithm's parameters is approximate"
@@ -234,116 +255,49 @@ def _bucket_of(buckets, report) -> int | None:
 
 # serialization
 
-_CSV_HEADER = "c1,c2,bucket_lo,bucket_hi,instances,rejects,recall,mean_queries,mean_ratio"
-
 
 def export_report(report: SweepReport, format: str = "csv") -> bytes:
-    """Deterministic CSV or JSON bytes for a report; column order is fixed."""
+    """Deterministic CSV or JSON bytes for a report; columns follow SweepRow's fields."""
     if format == "csv":
-        lines = [_CSV_HEADER]
-        for r in report.rows:
-            lines.append(
-                ",".join(
-                    [
-                        repr(r.c1),
-                        repr(r.c2),
-                        repr(r.bucket_lo),
-                        repr(r.bucket_hi),
-                        str(r.instances),
-                        str(r.rejects),
-                        repr(r.recall),
-                        repr(r.mean_queries),
-                        repr(r.mean_ratio),
-                    ]
-                )
-            )
+        lines = [",".join(f.name for f in fields(SweepRow))]
+        lines += [",".join(repr(v) for v in astuple(r)) for r in report.rows]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "json":
-        obj = {
-            "metadata": report.metadata,
-            "rows": [
-                {
-                    "c1": r.c1,
-                    "c2": r.c2,
-                    "bucket_lo": r.bucket_lo,
-                    "bucket_hi": None if r.bucket_hi == float("inf") else r.bucket_hi,
-                    "instances": r.instances,
-                    "rejects": r.rejects,
-                    "recall": r.recall,
-                    "mean_queries": r.mean_queries,
-                    "mean_ratio": r.mean_ratio,
-                }
-                for r in report.rows
-            ],
-        }
+        rows = [asdict(r) for r in report.rows]
+        for r in rows:
+            if r["bucket_hi"] == float("inf"):
+                r["bucket_hi"] = None
+        obj = {"metadata": report.metadata, "rows": rows}
         return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {format!r}")
 
 
 def report_from_json(data: bytes | str) -> SweepReport:
     obj = json.loads(data)
-    rows = tuple(
-        SweepRow(
-            c1=r["c1"],
-            c2=r["c2"],
-            bucket_lo=r["bucket_lo"],
-            bucket_hi=float("inf") if r["bucket_hi"] is None else r["bucket_hi"],
-            instances=r["instances"],
-            rejects=r["rejects"],
-            recall=r["recall"],
-            mean_queries=r["mean_queries"],
-            mean_ratio=r["mean_ratio"],
-        )
-        for r in obj["rows"]
-    )
-    return SweepReport(rows=rows, metadata=obj["metadata"])
-
-
-def sweep_config_to_dict(cfg: SweepConfig) -> dict:
-    return {
-        "k": cfg.k,
-        "grid": [list(cell) for cell in cfg.grid],
-        "datasets": [
-            {
-                "n": d.n,
-                "delta": d.delta,
-                "distribution": d.distribution,
-                "fractions": list(d.fractions),
-                "seeds": list(d.seeds),
-                "corruptions_per_fraction": d.corruptions_per_fraction,
-            }
-            for d in cfg.datasets
-        ],
-        "bucket_bounds": list(cfg.bucket_bounds),
-        "trials_per_cell": cfg.trials_per_cell,
-        "min_bucket": cfg.min_bucket,
-        "epsilon": cfg.epsilon,
-    }
+    rows = []
+    for r in obj["rows"]:
+        if r["bucket_hi"] is None:
+            r["bucket_hi"] = float("inf")
+        rows.append(SweepRow(**r))
+    return SweepReport(rows=tuple(rows), metadata=obj["metadata"])
 
 
 def sweep_config_from_json(data: bytes | str) -> SweepConfig:
-    obj = json.loads(data) if isinstance(data, (bytes, str)) else data
-    return sweep_config_from_dict(obj)
+    """A validated SweepConfig from sweep.json text; defaults are the dataclasses' own.
+
+    Raises ValueError for anything but one JSON object per class, for unknown
+    or missing keys and for values the dataclasses reject.
+    """
+    obj = json.loads(data)
+    if isinstance(obj, dict) and isinstance(obj.get("datasets"), list):
+        obj = dict(obj, datasets=tuple(_from_object(DatasetSpec, d) for d in obj["datasets"]))
+    return _from_object(SweepConfig, obj)
 
 
-def sweep_config_from_dict(obj: dict) -> SweepConfig:
-    datasets = tuple(
-        DatasetSpec(
-            n=d["n"],
-            delta=d["delta"],
-            distribution=d["distribution"],
-            fractions=tuple(d["fractions"]),
-            seeds=tuple(d["seeds"]),
-            corruptions_per_fraction=d.get("corruptions_per_fraction", 1),
-        )
-        for d in obj["datasets"]
-    )
-    return SweepConfig(
-        k=obj["k"],
-        grid=tuple((c[0], c[1]) for c in obj["grid"]),
-        datasets=datasets,
-        bucket_bounds=tuple(obj["bucket_bounds"]),
-        trials_per_cell=obj.get("trials_per_cell", 1),
-        min_bucket=obj.get("min_bucket", 30),
-        epsilon=obj.get("epsilon", 0.01),
-    )
+def _from_object(cls, obj):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
+    try:
+        return cls(**obj)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid {cls.__name__}: {exc}") from None

@@ -52,6 +52,20 @@ class TestExitCodes:
                                 "--epsilon", "0.2"])
         assert code == 64
 
+    def test_malformed_sweep_config_is_64(self, capsys, tmp_path):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({
+            "k": 2, "grid": [[0.5]], "bucket_bounds": [0.05], "min_bucket": 1,
+            "datasets": [{"n": 32, "delta": 2, "distribution": "uniform",
+                          "fractions": [0.2], "seeds": [0]}],
+        }))
+        csv_path = tmp_path / "report.csv"
+        code = main(["sweep", "--config", str(cfg_path), "-o", str(csv_path)])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert not csv_path.exists()
+        assert len(err.splitlines()) == 1 and "grid cell" in err
+
     def test_missing_file_is_66(self, capsys):
         code, _ = _run(capsys, ["distance", "/nonexistent/g.knng", "--k", "2"])
         assert code == 66

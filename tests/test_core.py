@@ -10,6 +10,7 @@ from knncheck.core import (
     EdgeBudget,
     GeometricGraph,
     OracleSession,
+    QueryTally,
     dist2,
     dist2_block,
     dist2_row,
@@ -283,7 +284,7 @@ class TestOracleSession:
         s1.degree(0)
         assert s2.query_count.total == 0
         s2.coord(1)
-        assert s1.query_count == s1.query_count
+        assert s1.query_count == QueryTally(degree=1)
 
     def test_concurrent_sessions_on_shared_graph(self):
         import threading

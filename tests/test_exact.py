@@ -228,6 +228,13 @@ class TestMaxSharedKnn:
             pts = rng.random((200, 2))
             assert max_shared_knn(pts, 3) <= 3 * kissing_number(2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        pts = np.random.default_rng(6).random((50, 2))
+        pts[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            max_shared_knn(pts, 3)
+
 
 class TestKReducing:
     """The pruning procedure, run as a verification device for the sharing bound."""

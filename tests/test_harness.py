@@ -1,5 +1,6 @@
 """Sweep harness: bucketing, precision, report export and reproducibility."""
 
+import dataclasses
 import json
 import math
 import weakref
@@ -20,7 +21,6 @@ from knncheck.harness import (
     report_from_json,
     run_sweep,
     sweep_config_from_json,
-    sweep_config_to_dict,
 )
 from knncheck.tester import TesterConfig, run_tester, sample_sizes
 
@@ -182,7 +182,7 @@ class TestExportReport:
 class TestSweepConfigSchema:
     def test_round_trip_through_json(self):
         cfg = _small_config()
-        data = json.dumps(sweep_config_to_dict(cfg))
+        data = json.dumps(dataclasses.asdict(cfg))
         assert sweep_config_from_json(data) == cfg
 
     def test_validation(self):
@@ -196,3 +196,58 @@ class TestSweepConfigSchema:
             _small_config(grid=())
         with pytest.raises(ValueError):
             DatasetSpec(n=96, delta=2, distribution="pareto", fractions=(0.1,), seeds=(0,))
+
+    def test_integer_fields_take_numpy_ints(self):
+        spec = DatasetSpec(n=np.int64(96), delta=np.int32(2), distribution="uniform",
+                           fractions=(0.1,), seeds=(np.uint8(3),))
+        cfg = _small_config(k=np.int64(3), datasets=(spec,))
+        assert all(type(v) is int for v in (cfg.k, spec.n, spec.delta, spec.seeds[0]))
+        assert json.loads(json.dumps(dataclasses.asdict(cfg)))["datasets"][0]["n"] == 96
+
+
+def _valid_config_obj():
+    return {
+        "k": 2, "grid": [[0.1, 5.0]], "bucket_bounds": [0.05], "min_bucket": 1,
+        "datasets": [{"n": 64, "delta": 2, "distribution": "uniform",
+                      "fractions": [0.2], "seeds": [0]}],
+    }
+
+
+def _edited(edit):
+    obj = _valid_config_obj()
+    edit(obj)
+    return obj
+
+
+MALFORMED_CONFIGS = {
+    "short grid cell": _edited(lambda o: o.update(grid=[[0.1]])),
+    "long grid cell": _edited(lambda o: o.update(grid=[[0.1, 5.0, 7.0]])),
+    "flat grid": _edited(lambda o: o.update(grid=[0.1, 5.0])),
+    "list as config": [_valid_config_obj()],
+    "string n": _edited(lambda o: o["datasets"][0].update(n="64")),
+    "fractional n": _edited(lambda o: o["datasets"][0].update(n=64.5)),
+    "float k": _edited(lambda o: o.update(k=3.0)),
+    "fractional trials_per_cell": _edited(lambda o: o.update(trials_per_cell=1.5)),
+    "scalar fractions": _edited(lambda o: o["datasets"][0].update(fractions=0.1)),
+    "fractional seed": _edited(lambda o: o["datasets"][0].update(seeds=[0.5])),
+    "unknown key": _edited(lambda o: o.update(trials_per_cel=2)),
+    "missing k": _edited(lambda o: o.pop("k")),
+}
+
+
+class TestMalformedSweepConfig:
+    def test_valid_base_parses(self):
+        assert sweep_config_from_json(json.dumps(_valid_config_obj())).datasets[0].n == 64
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+    def test_rejected_with_value_error(self, name):
+        with pytest.raises(ValueError):
+            sweep_config_from_json(json.dumps(MALFORMED_CONFIGS[name]))
+
+    def test_message_names_class_and_field(self):
+        with pytest.raises(ValueError, match="DatasetSpec.*n must be an integer"):
+            sweep_config_from_json(json.dumps(MALFORMED_CONFIGS["fractional n"]))
+        with pytest.raises(ValueError, match="SweepConfig.*trials_per_cel"):
+            sweep_config_from_json(json.dumps(MALFORMED_CONFIGS["unknown key"]))
+        with pytest.raises(ValueError, match="SweepConfig must be a JSON object"):
+            sweep_config_from_json(json.dumps(MALFORMED_CONFIGS["list as config"]))
