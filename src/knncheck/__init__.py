@@ -18,7 +18,6 @@ from .exact import (
     epsilon_distance,
     k_nearest_set,
     max_shared_knn,
-    num_nearer,
     witnesses_of,
 )
 from .tester import (
@@ -30,7 +29,6 @@ from .tester import (
     sample_sizes,
 )
 from .generators import (
-    GadgetLayout,
     corrupt_edges,
     dimension_lb_instances,
     line_gadget,
@@ -62,7 +60,6 @@ __all__ = [
     "DistanceReport",
     "NeighborhoodProfile",
     "WitnessSet",
-    "num_nearer",
     "k_nearest_set",
     "witnesses_of",
     "build_exact_knn_graph",
@@ -74,7 +71,6 @@ __all__ = [
     "kissing_number",
     "sample_sizes",
     "run_tester",
-    "GadgetLayout",
     "line_gadget",
     "sample_d1",
     "sample_d2",

@@ -67,7 +67,9 @@ def _load_points(path: str) -> np.ndarray:
     lines = text.splitlines()
     if not lines:
         raise ValueError(f"{path}: no points")
-    delim = "," if "," in lines[0] else None
+    # the delimiter comes from the first line with data; np.loadtxt drops "#" comments
+    data = (line.split("#", 1)[0] for line in lines)
+    delim = "," if "," in next((line for line in data if line.strip()), "") else None
     return np.loadtxt(lines, delimiter=delim, dtype=np.float64, ndmin=2)
 
 

@@ -233,11 +233,11 @@ class EdgeBudget:
 
 
 class OracleSession:
-    """Query-counting access to a graph through neighbor, degree and coordinate reads.
+    """Query-counting bulk access to a graph: degree, neighbor-row and coordinate reads.
 
-    Repeat queries are memoized and free: a (kind, vertex, index) triple is
-    charged at most once per session. The graph itself is shared and
-    immutable; each session is owned by one logical task.
+    Repeat reads are memoized and free: each degree, neighbor slot and
+    coordinate is charged at most once per session. The graph itself is
+    shared and immutable; each session is owned by one logical task.
     """
 
     def __init__(self, graph: GeometricGraph):
@@ -246,57 +246,23 @@ class OracleSession:
         self._deg_seen = np.zeros(n, dtype=bool)
         self._coord_seen = np.zeros(n, dtype=bool)
         self._slot_seen = np.zeros(graph.num_edges, dtype=bool)  # slot i of v: indptr[v] + i - 1
-        self._star_seen: set[tuple[int, int]] = set()  # (v, i) read with i > deg(v)
 
     @property
     def query_count(self) -> QueryTally:
         """Distinct reads so far: the entries set in the read masks."""
         return QueryTally(
-            int(np.count_nonzero(self._slot_seen)) + len(self._star_seen),
+            int(np.count_nonzero(self._slot_seen)),
             int(np.count_nonzero(self._deg_seen)),
             int(np.count_nonzero(self._coord_seen)),
         )
-
-    # single-item oracle functions
-
-    def degree(self, v: int) -> int:
-        v = self.graph.check_vertex(v)
-        self._deg_seen[v] = True
-        return int(self.graph._degrees[v])
-
-    def neighbor(self, v: int, i: int) -> int | None:
-        """The i-th out-neighbor of v (1-based), or None when deg(v) < i."""
-        v = self.graph.check_vertex(v)
-        i = int(i)
-        if not 1 <= i <= self.graph.n:
-            raise ValueError(f"neighbor index {i} out of range [1, {self.graph.n}]")
-        if i > self.graph._degrees[v]:
-            self._star_seen.add((v, i))
-            return None
-        pos = int(self.graph.indptr[v]) + i - 1
-        self._slot_seen[pos] = True
-        return int(self.graph.indices[pos])
-
-    def coord(self, v: int) -> np.ndarray:
-        v = self.graph.check_vertex(v)
-        self._coord_seen[v] = True
-        return self.graph.coords[v]
-
-    # bulk variants with identical accounting
 
     def degrees(self, vs) -> np.ndarray:
         vs = self._check_vertices(vs)
         self._deg_seen[vs] = True
         return self.graph._degrees[vs]
 
-    def neighbors_all(self, v: int) -> np.ndarray:
-        """All out-neighbors of v in storage order, charging slots 1..deg(v)."""
-        v = self.graph.check_vertex(v)
-        self.charge_neighbor_rows([v])
-        return self.graph.neighbors(v)
-
     def charge_neighbor_rows(self, vs) -> None:
-        """Charge what neighbors_all(v) charges for every v in vs: deg(v) and slots 1..deg(v)."""
+        """Charge, for every v in vs, the reads of its whole row: deg(v) and slots 1..deg(v)."""
         vs = np.asarray(vs, dtype=np.int64)
         self.degrees(vs)
         self._slot_seen[concat_ranges(self.graph.indptr[vs], self.graph.indptr[vs + 1])] = True

@@ -27,7 +27,6 @@ __all__ = [
     "WitnessSet",
     "DistanceReport",
     "NeighborhoodProfile",
-    "num_nearer",
     "k_nearest_set",
     "witnesses_of",
     "knn_adjacency_row",
@@ -85,7 +84,8 @@ def _select(
     and returned as the second value.
     """
     d2 = _masked_d2(coords, rows, cand)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    # a copy, not a view: a view would keep the whole partitioned block alive
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
     rest = rows[:0]
     if bound is not None:
         done = kth < bound
@@ -186,16 +186,6 @@ def _csr(n: int, owner: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.nda
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
     return indptr, ids[np.argsort(owner, kind="stable")]
-
-
-def num_nearer(g: GeometricGraph, v: int, w: int) -> int:
-    """Number of vertices u != v strictly nearer to v than w is."""
-    v = g.check_vertex(v)
-    w = g.check_vertex(w)
-    if v == w:
-        raise ValueError("num_nearer is undefined for v == w")
-    d2 = _masked_d2(g.coords, np.array([v]), np.arange(g.n))[0]
-    return int(np.sum(d2 < d2[w]))
 
 
 def _vertex_selection(coords: np.ndarray, v: int, k: int) -> _Selection:

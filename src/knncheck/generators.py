@@ -11,7 +11,6 @@ and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .exact import build_exact_knn_graph, knn_adjacency_row
 from .sampling import rng_from, sample_without_replacement, split_seed
 
 __all__ = [
-    "GadgetLayout",
     "line_gadget",
     "sample_d1",
     "sample_d2",
@@ -29,22 +27,6 @@ __all__ = [
     "corrupt_edges",
     "dimension_lb_instances",
 ]
-
-
-@dataclass(frozen=True)
-class GadgetLayout:
-    """Placement plan for a gadget graph.
-
-    ``positions`` are the pre-relocation base coordinates 3*k'*i, strictly
-    increasing. ``duplicated_pairs`` lists (source, target) gadget indices;
-    each source is moved onto its target's coordinates, so the pair ends up
-    coincident.
-    """
-
-    k_prime: int
-    gadget_count: int
-    positions: np.ndarray
-    duplicated_pairs: tuple[tuple[int, int], ...] = ()
 
 
 def line_gadget(x: float, k: int, delta: int = 1) -> GeometricGraph:
@@ -57,19 +39,14 @@ def line_gadget(x: float, k: int, delta: int = 1) -> GeometricGraph:
         raise ValueError("k must be at least 1")
     if delta < 1:
         raise ValueError("delta must be at least 1")
-    layout = GadgetLayout(k + 1, 1, np.array([float(x)]))
-    return _gadget_graph(k + 1, k, layout, np.arange(k + 1), delta)
+    return _gadget_graph(k, np.array([float(x)]), np.arange(k + 1), delta)
 
 
-def _gadget_graph(
-    n: int, k: int, layout: GadgetLayout, perm: np.ndarray, delta: int = 1
-) -> GeometricGraph:
-    """Gadget g holds vertices perm[g*k':(g+1)*k'] along its line, each adjacent to the others."""
-    k1 = layout.k_prime
-    slots = perm.reshape(layout.gadget_count, k1)
-    base = layout.positions.copy()
-    for src, dst in layout.duplicated_pairs:
-        base[src] = layout.positions[dst]
+def _gadget_graph(k: int, base: np.ndarray, perm: np.ndarray, delta: int = 1) -> GeometricGraph:
+    """Gadget g holds vertices perm[g*k':(g+1)*k'] along its line from base[g], all adjacent."""
+    k1 = k + 1
+    n = perm.size
+    slots = perm.reshape(base.size, k1)
     coords = np.zeros((n, delta), dtype=np.float64)
     coords[slots, 0] = base[:, None] + np.arange(k1)
     others = np.arange(k) + (np.arange(k) >= np.arange(k1)[:, None])  # row o: offsets other than o
@@ -88,10 +65,8 @@ def sample_d1(n: int, k: int, seed: int) -> GeometricGraph:
     k1 = k + 1
     if n % k1:
         raise ValueError(f"n={n} must be a multiple of k+1={k1}")
-    m = n // k1
-    layout = GadgetLayout(k1, m, _base_positions(m, k1))
     perm = rng_from(seed).permutation(n)
-    return _gadget_graph(n, k, layout, perm)
+    return _gadget_graph(k, _base_positions(n // k1, k1), perm)
 
 
 def draw_relocation_pairs(
@@ -123,9 +98,12 @@ def sample_d2(n: int, k: int, epsilon: float, seed: int) -> GeometricGraph:
     r = math.ceil(epsilon * n / k1)
     seq_pairs, seq_perm = split_seed(seed, 2)
     pairs = draw_relocation_pairs(m, r, rng_from(seq_pairs))
-    layout = GadgetLayout(k1, m, _base_positions(m, k1), pairs)
+    base = _base_positions(m, k1)
+    # sources and targets are distinct gadgets, so no target moves
+    srcs, dsts = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    base[srcs] = base[dsts]
     perm = rng_from(seq_perm).permutation(n)
-    return _gadget_graph(n, k, layout, perm)
+    return _gadget_graph(k, base, perm)
 
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -242,9 +220,7 @@ def _rotated_icosahedron() -> np.ndarray:
     return dirs
 
 
-def dimension_lb_instances(
-    k: int, epsilon: float, c: int, delta: int = 3
-) -> tuple[GeometricGraph, GeometricGraph]:
+def dimension_lb_instances(k: int, epsilon: float, c: int) -> tuple[GeometricGraph, GeometricGraph]:
     """Stale/exact instance pair from perturbed coincident-split clusters.
 
     Builds c clusters of the scaled delta=3 tight construction centered at
@@ -258,8 +234,6 @@ def dimension_lb_instances(
     recomputes adjacency for all moved points, which restores the property
     exactly. Both claims are verified by the ground-truth oracle in tests.
     """
-    if delta != 3:
-        raise ValueError(f"only delta=3 is supported, got {delta}")
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 0.0 < epsilon <= 1.0:

@@ -78,6 +78,8 @@ class DatasetSpec:
             raise ValueError("dataset needs n >= 4 and delta >= 1")
         if not self.fractions or not self.seeds:
             raise ValueError("dataset needs at least one fraction and one seed")
+        if not all(0.0 <= f <= 1.0 for f in self.fractions):
+            raise ValueError("fractions must lie in [0, 1]")
         if self.corruptions_per_fraction < 1:
             raise ValueError("corruptions_per_fraction must be positive")
 
@@ -112,6 +114,10 @@ class SweepConfig:
             raise ValueError("bucket bounds must be strictly increasing and start above 0")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be positive")
+        if self.min_bucket < 1:
+            raise ValueError("min_bucket must be positive")
+        if not 0.0 < self.epsilon <= 1.0:
+            raise ValueError("epsilon must lie in (0, 1]")
 
     def buckets(self) -> list[tuple[float, float]]:
         """Half-open intervals (lo, hi] partitioning (0, inf)."""

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
-from knncheck.core import EdgeBudget, GeometricGraph, OracleSession, dist2, dist2_block, dist2_row
+from knncheck.core import EdgeBudget, GeometricGraph, QueryTally, dist2, dist2_block
 from knncheck.exact import DistanceReport
 from knncheck.sampling import rng_from, sample_without_replacement, split_seed
 from knncheck.tester import Evidence, TesterConfig, Verdict, sample_sizes
@@ -63,7 +64,54 @@ def exhaustive_min_edits(g: GeometricGraph, k: int) -> int:
     return total
 
 
-def local_witness_check(session: OracleSession, v: int, u: int, k: int) -> bool:
+class ReferenceOracle:
+    """The paper's query model, one read at a time.
+
+    ``neighbor(v, i)`` is the i-th out-neighbor of v (1-based), or None (the
+    paper's bottom) for deg(v) < i <= n; ``degree(v)`` and ``coord(v)`` read
+    v's degree and coordinates. Every answer is memoized: ``query_count``
+    counts the distinct (kind, v, i) triples read, kept in one Python set,
+    and shares no accounting with ``knncheck.core``.
+    """
+
+    def __init__(self, graph: GeometricGraph):
+        self.graph = graph
+        self._asked: set[tuple[str, int, int]] = set()
+
+    @property
+    def query_count(self) -> QueryTally:
+        kinds = Counter(kind for kind, _, _ in self._asked)
+        return QueryTally(kinds["neighbor"], kinds["degree"], kinds["coord"])
+
+    def degree(self, v) -> int:
+        v = self.graph.check_vertex(v)
+        self._asked.add(("degree", v, 0))
+        return len(self.graph.neighbors(v))
+
+    def neighbor(self, v, i) -> int | None:
+        v, i = self.graph.check_vertex(v), int(i)
+        if not 1 <= i <= self.graph.n:
+            raise ValueError(f"neighbor index {i} out of range [1, {self.graph.n}]")
+        self._asked.add(("neighbor", v, i))
+        row = self.graph.neighbors(v)
+        return int(row[i - 1]) if i <= len(row) else None
+
+    def coord(self, v) -> np.ndarray:
+        v = self.graph.check_vertex(v)
+        self._asked.add(("coord", v, 0))
+        return self.graph.coords[v]
+
+
+def num_nearer(g: GeometricGraph, v: int, w: int) -> int:
+    """Number of vertices u != v strictly nearer to v than w is, one pair at a time."""
+    v, w = g.check_vertex(v), g.check_vertex(w)
+    if v == w:
+        raise ValueError("num_nearer is undefined for v == w")
+    ref = dist2(g.coords[v], g.coords[w])
+    return sum(1 for u in range(g.n) if u != v and dist2(g.coords[v], g.coords[u]) < ref)
+
+
+def local_witness_check(oracle: ReferenceOracle, v: int, u: int, k: int) -> bool:
     """Purely local witness test for the pair (v, u).
 
     Reads v's degree, its neighbors and their coordinates, and u's
@@ -72,37 +120,32 @@ def local_witness_check(session: OracleSession, v: int, u: int, k: int) -> bool:
     deg(v) < k. Ties at the k-th distance are not flagged: they are
     satisfiable by arbitrary tie-breaking, which keeps the check one-sided.
     """
-    v = session.graph.check_vertex(v)
-    u = session.graph.check_vertex(u)
+    v, u = oracle.graph.check_vertex(v), oracle.graph.check_vertex(u)
     if u == v:
         raise ValueError("witness check is undefined for u == v")
-    deg = session.degree(v)
+    deg = oracle.degree(v)
     if deg < k:
         return True
-    nbrs = session.neighbors_all(v)
-    vc = session.coord(v)
-    nd = dist2_row(vc, session.coords_many(nbrs))
-    rk = np.partition(nd, k - 1)[k - 1]
-    du = dist2(vc, session.coord(u))
-    if np.any(nbrs == u):
-        return False
-    return bool(du < rk)
+    nbrs = [oracle.neighbor(v, i) for i in range(1, deg + 1)]
+    vc = oracle.coord(v)
+    rk = sorted(dist2(vc, oracle.coord(w)) for w in nbrs)[k - 1]
+    du = dist2(vc, oracle.coord(u))
+    return u not in nbrs and du < rk
 
 
-def naive_run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
+def naive_run_tester(oracle: ReferenceOracle, cfg: TesterConfig) -> Verdict:
     """Literal nested-loop tester over the same samples as run_tester."""
-    g = session.graph
-    n = g.n
+    n = oracle.graph.n
     s_prime_size, t_size, cap = sample_sizes(n, cfg)
     seq_s, seq_t = split_seed(cfg.seed, 2)
     s_prime = sample_without_replacement(n, s_prime_size, rng_from(seq_s))
     t_draws = rng_from(seq_t).integers(0, n, size=t_size)
 
-    s_vertices = [int(v) for v in s_prime if session.degree(int(v)) <= cap]
+    s_vertices = [int(v) for v in s_prime if oracle.degree(int(v)) <= cap]
 
     decision, evidence = "accept", None
     for v in s_vertices:
-        if session.degree(v) < cfg.k:
+        if oracle.degree(v) < cfg.k:
             decision, evidence = "reject", Evidence(v, None, "low-degree")
             break
         found = False
@@ -110,7 +153,7 @@ def naive_run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
             u = int(u)
             if u == v:
                 continue
-            if local_witness_check(session, v, u, cfg.k):
+            if local_witness_check(oracle, v, u, cfg.k):
                 decision, evidence = "reject", Evidence(v, u, "witness")
                 found = True
                 break
@@ -123,7 +166,7 @@ def naive_run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
         s_prime_size=len(s_prime),
         s_size=len(s_vertices),
         t_size=len(t_draws),
-        queries=session.query_count,
+        queries=oracle.query_count,
         elapsed=0.0,
     )
 

@@ -117,6 +117,18 @@ class TestCommands:
         g = read_knng(out_path)
         assert g.n == 20 and np.all(g.degrees == 2)
 
+    def test_build_knn_from_csv_after_comment_lines(self, capsys, tmp_path):
+        rows = [f"{x},{y}" for x, y in np.random.default_rng(2).random((20, 2))]
+        outputs = []
+        for name, lines in (("plain", rows), ("commented", ["# points", "", "# x,y"] + rows)):
+            csv_path = tmp_path / f"{name}.csv"
+            csv_path.write_text("\n".join(lines) + "\n")
+            out_path = tmp_path / f"{name}.knng"
+            code, _ = _run(capsys, ["build-knn", str(csv_path), "--k", "2", "-o", str(out_path)])
+            assert code == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_generate_d1_d2(self, capsys, tmp_path):
         p1 = tmp_path / "d1.knng"
         p2 = tmp_path / "d2.knng"

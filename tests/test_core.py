@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import csr_from_rows, first_adjacency_error, graph_from_rows
+from helpers import ReferenceOracle, csr_from_rows, first_adjacency_error, graph_from_rows
 from knncheck.core import (
     EdgeBudget,
     GeometricGraph,
@@ -154,21 +154,23 @@ class TestGeometricGraphInvariants:
 
 
 class TestOracleSession:
+    """OracleSession's bulk reads, and the single-read query model in ReferenceOracle."""
+
     def test_neighbor_returns_stored_order(self):
         g = line_gadget(0.0, 2)
-        s = OracleSession(g)
+        s = ReferenceOracle(g)
         first = s.neighbor(0, 1)
         assert first in (1, 2)
         assert first == int(g.neighbors(0)[0])
 
     def test_neighbor_star_for_isolated_vertex(self):
         g = graph_from_rows(np.zeros((2, 1)), (np.array([]), np.array([0])))
-        s = OracleSession(g)
+        s = ReferenceOracle(g)
         assert s.neighbor(0, 1) is None
 
     def test_repeat_neighbor_query_charged_once(self):
         g = line_gadget(0.0, 2)
-        s = OracleSession(g)
+        s = ReferenceOracle(g)
         a = s.neighbor(1, 1)
         b = s.neighbor(1, 1)
         assert a == b
@@ -176,11 +178,11 @@ class TestOracleSession:
 
     def test_degree_of_gadget_vertex(self):
         s = OracleSession(line_gadget(0.0, 2))
-        assert s.degree(1) == 2
+        assert s.degrees([1]).tolist() == [2]
 
     def test_degree_of_isolated_vertex(self):
         g = graph_from_rows(np.zeros((2, 1)), (np.array([]), np.array([0])))
-        assert OracleSession(g).degree(0) == 0
+        assert OracleSession(g).degrees([0]).tolist() == [0]
 
     def test_exact_knn_graph_degrees_at_least_k(self):
         from knncheck.exact import build_exact_knn_graph
@@ -188,28 +190,28 @@ class TestOracleSession:
         pts = np.random.default_rng(3).random((40, 2))
         g = build_exact_knn_graph(pts, 10)
         s = OracleSession(g)
-        assert all(s.degree(v) >= 10 for v in range(g.n))
+        assert np.all(s.degrees(np.arange(g.n)) >= 10)
 
     def test_coord_of_gadget_vertex(self):
         # vertex id 2 sits at coordinate 2 on the line
         s = OracleSession(line_gadget(0.0, 3))
-        assert s.coord(2).tolist() == [2.0]
+        assert s.coords_many([2]).tolist() == [[2.0]]
 
     def test_coord_is_finite_vector_of_length_delta(self):
         g = line_gadget(1.0, 1, delta=4)
-        c = OracleSession(g).coord(0)
-        assert c.shape == (4,) and np.all(np.isfinite(c))
+        c = OracleSession(g).coords_many([0])
+        assert c.shape == (1, 4) and np.all(np.isfinite(c))
 
     def test_n_distinct_coord_queries_tally_n(self):
         g = line_gadget(0.0, 3)
         s = OracleSession(g)
-        for v in range(g.n):
-            s.coord(v)
-            s.coord(v)
-        assert s.query_count.coord == g.n
+        s.coords_many(np.repeat(np.arange(g.n), 2))
+        s.coords_many(np.arange(g.n))
+        assert s.query_count == QueryTally(coord=g.n)
 
     def test_out_of_range_queries_rejected(self):
-        s = OracleSession(line_gadget(0.0, 1))
+        g = line_gadget(0.0, 1)
+        s = ReferenceOracle(g)
         with pytest.raises(ValueError):
             s.degree(2)
         with pytest.raises(ValueError):
@@ -218,10 +220,16 @@ class TestOracleSession:
             s.neighbor(0, 3)
         with pytest.raises(ValueError):
             s.coord(-1)
+        bulk = OracleSession(g)
+        for call, vs in ((bulk.degrees, [0, 2]), (bulk.coords_many, [-1, 1]),
+                         (bulk.charge_neighbor_rows, [2])):
+            with pytest.raises(ValueError, match="out of range"):
+                call(vs)
+        assert bulk.query_count == QueryTally()
 
     def test_star_slot_reads_are_charged(self):
         g = graph_from_rows(np.zeros((3, 1)), (np.array([1]), np.array([]), np.array([])))
-        s = OracleSession(g)
+        s = ReferenceOracle(g)
         assert s.neighbor(0, 2) is None
         assert s.neighbor(0, 2) is None
         assert s.query_count.neighbor == 1
@@ -229,7 +237,7 @@ class TestOracleSession:
     def test_query_accounting_matches_distinct_triples(self):
         rng = np.random.default_rng(5)
         g = line_gadget(0.0, 4)
-        s = OracleSession(g)
+        s = ReferenceOracle(g)
         asked = set()
         for _ in range(500):
             kind = rng.integers(0, 3)
@@ -247,43 +255,35 @@ class TestOracleSession:
         assert s.query_count.total == len(asked)
 
     def test_bulk_calls_match_single_calls(self):
-        g = line_gadget(0.0, 5)
-        a, b = OracleSession(g), OracleSession(g)
+        g = graph_from_rows(
+            np.arange(12.0).reshape(6, 2),
+            ([1, 2], [], [0, 1, 3], [4], [5, 0, 1, 2], [2]),
+        )
+        a, b = OracleSession(g), ReferenceOracle(g)
         vs = [0, 3, 3, 5, 0]
-        a.degrees(vs)
-        a.coords_many(vs)
-        a.neighbors_all(2)
-        for v in vs:
-            b.degree(v)
-            b.coord(v)
-        b.degree(2)
-        for i in range(1, b.degree(2) + 1):
-            b.neighbor(2, i)
+        assert a.degrees(vs).tolist() == [b.degree(v) for v in vs]
+        assert np.array_equal(a.coords_many(vs), [b.coord(v) for v in vs])
         assert a.query_count == b.query_count
-        # whole rows after partial reads, including star slots past deg = 5
-        for s in (a, b):
-            s.neighbor(4, 2)
-            s.neighbor(4, 6)
-            s.neighbor(1, 1)
+        # whole rows, some of them read in part on the reference side first
+        b.neighbor(4, 3)
+        b.neighbor(2, 1)
+        b.degree(1)
         a.charge_neighbor_rows([4, 1, 4, 2, 0])
-        for v in (4, 1, 0):
-            b.degree(v)
-            for i in range(1, b.degree(v) + 1):
-                b.neighbor(v, i)
+        for v in (4, 1, 2, 0):
+            row = [b.neighbor(v, i) for i in range(1, b.degree(v) + 1)]
+            assert row == g.neighbors(v).tolist()
         assert a.query_count == b.query_count
-        for s in (a, b):
-            s.neighbor(4, 6)
-            s.neighbor(4, 3)
-            s.neighbor(0, 6)
-            s.neighbors_all(1)
-        assert a.query_count == b.query_count
+        a.charge_neighbor_rows([2, 0])
+        a.charge_neighbor_rows([5])
+        assert [b.neighbor(5, i) for i in range(1, b.degree(5) + 1)] == [2]
+        assert a.query_count == b.query_count == QueryTally(neighbor=10, degree=6, coord=3)
 
     def test_sessions_on_shared_graph_are_independent(self):
         g = line_gadget(0.0, 2)
         s1, s2 = OracleSession(g), OracleSession(g)
-        s1.degree(0)
+        s1.degrees([0])
         assert s2.query_count.total == 0
-        s2.coord(1)
+        s2.coords_many([1])
         assert s1.query_count == QueryTally(degree=1)
 
     def test_concurrent_sessions_on_shared_graph(self):
@@ -297,10 +297,9 @@ class TestOracleSession:
         def worker(idx):
             s = OracleSession(g)
             for v in range(g.n):
-                s.degree(v)
-                s.coord(v)
-                for i in range(1, 4):
-                    s.neighbor(v, i)
+                s.degrees([v])
+                s.coords_many([v])
+                s.charge_neighbor_rows([v])
             tallies[idx] = s.query_count
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]

@@ -1,5 +1,7 @@
 """Ground-truth semantics: num_nearer, witnesses, exact construction, distance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from helpers import (
     exhaustive_min_edits,
     graph_from_rows,
     k_reduce,
+    num_nearer,
     random_small_graph,
     rows_of,
 )
@@ -20,7 +23,6 @@ from knncheck.exact import (
     k_nearest_set,
     knn_adjacency_row,
     max_shared_knn,
-    num_nearer,
     witnesses_of,
 )
 from knncheck.generators import (
@@ -373,3 +375,15 @@ class TestKernelMatchesBruteForce:
         _, ids = spatial.cKDTree(pts).query(pts, k + 1)
         assert np.all(ids[:, 0] == np.arange(n))
         assert np.array_equal(np.sort(ids[:, 1:], axis=1), np.sort(p.knn, axis=1))
+
+    def test_profile_keeps_no_distance_block_alive(self):
+        # one distance block is bounded; holding every block evaluated would
+        # cost about 60 MB here, so the traced peak bounds what stays alive
+        pts = np.random.default_rng(15).random((16384, 2))
+        tracemalloc.start()
+        try:
+            NeighborhoodProfile(pts, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -217,10 +217,6 @@ class TestDimensionLowerBound:
         rep = epsilon_distance(far, 1, EdgeBudget.provided(1.0))
         assert rep.epsilon_distance > 0.1
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            dimension_lb_instances(k=1, epsilon=0.1, c=5, delta=2)
-
 
 class TestRoundTripsAndDeterminism:
     def test_all_generators_round_trip_through_format(self):

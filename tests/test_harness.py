@@ -232,6 +232,9 @@ MALFORMED_CONFIGS = {
     "fractional seed": _edited(lambda o: o["datasets"][0].update(seeds=[0.5])),
     "unknown key": _edited(lambda o: o.update(trials_per_cel=2)),
     "missing k": _edited(lambda o: o.pop("k")),
+    "zero min_bucket": _edited(lambda o: o.update(min_bucket=0)),
+    "epsilon above 1": _edited(lambda o: o.update(epsilon=2.0)),
+    "fraction above 1": _edited(lambda o: o["datasets"][0].update(fractions=[0.2, 1.5])),
 }
 
 

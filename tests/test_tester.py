@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ReferenceOracle,
     graph_from_rows,
     local_witness_check,
     naive_run_tester,
@@ -102,7 +103,7 @@ class TestLocalWitnessCheck:
     def test_never_fires_on_exact_knn_graph(self):
         pts = np.random.default_rng(0).random((25, 2))
         g = build_exact_knn_graph(pts, 3)
-        s = OracleSession(g)
+        s = ReferenceOracle(g)
         for v in range(g.n):
             for u in range(g.n):
                 if u != v:
@@ -116,7 +117,7 @@ class TestLocalWitnessCheck:
         # vertex 0 loses its edge to 1 and gains the far vertex instead
         adjacency[0] = np.array([2, 3], dtype=np.int64)
         g = graph_from_rows(coords, tuple(adjacency))
-        assert local_witness_check(OracleSession(g), 0, 1, k)
+        assert local_witness_check(ReferenceOracle(g), 0, 1, k)
 
     def test_tie_at_kth_distance_is_not_a_witness(self):
         # v at 0 with neighbor at +1; non-neighbor at -1 ties exactly
@@ -124,26 +125,26 @@ class TestLocalWitnessCheck:
             np.array([[0.0], [1.0], [-1.0]]),
             (np.array([1]), np.array([0]), np.array([0])),
         )
-        assert not local_witness_check(OracleSession(g), 0, 2, 1)
+        assert not local_witness_check(ReferenceOracle(g), 0, 2, 1)
 
     def test_low_degree_fires_unconditionally(self):
         g = graph_from_rows(
             np.array([[0.0], [1.0], [2.0]]),
             (np.empty(0, dtype=np.int64), np.array([0]), np.array([1])),
         )
-        assert local_witness_check(OracleSession(g), 0, 2, 1)
+        assert local_witness_check(ReferenceOracle(g), 0, 2, 1)
 
     def test_rejects_u_equal_v(self):
         g = line_gadget(0.0, 1)
         with pytest.raises(ValueError):
-            local_witness_check(OracleSession(g), 0, 0, 1)
+            local_witness_check(ReferenceOracle(g), 0, 0, 1)
 
     def test_true_implies_incomplete(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             pts = rng.random((30, 2))
             g = corrupt_edges(build_exact_knn_graph(pts, 3), 0.2, int(rng.integers(1 << 30)))
-            s = OracleSession(g)
+            s = ReferenceOracle(g)
             for v in range(g.n):
                 for u in range(g.n):
                     if u != v and local_witness_check(s, v, u, 3):
@@ -251,7 +252,7 @@ class TestNaiveEquivalence:
 
     def _compare(self, g, cfg):
         fast = run_tester(OracleSession(g), cfg)
-        slow = naive_run_tester(OracleSession(g), cfg)
+        slow = naive_run_tester(ReferenceOracle(g), cfg)
         assert fast.decision == slow.decision
         assert fast.evidence == slow.evidence
         assert fast.queries == slow.queries
