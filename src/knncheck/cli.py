@@ -110,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     g2 = gsub.add_parser("d2", help="gadget graph far from the property")
     g2.add_argument("--n", type=int, required=True)
     g2.add_argument("--k", type=int, required=True)
-    g2.add_argument("--epsilon", type=float, required=True)
+    g2.add_argument("--epsilon", type=float, required=True,
+                    help="in (0, floor(m/2)/m], at most 1/2, for m = n/(k+1) gadgets: the "
+                         "2*ceil(epsilon*n/(k+1)) relocation sources and targets are distinct")
     g2.add_argument("--seed", type=int, default=0)
     g2.add_argument("-o", "--output", required=True)
 

@@ -87,7 +87,9 @@ def sample_d2(n: int, k: int, epsilon: float, seed: int) -> GeometricGraph:
     Relocated gadgets keep their internal edges; every vertex of a coincident
     pair ends up with missing true nearest neighbors, which puts the graph
     beyond epsilon-distance epsilon (certified by the ground-truth oracle in
-    tests rather than re-derived symbolically).
+    tests rather than re-derived symbolically). Each relocation needs its own
+    source and target among the m = n/k' gadgets, so 2*ceil(eps*n/k') <= m:
+    epsilon lies in (0, floor(m/2)/m], which is at most 1/2.
     """
     k1 = k + 1
     if n % k1:
@@ -96,6 +98,12 @@ def sample_d2(n: int, k: int, epsilon: float, seed: int) -> GeometricGraph:
         raise ValueError("epsilon must lie in (0, 1]")
     m = n // k1
     r = math.ceil(epsilon * n / k1)
+    if 2 * r > m:
+        raise ValueError(
+            f"epsilon={epsilon} relocates {r} of {m} gadgets, but at most {m // 2} can move "
+            f"onto distinct targets; n={n}, k={k} allow epsilon up to "
+            f"{m // 2}/{m} = {(m // 2) / m!r}"
+        )
     seq_pairs, seq_perm = split_seed(seed, 2)
     pairs = draw_relocation_pairs(m, r, rng_from(seq_pairs))
     base = _base_positions(m, k1)

@@ -9,6 +9,14 @@ Its cost is the number of distinct oracle reads of that sequential scan. The
 scan itself works on the graph's arrays one block of S at a time and charges
 the OracleSession, in bulk, for exactly the reads the sequential scan makes
 up to where it stops, so the session's QueryTally is the tester's cost.
+
+The first block of S is compared densely with every distinct T value. Later
+blocks find their witness candidates through an exact k-d leaf index over
+those values, built once the scan passes the first block; its box bounds
+only rule leaves out, and every candidate is re-checked with the same
+distance arithmetic. A block in which the bounds leave more than a quarter
+of its pairs is compared densely, as is the rest of the scan. Verdicts and
+tallies do not depend on which path a block takes.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ _LN10 = math.log(10.0)
 
 # rows per vertex block in the pair scan
 _SCAN_BLOCK = 256
+
+# most points per leaf of the scan's index over T
+_LEAF_SIZE = 64
 
 
 def kissing_number(delta: int) -> int:
@@ -222,15 +233,22 @@ def _scan(
 
     Returns ("low-degree", v_index, None) or ("witness", v_index, t_index).
     Each block of S is evaluated on the graph's arrays, vectorized over the
-    distinct T values; this equals the literal nested loop because the
+    distinct T values U; this equals the literal nested loop because the
     witness predicate for (v, u) depends only on u's value. Each block then
     charges the session for the reads of the nested loop up to its stop.
+
+    Block 0 compares each of its rows with all of U. Once the scan passes
+    block 0, U goes into a leaf index, and each later block re-checks only
+    the u in leaves whose boxes its bounds cannot rule out. A block in which
+    more than a quarter of its row-u pairs survive the bounds is compared
+    densely, and so is every block after it.
     """
     g = session.graph
     low = np.flatnonzero(s_degs < k)
     limit = int(low[0]) if low.size else s_vertices.size
     u_vals = np.unique(t_draws)
     u_coords = g.coords[u_vals]
+    index = None
     for lo in range(0, limit, _SCAN_BLOCK):
         block = s_vertices[lo : min(limit, lo + _SCAN_BLOCK)]
         degs = s_degs[lo : lo + block.size]
@@ -240,21 +258,35 @@ def _scan(
         block_coords = g.coords[block]
         nd = dist2_row(block_coords[owner], g.coords[nbrs])
         rk = nd[np.lexsort((nd, owner))[starts + k - 1]]
-        mask = dist2_block(block_coords, u_coords) < rk[:, None]
         # the guard requires u != v and u not in N(v)
         ids = np.concatenate((nbrs, block))
         rows = np.concatenate((owner, np.arange(block.size)))
         pos = np.minimum(np.searchsorted(u_vals, ids), u_vals.size - 1)
         found = u_vals[pos] == ids
-        mask[rows[found], pos[found]] = False
+
+        if lo == _SCAN_BLOCK:
+            index = _leaf_index(u_coords)
+        pairs = None if index is None else _leaf_pairs(index, block_coords, rk)
+        if pairs is None:
+            index = None
+            mask = dist2_block(block_coords, u_coords) < rk[:, None]
+            mask[rows[found], pos[found]] = False
+            hits = np.flatnonzero(mask.any(axis=1))
+            first, inside = (int(hits[0]), mask[hits[0]]) if hits.size else (None, None)
+        else:
+            hit_rows, hit_pos = pairs
+            m = u_vals.size
+            keep = ~np.isin(hit_rows * m + hit_pos, rows[found] * m + pos[found])
+            hit_rows, hit_pos = hit_rows[keep], hit_pos[keep]
+            first, inside = ((int(hit_rows[0]), hit_pos[hit_rows == hit_rows[0]])
+                             if hit_rows.size else (None, None))
 
         event = None
         scanned = block.size
-        hits = np.flatnonzero(mask.any(axis=1))
-        if hits.size:
-            scanned = int(hits[0]) + 1
-            t_idx = int(np.flatnonzero(np.isin(t_draws, u_vals[mask[scanned - 1]]))[0])
-            event = ("witness", lo + scanned - 1, t_idx)
+        if first is not None:
+            scanned = first + 1
+            t_idx = int(np.flatnonzero(np.isin(t_draws, u_vals[inside]))[0])
+            event = ("witness", lo + first, t_idx)
         reads = (np.arange(block.size) < scanned) & ((block != u_vals[0]) | (u_vals.size > 1))
         # the first v that reads anything reads T, up to the witness if it is the
         # stop; only when T has one distinct value can that v follow S position 0
@@ -269,6 +301,63 @@ def _scan(
     if low.size:
         return ("low-degree", limit, None)
     return None
+
+
+def _leaf_index(pts: np.ndarray):
+    """Leaf buckets of a k-d tree over the rows of ``pts`` (Bentley 1975).
+
+    Each level splits every bucket at its median (argpartition) along the
+    coordinate in which the bucket is widest, until buckets hold at most
+    _LEAF_SIZE points. The ids repeat the first few points so that every
+    bucket of a level has the same size; a repeated point is found twice,
+    which changes no hit. Returns (leaves, leaf_pts, box_lo, box_hi): leaf i
+    holds the rows leaves[i] of ``pts``, with coordinates leaf_pts[i], and
+    its tight box is [box_lo[:, i], box_hi[:, i]].
+    """
+    m = pts.shape[0]
+    depth = max(0, math.ceil(math.log2(m / _LEAF_SIZE)))
+    leaves = np.resize(np.arange(m), 2**depth * -(-m // 2**depth))
+    # np.take on coordinate columns gives contiguous (coordinate, bucket,
+    # point) arrays, whose per-bucket reductions are fast
+    cols = np.ascontiguousarray(pts.T)
+    for level in range(depth):
+        leaves = leaves.reshape(2**level, -1)
+        p = np.take(cols, leaves, axis=1)
+        widest = (p.max(axis=2) - p.min(axis=2)).argmax(axis=0)
+        key = np.take_along_axis(p, widest[None, :, None], axis=0)[0]
+        half = np.argpartition(key, leaves.shape[1] // 2, axis=1)
+        leaves = np.take_along_axis(leaves, half, axis=1)
+    leaves = leaves.reshape(2**depth, -1)
+    p = np.take(cols, leaves, axis=1)
+    return leaves, pts[leaves], p.min(axis=2), p.max(axis=2)
+
+
+def _leaf_pairs(index, q: np.ndarray, rk: np.ndarray):
+    """(row, position in U) of every u strictly inside r_k of its row of q.
+
+    Pairs come in ascending row order. The bound from q to a leaf's box sums
+    the squared clamped gaps per coordinate in coordinate order: the same
+    binary64 operations as dist2_block, on gaps no larger than those to any
+    point in the box. Rounding is monotone, so the bound is at most the
+    computed distance of every point in the box, and a leaf whose bound is
+    not below r_k holds no hit. The points of the other leaves are re-checked
+    with dist2_row, which is bit-identical to dist2_block. Returns None when
+    more than a quarter of the (row, leaf) pairs survive the bound.
+    """
+    leaves, leaf_pts, box_lo, box_hi = index
+    bound = None
+    for j in range(q.shape[1]):
+        qj = q[:, j, None]
+        gap = np.maximum(np.maximum(box_lo[j] - qj, qj - box_hi[j]), 0.0)
+        gap *= gap
+        bound = gap if bound is None else np.add(bound, gap, out=bound)
+    row, leaf = np.nonzero(bound < rk[:, None])
+    if 4 * row.size > bound.size:
+        return None
+    size = leaves.shape[1]
+    d2 = dist2_row(np.repeat(q[row], size, axis=0), leaf_pts[leaf].reshape(-1, q.shape[1]))
+    pair, slot = np.nonzero(d2.reshape(-1, size) < rk[row, None])
+    return row[pair], leaves[leaf[pair], slot]
 
 
 def _evidence_confirmed(g: GeometricGraph, ev: Evidence, k: int) -> bool:

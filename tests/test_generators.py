@@ -103,6 +103,17 @@ class TestSampleD2:
         with pytest.raises(ValueError):
             sample_d2(12, 1, 0.9, seed=0)  # more relocations than gadget pairs
 
+    @pytest.mark.parametrize("n, k", [(44, 3), (24, 1), (4095, 2), (10, 4)])
+    def test_largest_epsilon_builds_and_one_more_relocation_fails(self, n, k):
+        m = n // (k + 1)
+        largest = (m // 2) / m
+        g = sample_d2(n, k, largest, seed=0)
+        _, counts = np.unique(g.coords[:, 0], return_counts=True)
+        assert np.sum(counts == 2) == (m // 2) * (k + 1)
+        # the next epsilon asks for one more relocation than distinct gadgets allow
+        with pytest.raises(ValueError, match=rf"allow epsilon up to {m // 2}/{m} = {largest!r}$"):
+            sample_d2(n, k, (m // 2 + 1) / m, seed=0)
+
 
 class TestTightConstruction:
     def test_delta3_counts(self):

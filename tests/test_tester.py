@@ -1,5 +1,6 @@
 """The sublinear tester: sizing, local check, full runs, query accounting."""
 
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from helpers import (
 from knncheck.core import OracleSession, QueryTally
 from knncheck.exact import build_exact_knn_graph, max_shared_knn, witnesses_of
 from knncheck.generators import corrupt_edges, line_gadget, sample_d2, tight_witness_construction
+from knncheck import tester
 from knncheck.sampling import rng_from, sample_without_replacement, split_seed
 from knncheck.tester import (
     _SCAN_BLOCK,
@@ -394,3 +396,72 @@ class TestNaiveEquivalence:
             k = int(rng.integers(1, 4))
             small = random_small_graph(rng, k)
             self._compare(small, TesterConfig(k=k, epsilon=0.5, delta=small.delta, seed=seed))
+
+    # the inputs below scan more than two blocks of S against |U| of about 280
+    # distinct T values, so that blocks after the first go through the leaf
+    # index over U, or fall back to the dense comparison
+
+    @staticmethod
+    def _sized(n, k, delta, s_prime, t, seed):
+        """Experiment-mode config with |S'| and |T| close to the given sizes."""
+        return TesterConfig(k=k, epsilon=0.5, delta=delta, mode="experiment", seed=seed,
+                            c1=s_prime / (8 * k * math.sqrt(n)),
+                            c2=t / (k * math.log(10) * math.sqrt(n)))
+
+    @staticmethod
+    def _scan_paths(monkeypatch):
+        """Counts of scan blocks answered through the leaf index and of dense fallbacks."""
+        counts = {"indexed": 0, "dense": 0}
+        leaf_pairs = tester._leaf_pairs
+
+        def spy(*args):
+            pairs = leaf_pairs(*args)
+            counts["dense" if pairs is None else "indexed"] += 1
+            return pairs
+
+        monkeypatch.setattr(tester, "_leaf_pairs", spy)
+        return counts
+
+    @pytest.mark.parametrize("delta", [1, 2, 3])
+    def test_indexed_scan_on_lattices_with_coincident_points(self, delta, monkeypatch):
+        # integer lattice sites, half of them doubled: many distances equal r_k
+        # exactly and many points lie on the faces of the leaf boxes
+        rng = np.random.default_rng(700 + delta)
+        sites = rng.integers(0, {1: 1500, 2: 40, 3: 12}[delta], size=(2000, delta))
+        pts = np.concatenate((sites, sites[:1000])).astype(np.float64)
+        k = 1 + delta % 2
+        g = build_exact_knn_graph(pts, k)
+        paths = self._scan_paths(monkeypatch)
+        verdict = self._compare(g, self._sized(g.n, k, delta, 2 * _SCAN_BLOCK + 8, 300, delta))
+        assert verdict.decision == "accept" and verdict.s_size > 2 * _SCAN_BLOCK
+        assert paths == {"indexed": 2, "dense": 0}
+
+    def test_witness_in_last_leaf_at_known_scan_position(self, monkeypatch):
+        # v at S position 517 (block 2) coincides with its only witness w, a T
+        # value beyond every other point in every coordinate, so w lies in the
+        # last leaf and on its upper faces. v's neighbor sits one ulp below w
+        # in each coordinate, so r_k is two squared ulps.
+        n, k, position = 3000, 1, 2 * _SCAN_BLOCK + 5
+        cfg = self._sized(n, k, 2, position + 20, 300, 11)
+        v = int(self._s_prime(n, cfg)[position])
+        w, nbr = (int(u) for u in np.setdiff1d(self._t(n, cfg), [v])[:2])
+        pts = np.random.default_rng(11).random((n, 2)) * 100.0
+        pts[[v, w]] = 100.0
+        pts[nbr] = np.nextafter(100.0, 0.0)
+        g = build_exact_knn_graph(pts, k)
+        adjacency = rows_of(g)
+        adjacency[v] = np.array([nbr])
+        paths = self._scan_paths(monkeypatch)
+        verdict = self._compare(graph_from_rows(g.coords, tuple(adjacency)), cfg)
+        assert verdict.evidence == Evidence(v, w, "witness")
+        assert paths == {"indexed": 2, "dense": 0}
+
+    def test_dense_fallback_in_eight_dimensions(self, monkeypatch):
+        # leaf boxes in 8 dimensions prune too little, so every block after
+        # the first is compared densely
+        rng = np.random.default_rng(800)
+        g = build_exact_knn_graph(rng.random((1000, 8)), 2)
+        paths = self._scan_paths(monkeypatch)
+        verdict = self._compare(g, self._sized(g.n, 2, 8, 2 * _SCAN_BLOCK + 8, 300, 8))
+        assert verdict.decision == "accept"
+        assert paths == {"indexed": 0, "dense": 1}
