@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .generators import _base_positions, draw_relocation_pairs
+from .generators import _base_positions, _d2_relocations, draw_relocation_pairs
 from .sampling import rng_from, sample_without_replacement, split_seed
 
 __all__ = ["KnowledgeState", "simulate_queries", "estimate_collision_probability"]
@@ -37,8 +37,9 @@ def simulate_queries(
     """Reveal ``budget`` fresh gadgets uniformly at random from D1 or D2.
 
     D1 has no coincident gadgets, so duplicate_seen is always False there.
-    D2 relocates ceil(eps*n/k') gadgets onto others; duplicate_seen records
-    whether both members of any relocated pair were revealed.
+    D2 relocates ceil(eps*n/k') gadgets onto others, with epsilon in the range
+    :func:`generators.sample_d2` accepts; duplicate_seen records whether both
+    members of any relocated pair were revealed.
     """
     if dist not in ("D1", "D2"):
         raise ValueError(f"distribution must be 'D1' or 'D2', got {dist!r}")
@@ -54,7 +55,7 @@ def simulate_queries(
     if dist == "D2":
         if epsilon is None:
             raise ValueError("D2 needs epsilon")
-        pairs = draw_relocation_pairs(m, math.ceil(epsilon * n / k1), rng_from(seq_pairs))
+        pairs = draw_relocation_pairs(m, _d2_relocations(n, k, epsilon), rng_from(seq_pairs))
     else:
         pairs = ()
 

@@ -1,7 +1,13 @@
-"""Geometric graph data model, squared-distance primitives and the query-counting oracle."""
+"""Geometric graph data model, squared-distance primitives and the query-counting oracle.
+
+It also holds the package's one spatial index, the leaf buckets of a k-d
+tree, and the box bound that prunes with it; the exact kernel and the
+tester's scan both use them.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +79,53 @@ def dist2_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             acc += buf
     return acc
+
+
+def leaf_index(pts: np.ndarray, leaf_size: int):
+    """Leaf buckets of a k-d tree over the rows of ``pts`` (Bentley 1975).
+
+    Each level splits every bucket at its median (argpartition) along the
+    coordinate in which the bucket is widest, until buckets hold at most
+    ``leaf_size`` points; consecutive leaves form subtrees. The ids repeat
+    the first few points so that every bucket of a level has the same size,
+    so a point may sit in two leaves. Returns (leaves, leaf_pts, box_lo,
+    box_hi): leaf i holds the rows leaves[i] of ``pts``, with coordinates
+    leaf_pts[i], and its tight box is [box_lo[:, i], box_hi[:, i]].
+    """
+    m = pts.shape[0]
+    depth = max(0, math.ceil(math.log2(m / leaf_size)))
+    leaves = np.resize(np.arange(m), 2**depth * -(-m // 2**depth))
+    # np.take on coordinate columns gives contiguous (coordinate, bucket,
+    # point) arrays, whose per-bucket reductions are fast
+    cols = np.ascontiguousarray(pts.T)
+    for level in range(depth):
+        leaves = leaves.reshape(2**level, -1)
+        p = np.take(cols, leaves, axis=1)
+        widest = (p.max(axis=2) - p.min(axis=2)).argmax(axis=0)
+        key = np.take_along_axis(p, widest[None, :, None], axis=0)[0]
+        half = np.argpartition(key, leaves.shape[1] // 2, axis=1)
+        leaves = np.take_along_axis(leaves, half, axis=1)
+    leaves = leaves.reshape(2**depth, -1)
+    p = np.take(cols, leaves, axis=1)
+    return leaves, pts[leaves], p.min(axis=2), p.max(axis=2)
+
+
+def box_gap2(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
+    """Lower bound on the computed squared distance between points of two boxes.
+
+    Coordinates run along the first axis of all four arrays; the remaining
+    axes broadcast. A point is the box with lo == hi. The per-coordinate gaps
+    are clamped at zero, squared and summed in coordinate order: the same
+    binary64 operations as :func:`dist2_block`, on gaps no larger than those
+    between any two points of the boxes. Rounding is monotone, so the bound
+    is at most the computed squared distance of every such pair.
+    """
+    total = None
+    for j in range(len(lo)):
+        gap = np.maximum(np.maximum(box_lo[j] - hi[j], lo[j] - box_hi[j]), 0.0)
+        gap *= gap
+        total = gap if total is None else np.add(total, gap, out=total)
+    return total
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -4,13 +4,17 @@ Everything here reads the graph directly (never through an OracleSession) and
 serves as the ground truth the sublinear tester is validated against.
 
 One kernel computes, for every vertex, its k-th smallest squared distance,
-the ids strictly inside it and the ids exactly at it. A uniform grid over the
-first min(delta, 2) coordinates only proposes candidates: a coordinate gap is
-a lower bound on the full distance, so pruning is exact in every dimension.
-Candidates are ranked by :func:`core.dist2_block`, the same binary64
-operations a scan over all points would use, so strict inequalities and
-tie-breaking equal those of a brute-force pass bit for bit. A vertex the grid
-cannot prove settled is scanned against all points in bounded blocks.
+the ids strictly inside it and the ids exactly at it. It runs on the k-d leaf
+index that lives in :mod:`core` (:func:`core.leaf_index`, leaves of at most 8
+points), one unit of consecutive leaves at a time. The largest k-th distance
+of a unit's rows among the unit's own points bounds each row's true k-th
+distance from above, and :func:`core.box_gap2` rules out every leaf beyond
+it, so the leaves left hold every id inside or at the k-th distance, in
+every dimension and with no rounding margin. Candidates are ranked by
+:func:`core.dist2_block`, the same binary64 operations a scan over all points
+would use, so strict inequalities and tie-breaking equal those of a
+brute-force pass bit for bit. A unit of at most k points is scanned against
+all points in bounded blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import EdgeBudget, GeometricGraph, concat_ranges, dist2_block
+from .core import EdgeBudget, GeometricGraph, box_gap2, concat_ranges, dist2_block, leaf_index
 
 __all__ = [
     "WitnessSet",
@@ -37,10 +41,10 @@ __all__ = [
 
 # rows per distance block, sized to keep temporaries around 64 MB
 _BLOCK_FLOATS = 8_000_000
-# query rows the grid aims to put in one tile
-_TILE_ROWS = 256
-# rows scanned in full to size the grid cells from their k-th distances
-_PROBE_ROWS = 64
+# most points per leaf of the kernel's index
+_LEAF_SIZE = 8
+# rows the kernel aims to put in one unit of consecutive leaves
+_UNIT_ROWS = 128
 
 
 def _block_size(n: int) -> int:
@@ -69,29 +73,15 @@ class _Selection:
     at_ids: np.ndarray  # exactly at the k-th distance, ascending per row
 
 
-def _select(
-    coords: np.ndarray,
-    rows: np.ndarray,
-    cand: np.ndarray,
-    k: int,
-    bound: np.ndarray | None = None,
-) -> tuple[_Selection, np.ndarray]:
+def _select(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int) -> _Selection:
     """The one exact selection: ``rows`` against the ascending candidate ids ``cand``.
 
     The result is exact for every row whose vertices at or within the k-th
-    distance are all candidates. With ``bound``, rows whose k-th candidate
-    distance is not strictly below their bound are left out of the selection
-    and returned as the second value.
+    distance are all candidates.
     """
     d2 = _masked_d2(coords, rows, cand)
     # a copy, not a view: a view would keep the whole partitioned block alive
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
-    rest = rows[:0]
-    if bound is not None:
-        done = kth < bound
-        if not done.all():
-            rest = rows[~done]
-            rows, d2, kth = rows[done], d2[done], kth[done]
     r, c = np.nonzero(d2 <= kth[:, None])
     d = d2[r, c]
     # (row, distance, id) order; cand is ascending, so column order is id order
@@ -101,84 +91,57 @@ def _select(
     knn = cand[c[order][first[:, None] + np.arange(k)]]
     inside = d < kth[r]
     owner, ids = rows[r], cand[c]
-    sel = _Selection(rows, kth, knn, owner[inside], ids[inside], owner[~inside], ids[~inside])
-    return sel, rest
+    return _Selection(rows, kth, knn, owner[inside], ids[inside], owner[~inside], ids[~inside])
 
 
 def _scan(coords: np.ndarray, rows: np.ndarray, k: int) -> list[_Selection]:
     """Selections of ``rows`` against all points, in blocks of bounded size."""
     everyone = np.arange(coords.shape[0])
     step = _block_size(everyone.size)
-    return [_select(coords, rows[lo : lo + step], everyone, k)[0] for lo in range(0, rows.size, step)]
+    return [_select(coords, rows[lo : lo + step], everyone, k) for lo in range(0, rows.size, step)]
 
 
-def _grid_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray]:
-    """Selections for the vertices a uniform grid settles, and the vertices it leaves.
+def _leaf_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray]:
+    """Selections for the vertices of units of more than k points, and the other vertices.
 
-    The grid covers the first min(delta, 2) coordinates and is walked in tiles
-    of cells. A tile's candidates are the points of its cells and one ring of
-    cells around them. Any point outside that region is at least the
-    coordinate gap from a query away, so a query whose k-th candidate distance
-    lies strictly below the squared gap (less a margin for the rounding of
-    cell assignment) is settled.
+    A unit is a subtree of the leaf index holding about _UNIT_ROWS points.
+    Its rows' k-th distances among its own points are at least their k-th
+    distances among all points, so the largest of them, thr, bounds every
+    row's k-th distance. A point of a leaf whose box gap to the unit's box
+    exceeds thr has a computed distance above thr from every row, so the
+    leaves within thr hold all ids inside or at each row's k-th distance.
+    Units are matched against unit boxes first, then against their leaves.
     """
-    n = coords.shape[0]
-    everyone = np.arange(n)
-    proj = coords[:, :2]
-    if proj.shape[1] == 1:
-        proj = np.hstack([proj, np.zeros_like(proj)])
-    lo = proj.min(axis=0)
-    span = proj.max(axis=0) - lo
-    if not np.all(np.isfinite(span)):
-        return [], everyone
-
-    probe = np.unique(np.linspace(0, n - 1, min(n, _PROBE_ROWS)).astype(np.int64))
-    kth = np.sort(np.concatenate([sel.kth for sel in _scan(coords, probe, k)]))
-    axes = max(1, int(np.count_nonzero(span)))
-    # cells 1.5 times the median probed k-th distance wide (the median shrugs
-    # off outliers), and at most about 4n of them
-    width = max(1.5 * math.sqrt(kth[kth.size // 2]), float(span.max()) / (4 * n) ** (1 / axes))
-    if not 0.0 < width < math.inf:
-        return [], everyone  # all points coincide, or distances overflow
-
-    shape = (span // width).astype(np.int64) + 1
-    cell = np.minimum(((proj - lo) / width).astype(np.int64), shape - 1)
-    flat = cell[:, 0] * shape[1] + cell[:, 1]
-    order = np.argsort(flat, kind="stable")
-    cell_start = np.zeros(shape[0] * shape[1] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=shape[0] * shape[1]), out=cell_start[1:])
-
-    occupancy = n / float(shape[0] * shape[1])
-    side = max(1, round((_TILE_ROWS / occupancy) ** (1 / axes)))
-    tiles = cell // side
-    tile_cols = -(-shape[1] // side)
-    tol = 1e-9 * (float(np.abs(proj).max()) + float(span.max()))
-
+    leaves, _, box_lo, box_hi = leaf_index(coords, _LEAF_SIZE)
+    count, width = leaves.shape
+    # a point the index repeats is a row of its first leaf only
+    flat = leaves.ravel()
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    # a power of two, so that every unit is one subtree with a tight box
+    per = 1 << max(0, (_UNIT_ROWS // width).bit_length() - 1)
+    starts = np.arange(0, count, per)
+    unit_lo = np.minimum.reduceat(box_lo, starts, axis=1)
+    unit_hi = np.maximum.reduceat(box_hi, starts, axis=1)
     parts, rest = [], []
-    for t in np.unique(tiles[:, 0] * tile_cols + tiles[:, 1]):
-        first = np.array(divmod(int(t), int(tile_cols))) * side
-        q_hi = np.minimum(first + side, shape) - 1
-        r_lo = np.maximum(first - 1, 0)
-        r_hi = np.minimum(first + side, shape - 1)
-        xs = np.arange(first[0], q_hi[0] + 1) * shape[1]
-        queries = order[concat_ranges(cell_start[xs + first[1]], cell_start[xs + q_hi[1] + 1])]
-        xs = np.arange(r_lo[0], r_hi[0] + 1) * shape[1]
-        cand = np.sort(order[concat_ranges(cell_start[xs + r_lo[1]], cell_start[xs + r_hi[1] + 1])])
-        if cand.size <= k:
-            rest.append(queries)
+    for u, s in enumerate(starts):
+        span = slice(s * width, (s + per) * width)
+        rows = np.sort(flat[span][first[span]])
+        if rows.size <= k:
+            rest.append(rows)
             continue
-        # sides of the region at the grid's border have nothing beyond them
-        edge_lo = np.where(r_lo > 0, lo + r_lo * width, -np.inf)
-        edge_hi = np.where(r_hi < shape - 1, lo + (r_hi + 1) * width, np.inf)
-        q = proj[queries]
-        gap = np.minimum(q - edge_lo, edge_hi - q).min(axis=1) - tol
-        bound = np.where(gap > 0, gap * gap, 0.0)
+        own = dist2_block(coords[rows], coords[rows])
+        # each row's own zero distance sorts first, so position k holds its k-th
+        own.partition(k, axis=1)
+        thr = own[:, k].max()
+        lo, hi = unit_lo[:, u], unit_hi[:, u]
+        near = starts[box_gap2(lo, hi, unit_lo, unit_hi) <= thr]
+        near = concat_ranges(near, np.minimum(near + per, count))
+        near = near[box_gap2(lo, hi, box_lo[:, near], box_hi[:, near]) <= thr]
+        cand = np.unique(leaves[near])
         step = _block_size(cand.size)
-        for b in range(0, queries.size, step):
-            sel, left = _select(coords, queries[b : b + step], cand, k, bound[b : b + step])
-            parts.append(sel)
-            rest.append(left)
-    return parts, np.concatenate(rest) if rest else everyone[:0]
+        parts += [_select(coords, rows[b : b + step], cand, k) for b in range(0, rows.size, step)]
+    return parts, np.concatenate(rest) if rest else flat[:0]
 
 
 def _csr(n: int, owner: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,11 +151,6 @@ def _csr(n: int, owner: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.nda
     return indptr, ids[np.argsort(owner, kind="stable")]
 
 
-def _vertex_selection(coords: np.ndarray, v: int, k: int) -> _Selection:
-    """Selection of one vertex against all points; builds no index."""
-    return _scan(coords, np.array([v]), k)[0]
-
-
 def k_nearest_set(g: GeometricGraph, v: int, k: int) -> set[int]:
     """All vertices u != v with at most k-1 vertices strictly nearer to v.
 
@@ -200,7 +158,7 @@ def k_nearest_set(g: GeometricGraph, v: int, k: int) -> set[int]:
     """
     v = g.check_vertex(v)
     _check_k(g.n, k)
-    sel = _vertex_selection(g.coords, v, k)
+    sel = _scan(g.coords, np.array([v]), k)[0]
     return set(sel.inside_ids.tolist()) | set(sel.at_ids.tolist())
 
 
@@ -232,26 +190,12 @@ def knn_adjacency_row(coords: np.ndarray, v: int, k: int) -> np.ndarray:
     """
     coords = np.asarray(coords, dtype=np.float64)
     _check_k(coords.shape[0], k)
-    return _vertex_selection(coords, v, k).knn[0].copy()
-
-
-def _check_points(points, k: int) -> np.ndarray:
-    coords = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-    if coords.ndim != 2:
-        raise ValueError("points must be a 2-d coordinate matrix")
-    n = coords.shape[0]
-    if n <= k:
-        raise ValueError(f"need more than k={k} points, got {n}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not np.all(np.isfinite(coords)):
-        raise ValueError("coordinates must be finite")
-    return coords
+    return _scan(coords, np.array([v]), k)[0].knn[0].copy()
 
 
 def build_exact_knn_graph(points, k: int) -> GeometricGraph:
     """Exact k-NN graph of a point set; every vertex gets out-degree exactly k."""
-    return NeighborhoodProfile(_check_points(points, k), k).graph
+    return NeighborhoodProfile(points, k).graph
 
 
 @dataclass(frozen=True)
@@ -275,13 +219,17 @@ class NeighborhoodProfile:
     harness reuses it across many corrupted adjacencies).
     """
 
-    def __init__(self, coords: np.ndarray, k: int):
+    def __init__(self, coords, k: int):
         coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
+        if coords.ndim != 2 or coords.shape[1] < 1:
+            raise ValueError("points must be a 2-d coordinate matrix with at least one column")
         _check_k(coords.shape[0], k)
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("coordinates must be finite")
         self.k = k
         self.n = coords.shape[0]
         self.coords = coords
-        parts, rest = _grid_pass(coords, k)
+        parts, rest = _leaf_pass(coords, k)
         parts += _scan(coords, rest, k)
 
         def merged(field):
@@ -375,8 +323,7 @@ def epsilon_distance(
 
 def max_shared_knn(points, k: int) -> int:
     """Largest number of points that share one point among their k nearest."""
-    coords = _check_points(points, k)
-    p = NeighborhoodProfile(coords, k)
+    p = NeighborhoodProfile(points, k)
     counts = np.bincount(p.inside_indices, minlength=p.n)
     counts += np.bincount(p.at_indices, minlength=p.n)
     return int(counts.max())

@@ -81,29 +81,39 @@ def draw_relocation_pairs(
     return tuple((int(chosen[i]), int(chosen[i + pair_count])) for i in range(pair_count))
 
 
+def _d2_relocations(n: int, k: int, epsilon: float) -> int:
+    """The number ceil(eps*n/k') of gadgets D2 relocates, once n and epsilon are checked.
+
+    Each relocation needs its own source and target among the m = n/k'
+    gadgets, so 1 <= ceil(eps*n/k') <= m/2: epsilon lies in (0, floor(m/2)/m],
+    which is at most 1/2.
+    """
+    k1 = k + 1
+    if n % k1:
+        raise ValueError(f"n={n} must be a multiple of k+1={k1}")
+    m = n // k1
+    # the upper limit 1 keeps the ceiling finite; the count check is the real limit
+    if not (0.0 < epsilon <= 1.0 and 2 * math.ceil(epsilon * n / k1) <= m):
+        raise ValueError(
+            f"epsilon={epsilon} out of range: D2 relocates ceil(epsilon*n/(k+1)) of the {m} "
+            f"gadgets, at least one and each onto a distinct target; n={n}, k={k} allow "
+            f"epsilon up to {m // 2}/{m} = {(m // 2) / m!r}"
+        )
+    return math.ceil(epsilon * n / k1)
+
+
 def sample_d2(n: int, k: int, epsilon: float, seed: int) -> GeometricGraph:
     """Gadget graph with ceil(eps*n/k') gadgets relocated onto others' coordinates.
 
     Relocated gadgets keep their internal edges; every vertex of a coincident
     pair ends up with missing true nearest neighbors, which puts the graph
     beyond epsilon-distance epsilon (certified by the ground-truth oracle in
-    tests rather than re-derived symbolically). Each relocation needs its own
-    source and target among the m = n/k' gadgets, so 2*ceil(eps*n/k') <= m:
-    epsilon lies in (0, floor(m/2)/m], which is at most 1/2.
+    tests rather than re-derived symbolically). For m = n/k' gadgets, epsilon
+    lies in (0, floor(m/2)/m], which is at most 1/2.
     """
+    r = _d2_relocations(n, k, epsilon)
     k1 = k + 1
-    if n % k1:
-        raise ValueError(f"n={n} must be a multiple of k+1={k1}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
     m = n // k1
-    r = math.ceil(epsilon * n / k1)
-    if 2 * r > m:
-        raise ValueError(
-            f"epsilon={epsilon} relocates {r} of {m} gadgets, but at most {m // 2} can move "
-            f"onto distinct targets; n={n}, k={k} allow epsilon up to "
-            f"{m // 2}/{m} = {(m // 2) / m!r}"
-        )
     seq_pairs, seq_perm = split_seed(seed, 2)
     pairs = draw_relocation_pairs(m, r, rng_from(seq_pairs))
     base = _base_positions(m, k1)

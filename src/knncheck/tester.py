@@ -11,12 +11,13 @@ the OracleSession, in bulk, for exactly the reads the sequential scan makes
 up to where it stops, so the session's QueryTally is the tester's cost.
 
 The first block of S is compared densely with every distinct T value. Later
-blocks find their witness candidates through an exact k-d leaf index over
-those values, built once the scan passes the first block; its box bounds
-only rule leaves out, and every candidate is re-checked with the same
-distance arithmetic. A block in which the bounds leave more than a quarter
-of its pairs is compared densely, as is the rest of the scan. Verdicts and
-tallies do not depend on which path a block takes.
+blocks find their witness candidates through the exact k-d leaf index that
+lives in :mod:`core` (:func:`core.leaf_index`, leaves of at most 64 T
+values), built once the scan passes the first block. Its box bounds only
+rule leaves out, and every candidate is re-checked with the same distance
+arithmetic. A block in which the bounds leave more than a quarter of its
+pairs is compared densely, as is the rest of the scan. Verdicts and tallies
+do not depend on which path a block takes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .core import GeometricGraph, OracleSession, QueryTally, concat_ranges, dist2_block, dist2_row
+from .core import (
+    GeometricGraph,
+    OracleSession,
+    QueryTally,
+    box_gap2,
+    concat_ranges,
+    dist2_block,
+    dist2_row,
+    leaf_index,
+)
 from .sampling import rng_from, sample_without_replacement, split_seed
 
 __all__ = [
@@ -265,7 +275,7 @@ def _scan(
         found = u_vals[pos] == ids
 
         if lo == _SCAN_BLOCK:
-            index = _leaf_index(u_coords)
+            index = leaf_index(u_coords, _LEAF_SIZE)
         pairs = None if index is None else _leaf_pairs(index, block_coords, rk)
         if pairs is None:
             index = None
@@ -303,54 +313,19 @@ def _scan(
     return None
 
 
-def _leaf_index(pts: np.ndarray):
-    """Leaf buckets of a k-d tree over the rows of ``pts`` (Bentley 1975).
-
-    Each level splits every bucket at its median (argpartition) along the
-    coordinate in which the bucket is widest, until buckets hold at most
-    _LEAF_SIZE points. The ids repeat the first few points so that every
-    bucket of a level has the same size; a repeated point is found twice,
-    which changes no hit. Returns (leaves, leaf_pts, box_lo, box_hi): leaf i
-    holds the rows leaves[i] of ``pts``, with coordinates leaf_pts[i], and
-    its tight box is [box_lo[:, i], box_hi[:, i]].
-    """
-    m = pts.shape[0]
-    depth = max(0, math.ceil(math.log2(m / _LEAF_SIZE)))
-    leaves = np.resize(np.arange(m), 2**depth * -(-m // 2**depth))
-    # np.take on coordinate columns gives contiguous (coordinate, bucket,
-    # point) arrays, whose per-bucket reductions are fast
-    cols = np.ascontiguousarray(pts.T)
-    for level in range(depth):
-        leaves = leaves.reshape(2**level, -1)
-        p = np.take(cols, leaves, axis=1)
-        widest = (p.max(axis=2) - p.min(axis=2)).argmax(axis=0)
-        key = np.take_along_axis(p, widest[None, :, None], axis=0)[0]
-        half = np.argpartition(key, leaves.shape[1] // 2, axis=1)
-        leaves = np.take_along_axis(leaves, half, axis=1)
-    leaves = leaves.reshape(2**depth, -1)
-    p = np.take(cols, leaves, axis=1)
-    return leaves, pts[leaves], p.min(axis=2), p.max(axis=2)
-
-
 def _leaf_pairs(index, q: np.ndarray, rk: np.ndarray):
     """(row, position in U) of every u strictly inside r_k of its row of q.
 
-    Pairs come in ascending row order. The bound from q to a leaf's box sums
-    the squared clamped gaps per coordinate in coordinate order: the same
-    binary64 operations as dist2_block, on gaps no larger than those to any
-    point in the box. Rounding is monotone, so the bound is at most the
-    computed distance of every point in the box, and a leaf whose bound is
-    not below r_k holds no hit. The points of the other leaves are re-checked
-    with dist2_row, which is bit-identical to dist2_block. Returns None when
-    more than a quarter of the (row, leaf) pairs survive the bound.
+    Pairs come in ascending row order. :func:`core.box_gap2` from q to a
+    leaf's box is at most the computed distance of every point in the box,
+    so a leaf whose bound is not below r_k holds no hit. The points of the
+    other leaves are re-checked with dist2_row, which is bit-identical to
+    dist2_block. Returns None when more than a quarter of the (row, leaf)
+    pairs survive the bound.
     """
     leaves, leaf_pts, box_lo, box_hi = index
-    bound = None
-    for j in range(q.shape[1]):
-        qj = q[:, j, None]
-        gap = np.maximum(np.maximum(box_lo[j] - qj, qj - box_hi[j]), 0.0)
-        gap *= gap
-        bound = gap if bound is None else np.add(bound, gap, out=bound)
+    rows_t = q.T[:, :, None]
+    bound = box_gap2(rows_t, rows_t, box_lo, box_hi)
     row, leaf = np.nonzero(bound < rk[:, None])
     if 4 * row.size > bound.size:
         return None

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from knncheck.adversary import estimate_collision_probability, simulate_queries
+from knncheck.generators import sample_d2
 
 
 def _budget(n, k, epsilon):
@@ -54,6 +55,15 @@ class TestSimulateQueries:
             simulate_queries("D2", 120, 1, 0.1, budget=61)
         with pytest.raises(ValueError):
             simulate_queries("D2", 120, 1, None, budget=1)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5, -0.5, 0.0, math.nan, math.inf])
+    def test_d2_epsilon_range_matches_sample_d2(self, epsilon):
+        # n=44, k=3: 11 gadgets, so at most 5 relocations and epsilon <= 5/11
+        message = rf"epsilon={epsilon} out of range: .* allow epsilon up to 5/11 = {5 / 11!r}$"
+        with pytest.raises(ValueError, match=message):
+            simulate_queries("D2", 44, 3, epsilon, budget=3)
+        with pytest.raises(ValueError, match=message):
+            sample_d2(44, 3, epsilon, seed=0)
 
 
 class TestCollisionProbability:

@@ -52,6 +52,15 @@ class TestExitCodes:
                                 "--epsilon", "0.2"])
         assert code == 64
 
+    @pytest.mark.parametrize("epsilon", ["1.0", "-0.5", "0.0"])
+    def test_adversary_epsilon_out_of_range_is_64(self, capsys, epsilon):
+        code = main(["adversary", "--n", "44", "--k", "3", "--epsilon", epsilon,
+                     "--budget", "3", "--trials", "100"])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert f"epsilon={float(epsilon)} out of range" in err
+        assert err.rstrip().endswith("allow epsilon up to 5/11 = 0.45454545454545453")
+
     def test_malformed_sweep_config_is_64(self, capsys, tmp_path):
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps({

@@ -139,6 +139,18 @@ class TestBuildExactKnn:
         with pytest.raises(ValueError):
             build_exact_knn_graph(np.zeros((3, 1)), 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_profile_rejects_non_finite_points(self, bad):
+        pts = np.random.default_rng(7).random((50, 2))
+        pts[3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            NeighborhoodProfile(pts, 3)
+
+    @pytest.mark.parametrize("shape", [(50,), (50, 0), (5, 5, 2)])
+    def test_profile_rejects_points_not_in_a_matrix(self, shape):
+        with pytest.raises(ValueError, match="2-d"):
+            NeighborhoodProfile(np.zeros(shape), 3)
+
 
 class TestEpsilonDistance:
     def test_exact_graph_distance_zero(self):
@@ -289,7 +301,26 @@ def _assert_matches_brute_force(points, k, graphs=()):
 
 
 class TestKernelMatchesBruteForce:
-    """Cross-checks of the grid-indexed kernel against tests/helpers.BruteForceProfile."""
+    """Cross-checks of the leaf-indexed kernel against tests/helpers.BruteForceProfile."""
+
+    @staticmethod
+    def _kernel_paths(monkeypatch):
+        """Counts of selected rows, of their candidate pairs and of rows sent to the full scan."""
+        counts = {"rows": 0, "pairs": 0, "scanned": 0}
+        select, scan = exact._select, exact._scan
+
+        def select_spy(coords, rows, cand, k):
+            counts["rows"] += rows.size
+            counts["pairs"] += rows.size * cand.size
+            return select(coords, rows, cand, k)
+
+        def scan_spy(coords, rows, k):
+            counts["scanned"] += rows.size
+            return scan(coords, rows, k)
+
+        monkeypatch.setattr(exact, "_select", select_spy)
+        monkeypatch.setattr(exact, "_scan", scan_spy)
+        return counts
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_small_lattice_graphs(self, seed):
@@ -333,7 +364,8 @@ class TestKernelMatchesBruteForce:
         _assert_matches_brute_force(pts, 10)
 
     def test_integer_lattice_with_repeated_points(self):
-        # ties at the k-th distance straddle grid cells on every vertex
+        # every vertex has ties at its k-th distance, and many points lie on
+        # the faces of leaf and unit boxes, so box gaps equal to thr are common
         rng = np.random.default_rng(9)
         pts = rng.integers(0, 40, size=(2500, 2)).astype(np.float64)
         _assert_matches_brute_force(pts, 6)
@@ -344,11 +376,20 @@ class TestKernelMatchesBruteForce:
         pts = np.vstack([rng.random((800, 2)), rng.random((800, 2)) + 1e3, [[-1e6, 5.0]]])
         _assert_matches_brute_force(pts, 5)
 
-    def test_grid_settles_most_uniform_vertices(self):
-        pts = np.random.default_rng(11).random((4096, 2))
-        parts, rest = exact._grid_pass(pts, 10)
-        assert sum(part.rows.size for part in parts) + rest.size == 4096
-        assert rest.size < 4096 // 10
+    def test_leaf_pass_settles_every_uniform_vertex(self, monkeypatch):
+        paths = self._kernel_paths(monkeypatch)
+        NeighborhoodProfile(np.random.default_rng(11).random((4096, 2)), 10)
+        assert paths["scanned"] == 0 and paths["rows"] == 4096
+        # about 350 candidates per row; a full scan would take 4096
+        assert paths["pairs"] / 4096 < 450
+
+    def test_units_of_at_most_k_points_are_scanned(self, monkeypatch):
+        # units hold at most 80 points here, and the index's repeated points
+        # leave some with fewer than 77, so both paths run
+        pts = np.random.default_rng(12).random((600, 2))
+        paths = self._kernel_paths(monkeypatch)
+        _assert_matches_brute_force(pts, 76)
+        assert 0 < paths["scanned"] < paths["rows"]
 
     def test_per_vertex_views_equal_kernel_rows(self):
         rng = np.random.default_rng(12)
