@@ -88,9 +88,12 @@ def leaf_index(pts: np.ndarray, leaf_size: int):
     coordinate in which the bucket is widest, until buckets hold at most
     ``leaf_size`` points; consecutive leaves form subtrees. The ids repeat
     the first few points so that every bucket of a level has the same size,
-    so a point may sit in two leaves. Returns (leaves, leaf_pts, box_lo,
-    box_hi): leaf i holds the rows leaves[i] of ``pts``, with coordinates
-    leaf_pts[i], and its tight box is [box_lo[:, i], box_hi[:, i]].
+    so a point may sit in two leaves. Returns (leaves, first, p, box_lo,
+    box_hi): leaf i holds the rows leaves[i] of ``pts``; first[i] marks the
+    slots that hold each row's first occurrence in leaves.ravel(), so that
+    counting over first counts every row once; p[:, i] holds the leaf's
+    coordinates, one contiguous (leaf, slot) array per coordinate; and its
+    tight box is [box_lo[:, i], box_hi[:, i]].
     """
     m = pts.shape[0]
     depth = max(0, math.ceil(math.log2(m / leaf_size)))
@@ -106,8 +109,10 @@ def leaf_index(pts: np.ndarray, leaf_size: int):
         half = np.argpartition(key, leaves.shape[1] // 2, axis=1)
         leaves = np.take_along_axis(leaves, half, axis=1)
     leaves = leaves.reshape(2**depth, -1)
+    first = np.zeros(leaves.size, dtype=bool)
+    first[np.unique(leaves, return_index=True)[1]] = True
     p = np.take(cols, leaves, axis=1)
-    return leaves, pts[leaves], p.min(axis=2), p.max(axis=2)
+    return leaves, first.reshape(leaves.shape), p, p.min(axis=2), p.max(axis=2)
 
 
 def box_gap2(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:

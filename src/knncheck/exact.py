@@ -33,7 +33,6 @@ __all__ = [
     "NeighborhoodProfile",
     "k_nearest_set",
     "witnesses_of",
-    "knn_adjacency_row",
     "build_exact_knn_graph",
     "epsilon_distance",
     "max_shared_knn",
@@ -112,12 +111,10 @@ def _leaf_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray
     leaves within thr hold all ids inside or at each row's k-th distance.
     Units are matched against unit boxes first, then against their leaves.
     """
-    leaves, _, box_lo, box_hi = leaf_index(coords, _LEAF_SIZE)
+    leaves, first, _, box_lo, box_hi = leaf_index(coords, _LEAF_SIZE)
     count, width = leaves.shape
     # a point the index repeats is a row of its first leaf only
-    flat = leaves.ravel()
-    first = np.zeros(flat.size, dtype=bool)
-    first[np.unique(flat, return_index=True)[1]] = True
+    flat, first = leaves.ravel(), first.ravel()
     # a power of two, so that every unit is one subtree with a tight box
     per = 1 << max(0, (_UNIT_ROWS // width).bit_length() - 1)
     starts = np.arange(0, count, per)
@@ -180,17 +177,6 @@ def witnesses_of(g: GeometricGraph, v: int, k: int) -> WitnessSet:
     _check_k(g.n, k)
     wit = k_nearest_set(g, v, k) - set(g.neighbors(v).tolist())
     return WitnessSet(v, frozenset(wit), max(0, k - g.degree(v)))
-
-
-def knn_adjacency_row(coords: np.ndarray, v: int, k: int) -> np.ndarray:
-    """The k out-neighbors of v in an exact k-NN graph of ``coords``.
-
-    Sorted by (squared distance, vertex id); ties at the k-th distance are
-    broken toward smaller ids.
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    _check_k(coords.shape[0], k)
-    return _scan(coords, np.array([v]), k)[0].knn[0].copy()
 
 
 def build_exact_knn_graph(points, k: int) -> GeometricGraph:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import GeometricGraph
-from .exact import build_exact_knn_graph, knn_adjacency_row
+from .exact import NeighborhoodProfile, build_exact_knn_graph
 from .sampling import rng_from, sample_without_replacement, split_seed
 
 __all__ = [
@@ -289,7 +289,7 @@ def dimension_lb_instances(k: int, epsilon: float, c: int) -> tuple[GeometricGra
         exact_coords[sid] = [-1.0, 0.0, 0.0]
     knn = np.empty((n + m, k), dtype=np.int64)
     knn[:n] = base.indices.reshape(n, k)
-    for vid in center_ids + split_ids:
-        knn[vid] = knn_adjacency_row(exact_coords, vid, k)
+    moved = center_ids + split_ids
+    knn[moved] = NeighborhoodProfile(exact_coords, k).knn[moved]
     g_exact = GeometricGraph(exact_coords, np.arange(n + m + 1) * k, knn.ravel(), k_hint=k)
     return g_far, g_exact

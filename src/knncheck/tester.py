@@ -10,14 +10,12 @@ scan itself works on the graph's arrays one block of S at a time and charges
 the OracleSession, in bulk, for exactly the reads the sequential scan makes
 up to where it stops, so the session's QueryTally is the tester's cost.
 
-The first block of S is compared densely with every distinct T value. Later
-blocks find their witness candidates through the exact k-d leaf index that
-lives in :mod:`core` (:func:`core.leaf_index`, leaves of at most 64 T
-values), built once the scan passes the first block. Its box bounds only
-rule leaves out, and every candidate is re-checked with the same distance
-arithmetic. A block in which the bounds leave more than a quarter of its
-pairs is compared densely, as is the rest of the scan. Verdicts and tallies
-do not depend on which path a block takes.
+Every block of S finds its witness candidates through the exact k-d leaf
+index that lives in :mod:`core` (:func:`core.leaf_index`, leaves of at most
+64 T values), built once per run over the distinct T values. Its box bounds
+only rule leaves out, and every candidate is re-checked with the same
+distance arithmetic, so verdicts and tallies equal those of the sequential
+scan.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .core import (
     QueryTally,
     box_gap2,
     concat_ranges,
-    dist2_block,
     dist2_row,
     leaf_index,
 )
@@ -247,56 +244,55 @@ def _scan(
     witness predicate for (v, u) depends only on u's value. Each block then
     charges the session for the reads of the nested loop up to its stop.
 
-    Block 0 compares each of its rows with all of U. Once the scan passes
-    block 0, U goes into a leaf index, and each later block re-checks only
-    the u in leaves whose boxes its bounds cannot rule out. A block in which
-    more than a quarter of its row-u pairs survive the bounds is compared
-    densely, and so is every block after it.
+    U goes into a leaf index once, before the first block. A leaf whose box
+    bound is not below a row's r_k holds no u strictly inside it, and the
+    u of every other leaf are re-checked with the arithmetic of dist2_row.
+    Counting each u once, a row has a witness when its hits outnumber its
+    guarded hits: v itself and its neighbors that are in U and inside r_k.
     """
     g = session.graph
     low = np.flatnonzero(s_degs < k)
     limit = int(low[0]) if low.size else s_vertices.size
     u_vals = np.unique(t_draws)
-    u_coords = g.coords[u_vals]
-    index = None
+    leaves, first, p, box_lo, box_hi = leaf_index(g.coords[u_vals], _LEAF_SIZE)
     for lo in range(0, limit, _SCAN_BLOCK):
         block = s_vertices[lo : min(limit, lo + _SCAN_BLOCK)]
         degs = s_degs[lo : lo + block.size]
         nbrs = g.indices[concat_ranges(g.indptr[block], g.indptr[block + 1])]
         owner = np.repeat(np.arange(block.size), degs)
         starts = np.cumsum(degs) - degs
-        block_coords = g.coords[block]
-        nd = dist2_row(block_coords[owner], g.coords[nbrs])
+        q = g.coords[block]
+        nd = dist2_row(q[owner], g.coords[nbrs])
         rk = nd[np.lexsort((nd, owner))[starts + k - 1]]
-        # the guard requires u != v and u not in N(v)
+
+        # the (row, leaf) pairs that may hold a u strictly inside r_k, row-major
+        q_t = q.T[:, :, None]
+        row, leaf = np.nonzero(box_gap2(q_t, q_t, box_lo, box_hi) < rk[:, None])
+        # their u coordinate by coordinate, in dist2_row's order: bit-identical to nd
+        d2 = None
+        for j in range(q.shape[1]):
+            d = p[j][leaf]
+            d -= q[row, j][:, None]
+            d *= d
+            d2 = d if d2 is None else np.add(d2, d, out=d2)
+        inside = (d2 < rk[row, None]) & first[leaf]
+        hits = np.bincount(row, np.count_nonzero(inside, axis=1), block.size)
+        # the guard requires u != v and u not in N(v); v's own distance is 0
         ids = np.concatenate((nbrs, block))
         rows = np.concatenate((owner, np.arange(block.size)))
         pos = np.minimum(np.searchsorted(u_vals, ids), u_vals.size - 1)
-        found = u_vals[pos] == ids
-
-        if lo == _SCAN_BLOCK:
-            index = leaf_index(u_coords, _LEAF_SIZE)
-        pairs = None if index is None else _leaf_pairs(index, block_coords, rk)
-        if pairs is None:
-            index = None
-            mask = dist2_block(block_coords, u_coords) < rk[:, None]
-            mask[rows[found], pos[found]] = False
-            hits = np.flatnonzero(mask.any(axis=1))
-            first, inside = (int(hits[0]), mask[hits[0]]) if hits.size else (None, None)
-        else:
-            hit_rows, hit_pos = pairs
-            m = u_vals.size
-            keep = ~np.isin(hit_rows * m + hit_pos, rows[found] * m + pos[found])
-            hit_rows, hit_pos = hit_rows[keep], hit_pos[keep]
-            first, inside = ((int(hit_rows[0]), hit_pos[hit_rows == hit_rows[0]])
-                             if hit_rows.size else (None, None))
+        guarded = (u_vals[pos] == ids) & (np.concatenate((nd, np.zeros(block.size))) < rk[rows])
+        witnessed = np.flatnonzero(hits > np.bincount(rows[guarded], minlength=block.size))
 
         event = None
         scanned = block.size
-        if first is not None:
-            scanned = first + 1
-            t_idx = int(np.flatnonzero(np.isin(t_draws, u_vals[inside]))[0])
-            event = ("witness", lo + first, t_idx)
+        if witnessed.size:
+            r = int(witnessed[0])
+            scanned = r + 1
+            pairs = slice(*np.searchsorted(row, [r, r + 1]))
+            found = np.setdiff1d(leaves[leaf[pairs]][inside[pairs]], pos[guarded & (rows == r)])
+            t_idx = int(np.flatnonzero(np.isin(t_draws, u_vals[found]))[0])
+            event = ("witness", lo + r, t_idx)
         reads = (np.arange(block.size) < scanned) & ((block != u_vals[0]) | (u_vals.size > 1))
         # the first v that reads anything reads T, up to the witness if it is the
         # stop; only when T has one distinct value can that v follow S position 0
@@ -313,38 +309,22 @@ def _scan(
     return None
 
 
-def _leaf_pairs(index, q: np.ndarray, rk: np.ndarray):
-    """(row, position in U) of every u strictly inside r_k of its row of q.
-
-    Pairs come in ascending row order. :func:`core.box_gap2` from q to a
-    leaf's box is at most the computed distance of every point in the box,
-    so a leaf whose bound is not below r_k holds no hit. The points of the
-    other leaves are re-checked with dist2_row, which is bit-identical to
-    dist2_block. Returns None when more than a quarter of the (row, leaf)
-    pairs survive the bound.
-    """
-    leaves, leaf_pts, box_lo, box_hi = index
-    rows_t = q.T[:, :, None]
-    bound = box_gap2(rows_t, rows_t, box_lo, box_hi)
-    row, leaf = np.nonzero(bound < rk[:, None])
-    if 4 * row.size > bound.size:
-        return None
-    size = leaves.shape[1]
-    d2 = dist2_row(np.repeat(q[row], size, axis=0), leaf_pts[leaf].reshape(-1, q.shape[1]))
-    pair, slot = np.nonzero(d2.reshape(-1, size) < rk[row, None])
-    return row[pair], leaves[leaf[pair], slot]
-
-
 def _evidence_confirmed(g: GeometricGraph, ev: Evidence, k: int) -> bool:
     """Ground-truth confirmation of rejection evidence.
 
     Low-degree evidence means deg(v) < k. A witness pair (v, u) certifies
-    that v is incomplete: u is a non-neighbor strictly inside the k-th
-    neighbor distance, which forces a missing true k-nearest neighbor.
+    that v is incomplete: u is a non-neighbor other than v strictly inside
+    r_k(v), the k-th smallest squared distance from v to its neighbors, which
+    forces a missing true k-nearest neighbor. Both the pair and the exact
+    witness set of v are checked.
     """
     if ev.reason == "low-degree":
         return g.degree(ev.vertex) < k
-    u = ev.witness
-    if u is None or u == ev.vertex or np.any(g.neighbors(ev.vertex) == u):
+    v, u = ev.vertex, ev.witness
+    nbrs = g.neighbors(v)
+    if u is None or g.check_vertex(u) == v or nbrs.size < k or np.any(nbrs == u):
         return False
-    return exact.witnesses_of(g, ev.vertex, k).incomplete
+    d2 = dist2_row(g.coords[v], g.coords[np.append(nbrs, u)])
+    if not d2[-1] < np.partition(d2[:-1], k - 1)[k - 1]:
+        return False
+    return exact.witnesses_of(g, v, k).incomplete

@@ -18,7 +18,7 @@ from helpers import (
     random_small_graph,
     rows_of,
 )
-from knncheck.core import OracleSession, QueryTally
+from knncheck.core import OracleSession, QueryTally, box_gap2, dist2_row, leaf_index
 from knncheck.exact import build_exact_knn_graph, max_shared_knn, witnesses_of
 from knncheck.generators import corrupt_edges, line_gadget, sample_d2, tight_witness_construction
 from knncheck import tester
@@ -182,6 +182,15 @@ class TestRunTester:
         assert e.reason == "witness"
         assert witnesses_of(g, e.vertex, 2).incomplete
         assert e.witness not in set(g.neighbors(e.vertex).tolist())
+
+    def test_evidence_outside_r_k_is_not_confirmed(self):
+        # vertex 0 is incomplete (its row skips 1), but 100 lies outside
+        # r_k(0) = 9, so (0, 100) is no witness pair; (0, 1) is one
+        g = graph_from_rows(np.array([[0.0], [1.0], [2.0], [3.0], [100.0]]),
+                            ([3], [0], [1], [2], [3]))
+        assert not tester._evidence_confirmed(g, Evidence(0, 4, "witness"), 1)
+        assert tester._evidence_confirmed(g, Evidence(0, 1, "witness"), 1)
+        assert not tester._evidence_confirmed(g, Evidence(0, 3, "witness"), 1)
 
     def test_unconfirmed_evidence_raises_under_optimize(self):
         # ground truth that calls every vertex complete contradicts the
@@ -398,8 +407,7 @@ class TestNaiveEquivalence:
             self._compare(small, TesterConfig(k=k, epsilon=0.5, delta=small.delta, seed=seed))
 
     # the inputs below scan more than two blocks of S against |U| of about 280
-    # distinct T values, so that blocks after the first go through the leaf
-    # index over U, or fall back to the dense comparison
+    # distinct T values, so that many leaves of the index over U are pruned
 
     @staticmethod
     def _sized(n, k, delta, s_prime, t, seed):
@@ -408,22 +416,8 @@ class TestNaiveEquivalence:
                             c1=s_prime / (8 * k * math.sqrt(n)),
                             c2=t / (k * math.log(10) * math.sqrt(n)))
 
-    @staticmethod
-    def _scan_paths(monkeypatch):
-        """Counts of scan blocks answered through the leaf index and of dense fallbacks."""
-        counts = {"indexed": 0, "dense": 0}
-        leaf_pairs = tester._leaf_pairs
-
-        def spy(*args):
-            pairs = leaf_pairs(*args)
-            counts["dense" if pairs is None else "indexed"] += 1
-            return pairs
-
-        monkeypatch.setattr(tester, "_leaf_pairs", spy)
-        return counts
-
     @pytest.mark.parametrize("delta", [1, 2, 3])
-    def test_indexed_scan_on_lattices_with_coincident_points(self, delta, monkeypatch):
+    def test_indexed_scan_on_lattices_with_coincident_points(self, delta):
         # integer lattice sites, half of them doubled: many distances equal r_k
         # exactly and many points lie on the faces of the leaf boxes
         rng = np.random.default_rng(700 + delta)
@@ -431,12 +425,10 @@ class TestNaiveEquivalence:
         pts = np.concatenate((sites, sites[:1000])).astype(np.float64)
         k = 1 + delta % 2
         g = build_exact_knn_graph(pts, k)
-        paths = self._scan_paths(monkeypatch)
         verdict = self._compare(g, self._sized(g.n, k, delta, 2 * _SCAN_BLOCK + 8, 300, delta))
         assert verdict.decision == "accept" and verdict.s_size > 2 * _SCAN_BLOCK
-        assert paths == {"indexed": 2, "dense": 0}
 
-    def test_witness_in_last_leaf_at_known_scan_position(self, monkeypatch):
+    def test_witness_in_last_leaf_at_known_scan_position(self):
         # v at S position 517 (block 2) coincides with its only witness w, a T
         # value beyond every other point in every coordinate, so w lies in the
         # last leaf and on its upper faces. v's neighbor sits one ulp below w
@@ -451,17 +443,66 @@ class TestNaiveEquivalence:
         g = build_exact_knn_graph(pts, k)
         adjacency = rows_of(g)
         adjacency[v] = np.array([nbr])
-        paths = self._scan_paths(monkeypatch)
         verdict = self._compare(graph_from_rows(g.coords, tuple(adjacency)), cfg)
         assert verdict.evidence == Evidence(v, w, "witness")
-        assert paths == {"indexed": 2, "dense": 0}
 
-    def test_dense_fallback_in_eight_dimensions(self, monkeypatch):
-        # leaf boxes in 8 dimensions prune too little, so every block after
-        # the first is compared densely
+    def test_scan_in_eight_dimensions(self):
+        # leaf boxes in 8 dimensions prune little, so most pairs are re-checked
         rng = np.random.default_rng(800)
         g = build_exact_knn_graph(rng.random((1000, 8)), 2)
-        paths = self._scan_paths(monkeypatch)
         verdict = self._compare(g, self._sized(g.n, 2, 8, 2 * _SCAN_BLOCK + 8, 300, 8))
         assert verdict.decision == "accept"
-        assert paths == {"indexed": 0, "dense": 1}
+
+    # the inputs below stop in block 0, which goes through the index as well
+
+    @pytest.mark.parametrize("witness_at", [0, 1])
+    def test_block_zero_on_tied_lattice_with_v_in_u(self, witness_at):
+        # S position 0 is a lattice site with a coincident point and is drawn
+        # into T. With k=1 its exact row holds a point at distance 0, so r_k = 0
+        # and nothing lies strictly inside it, itself included, and the witness
+        # v is S position 1. Or v is S position 0 with its row pointing at the
+        # farthest point, so that v is one of its own hits, and a guarded one.
+        n, k = 3000, 1
+        rng = np.random.default_rng(900)
+        sites = rng.integers(0, 40, size=(2000, 2))
+        pts = np.concatenate((sites, sites[:1000])).astype(np.float64)
+        g = build_exact_knn_graph(pts, k)
+        cfg = next(
+            cfg
+            for seed in range(1000)
+            for cfg in [self._sized(n, k, 2, 2 * _SCAN_BLOCK, 300, seed)]
+            if self._s_prime(n, cfg)[0] in self._t(n, cfg) and self._s_prime(n, cfg)[0] < 1000
+        )
+        first = int(self._s_prime(n, cfg)[0])
+        assert dist2_row(g.coords[first], g.coords[g.neighbors(first)]).max() == 0.0
+        v = int(self._s_prime(n, cfg)[witness_at])
+        adjacency = rows_of(g)
+        adjacency[v] = np.argsort(((g.coords - g.coords[v]) ** 2).sum(axis=1))[-k:]
+        verdict = self._compare(graph_from_rows(g.coords, tuple(adjacency)), cfg)
+        assert verdict.evidence.reason == "witness" and verdict.evidence.vertex == v
+
+    def test_block_zero_where_most_leaves_survive(self):
+        # half the slots point at uniform vertices, which inflates r_k, so the
+        # box bounds rule out few of block 0's (row, leaf) pairs
+        n, k = 3000, 3
+        g = corrupt_edges(build_exact_knn_graph(np.random.default_rng(901).random((n, 2)), k),
+                          0.5, 901)
+        cfg = self._sized(n, k, 2, 2 * _SCAN_BLOCK, 600, 901)
+        rows = self._s_prime(n, cfg)[:_SCAN_BLOCK]
+        rk = np.array([np.sort(dist2_row(g.coords[v], g.coords[g.neighbors(v)]))[k - 1]
+                       for v in rows])
+        _, _, _, box_lo, box_hi = leaf_index(g.coords[np.unique(self._t(n, cfg))], tester._LEAF_SIZE)
+        q_t = g.coords[rows].T[:, :, None]
+        assert np.mean(box_gap2(q_t, q_t, box_lo, box_hi) < rk[:, None]) > 0.5
+        verdict = self._compare(g, cfg)
+        assert verdict.decision == "reject"
+
+    @pytest.mark.parametrize("t", [1, 20])
+    def test_u_smaller_than_one_leaf(self, t):
+        n, k = 800, 2
+        g = corrupt_edges(build_exact_knn_graph(np.random.default_rng(902).random((n, 2)), k),
+                          0.05, 902)
+        for seed in range(4):
+            cfg = self._sized(n, k, 2, n, t, seed)
+            assert 1 <= np.unique(self._t(n, cfg)).size <= t + 1 < tester._LEAF_SIZE
+            self._compare(g, cfg)
