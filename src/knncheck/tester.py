@@ -295,10 +295,11 @@ def _scan(
             event = ("witness", lo + r, t_idx)
         reads = (np.arange(block.size) < scanned) & ((block != u_vals[0]) | (u_vals.size > 1))
         # the first v that reads anything reads T, up to the witness if it is the
-        # stop; only when T has one distinct value can that v follow S position 0
+        # stop; only when T has one distinct value can that v follow S position 0.
+        # All of T marks the same coordinates as U, which has at most n values
         t_read = t_draws[:0]
         if lo == 0 and reads.any():
-            t_read = t_draws[: t_idx + 1] if event is not None and scanned == 1 else t_draws
+            t_read = t_draws[: t_idx + 1] if event is not None and scanned == 1 else u_vals
         session.charge_neighbor_rows(block[reads])
         session.coords_many(np.concatenate((block[reads], nbrs[reads[owner]], t_read)))
         if event is not None:

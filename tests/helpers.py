@@ -15,6 +15,7 @@ import numpy as np
 
 from knncheck.core import EdgeBudget, GeometricGraph, QueryTally, dist2, dist2_block
 from knncheck.exact import DistanceReport
+from knncheck.graphio import KnngFormatError
 from knncheck.sampling import rng_from, sample_without_replacement, split_seed
 from knncheck.tester import Evidence, TesterConfig, Verdict, sample_sizes
 
@@ -299,3 +300,67 @@ def first_adjacency_error(n: int, adjacency) -> str | None:
             if np.unique(a).size != a.size:
                 return f"vertex {v}: duplicate neighbor"
     return None
+
+
+def reference_graph_from_text(text: str) -> GeometricGraph:
+    """The .knng reader line by line, every row checked on its own line.
+
+    The first faulty line is reported, and on one adjacency line a syntax
+    fault comes before a row fault, as in ``graphio.graph_from_text``.
+    """
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise KnngFormatError(1, "empty file")
+    header = lines[0].split()
+    if len(header) != 5 or header[0] != "knng":
+        raise KnngFormatError(1, "expected header 'knng 1 <n> <delta> <k_hint|0>'")
+    try:
+        version, n, delta, k_hint = (int(tok) for tok in header[1:])
+    except ValueError:
+        raise KnngFormatError(1, "header fields must be integers") from None
+    if version != 1:
+        raise KnngFormatError(1, f"unsupported format version {version}")
+    if n < 1:
+        raise KnngFormatError(1, f"vertex count must be positive, got {n}")
+    if delta < 1:
+        raise KnngFormatError(1, f"dimension must be positive, got {delta}")
+    if k_hint < 0:
+        raise KnngFormatError(1, f"k_hint must be non-negative, got {k_hint}")
+    if len(lines) != 1 + 2 * n:
+        raise KnngFormatError(len(lines), f"expected {1 + 2 * n} lines for n={n}, found {len(lines)}")
+
+    coords = []
+    for v in range(n):
+        toks = lines[1 + v].split()
+        if len(toks) != delta:
+            raise KnngFormatError(2 + v, f"expected {delta} coordinates, found {len(toks)}")
+        try:
+            row = [float(t) for t in toks]
+        except ValueError:
+            raise KnngFormatError(2 + v, "coordinates must be decimal floats") from None
+        if not all(math.isfinite(x) for x in row):
+            raise KnngFormatError(2 + v, "coordinates must be finite")
+        coords.append(row)
+
+    rows = []
+    for v in range(n):
+        lineno = 2 + n + v
+        toks = lines[1 + n + v].split()
+        if not toks:
+            raise KnngFormatError(lineno, "missing degree field")
+        try:
+            deg, *nbrs = (int(t) for t in toks)
+        except ValueError:
+            raise KnngFormatError(lineno, "adjacency entries must be integers") from None
+        if deg < 0 or len(nbrs) != deg:
+            raise KnngFormatError(lineno, f"declared degree {deg} but found {len(nbrs)} ids")
+        if not all(0 <= u < n for u in nbrs):
+            raise KnngFormatError(lineno, f"vertex {v}: neighbor id out of range [0, {n})")
+        if v in nbrs:
+            raise KnngFormatError(lineno, f"vertex {v}: self-loop")
+        if len(set(nbrs)) != len(nbrs):
+            raise KnngFormatError(lineno, f"vertex {v}: duplicate neighbor")
+        rows.append(nbrs)
+    return graph_from_rows(np.array(coords, dtype=np.float64), rows, k_hint=k_hint or None)

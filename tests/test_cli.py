@@ -81,9 +81,14 @@ class TestExitCodes:
 
     def test_malformed_file_is_65(self, capsys, tmp_path):
         bad = tmp_path / "bad.knng"
-        bad.write_text("knng 1 2 1 0\nnot-a-float\n0.0\n0\n0\n")
-        code, _ = _run(capsys, ["distance", str(bad), "--k", "1"])
-        assert code == 65
+        # a coordinate that is no float; a byte that is not UTF-8
+        for raw, line in ((b"knng 1 2 1 0\nnot-a-float\n0.0\n0\n0\n", 2),
+                          (b"knng 1 2 1 1\n0.5\n\xff1.5\n1 1\n1 0\n", 3)):
+            bad.write_bytes(raw)
+            code = main(["distance", str(bad), "--k", "1"])
+            err = capsys.readouterr().err
+            assert code == 65
+            assert err.startswith(f"knncheck: line {line}: ")
 
     def test_unwritable_output_is_73(self, capsys, tmp_path, knn_graph_file):
         missing_dir = tmp_path / "no-such-dir"
