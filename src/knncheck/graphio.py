@@ -54,7 +54,8 @@ def graph_to_text(graph: GeometricGraph) -> str:
     row = " ".join(["%r"] * graph.delta) + "\n"  # %r is repr: the shortest round trip
     coords = (row * n) % tuple(graph.coords.ravel().tolist())
     # each line is its degree, then its ids. Token t < n is "t " and t + n is
-    # "t\n", which ends a line; degrees are at most n-1, as rows hold no repeats
+    # "t\n", which ends a line; degrees are at most n-1, as rows hold neither
+    # repeats nor the vertex itself
     degs = graph.degrees
     deg_pos = graph.indptr[:-1] + np.arange(n)
     tokens = np.empty(n + graph.num_edges, dtype=np.int64)
