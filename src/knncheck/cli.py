@@ -50,16 +50,21 @@ class _OutputError(Exception):
     """An output file could not be written."""
 
 
-def _write(write, *args) -> None:
-    """Call ``write(*args)``; an OSError it raises becomes an _OutputError."""
+def _write(write, *args, **kwargs) -> None:
+    """Call ``write(*args, **kwargs)``; an OSError it raises becomes an _OutputError."""
     try:
-        write(*args)
+        write(*args, **kwargs)
     except OSError as exc:
         raise _OutputError(exc) from exc
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout and flush it; a failed write becomes an _OutputError."""
+    _write(print, text, flush=True)
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    _print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _load_points(path: str) -> np.ndarray:
@@ -197,7 +202,7 @@ def _cmd_test(args) -> int:
         _print_json(verdict.to_json_dict())
     else:
         q = verdict.queries
-        print(
+        _print(
             f"{verdict.decision}: |S'|={verdict.s_prime_size} |S|={verdict.s_size} "
             f"|T|={verdict.t_size} queries={q.total} "
             f"(neighbor={q.neighbor} degree={q.degree} coord={q.coord}) "
@@ -205,7 +210,7 @@ def _cmd_test(args) -> int:
         )
         if verdict.evidence is not None:
             e = verdict.evidence
-            print(f"evidence: vertex={e.vertex} witness={e.witness} reason={e.reason}")
+            _print(f"evidence: vertex={e.vertex} witness={e.witness} reason={e.reason}")
     return EX_OK if verdict.decision == "accept" else EX_REJECT
 
 
@@ -253,7 +258,7 @@ def _cmd_adversary(args) -> int:
     if args.json:
         _print_json(out)
     else:
-        print(f"p_hat={p_hat} stderr={stderr} union_bound={bound}")
+        _print(f"p_hat={p_hat} stderr={stderr} union_bound={bound}")
     return EX_OK
 
 

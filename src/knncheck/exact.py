@@ -13,13 +13,13 @@ it, so the leaves left hold every id inside or at the k-th distance, in
 every dimension and with no rounding margin. Candidates are ranked by
 :func:`core.dist2_block`, the same binary64 operations a scan over all points
 would use, so strict inequalities and tie-breaking equal those of a
-brute-force pass bit for bit. A unit of at most k points is scanned against
-all points in bounded blocks.
+brute-force pass bit for bit. A unit of at most k points bounds nothing, so
+its rows take every leaf. :func:`k_nearest_set` selects one row against all
+points with the same :func:`_select`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,15 +93,8 @@ def _select(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int) -> _
     return _Selection(rows, kth, knn, owner[inside], ids[inside], owner[~inside], ids[~inside])
 
 
-def _scan(coords: np.ndarray, rows: np.ndarray, k: int) -> list[_Selection]:
-    """Selections of ``rows`` against all points, in blocks of bounded size."""
-    everyone = np.arange(coords.shape[0])
-    step = _block_size(everyone.size)
-    return [_select(coords, rows[lo : lo + step], everyone, k) for lo in range(0, rows.size, step)]
-
-
-def _leaf_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray]:
-    """Selections for the vertices of units of more than k points, and the other vertices.
+def _leaf_pass(coords: np.ndarray, k: int) -> list[_Selection]:
+    """Selections for every vertex, one unit of the leaf index at a time.
 
     A unit is a subtree of the leaf index holding about _UNIT_ROWS points.
     Its rows' k-th distances among its own points are at least their k-th
@@ -109,7 +102,9 @@ def _leaf_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray
     row's k-th distance. A point of a leaf whose box gap to the unit's box
     exceeds thr has a computed distance above thr from every row, so the
     leaves within thr hold all ids inside or at each row's k-th distance.
-    Units are matched against unit boxes first, then against their leaves.
+    A unit of at most k points has no k-th distance among its own points;
+    its thr is inf, so its rows take every leaf. Units are matched against
+    unit boxes first, then against their leaves.
     """
     leaves, first, _, box_lo, box_hi = leaf_index(coords, _LEAF_SIZE)
     count, width = leaves.shape
@@ -120,17 +115,16 @@ def _leaf_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray
     starts = np.arange(0, count, per)
     unit_lo = np.minimum.reduceat(box_lo, starts, axis=1)
     unit_hi = np.maximum.reduceat(box_hi, starts, axis=1)
-    parts, rest = [], []
+    parts = []
     for u, s in enumerate(starts):
         span = slice(s * width, (s + per) * width)
         rows = np.sort(flat[span][first[span]])
-        if rows.size <= k:
-            rest.append(rows)
-            continue
-        own = dist2_block(coords[rows], coords[rows])
-        # each row's own zero distance sorts first, so position k holds its k-th
-        own.partition(k, axis=1)
-        thr = own[:, k].max()
+        thr = np.inf
+        if rows.size > k:
+            own = dist2_block(coords[rows], coords[rows])
+            # each row's own zero distance sorts first, so position k holds its k-th
+            own.partition(k, axis=1)
+            thr = own[:, k].max()
         lo, hi = unit_lo[:, u], unit_hi[:, u]
         near = starts[box_gap2(lo, hi, unit_lo, unit_hi) <= thr]
         near = concat_ranges(near, np.minimum(near + per, count))
@@ -138,7 +132,7 @@ def _leaf_pass(coords: np.ndarray, k: int) -> tuple[list[_Selection], np.ndarray
         cand = np.unique(leaves[near])
         step = _block_size(cand.size)
         parts += [_select(coords, rows[b : b + step], cand, k) for b in range(0, rows.size, step)]
-    return parts, np.concatenate(rest) if rest else flat[:0]
+    return parts
 
 
 def _csr(n: int, owner: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +149,7 @@ def k_nearest_set(g: GeometricGraph, v: int, k: int) -> set[int]:
     """
     v = g.check_vertex(v)
     _check_k(g.n, k)
-    sel = _scan(g.coords, np.array([v]), k)[0]
+    sel = _select(g.coords, np.array([v]), np.arange(g.n), k)
     return set(sel.inside_ids.tolist()) | set(sel.at_ids.tolist())
 
 
@@ -191,7 +185,6 @@ class DistanceReport:
     min_edits: int
     epsilon_distance: float
     incomplete_count: int
-    low_degree_incomplete_count: int | None = None
 
 
 class NeighborhoodProfile:
@@ -215,8 +208,7 @@ class NeighborhoodProfile:
         self.k = k
         self.n = coords.shape[0]
         self.coords = coords
-        parts, rest = _leaf_pass(coords, k)
-        parts += _scan(coords, rest, k)
+        parts = _leaf_pass(coords, k)
 
         def merged(field):
             return np.concatenate([getattr(p, field) for p in parts])
@@ -237,12 +229,7 @@ class NeighborhoodProfile:
         """The exact k-NN graph: k out-neighbors per vertex by (squared distance, id)."""
         return GeometricGraph(self.coords, np.arange(self.n + 1) * self.k, self.knn.ravel(), self.k)
 
-    def report(
-        self,
-        g: GeometricGraph,
-        budget: EdgeBudget | None = None,
-        epsilon: float | None = None,
-    ) -> DistanceReport:
+    def report(self, g: GeometricGraph, budget: EdgeBudget | None = None) -> DistanceReport:
         """Minimum insertions and incomplete vertices of ``g`` against this profile.
 
         Per vertex, the ids strictly inside the k-th distance are mandatory;
@@ -264,15 +251,10 @@ class NeighborhoodProfile:
         edits = (inside - inside_hits) + np.maximum(0, k - inside - at_hits)
         incomplete = (degrees < k) | (inside + at > inside_hits + at_hits)
         min_edits = int(edits.sum())
-        low_degree_incomplete = None
-        if epsilon is not None:
-            cap = math.ceil(100.0 * k / epsilon)
-            low_degree_incomplete = int(np.count_nonzero(incomplete & (degrees <= cap)))
         return DistanceReport(
             min_edits=min_edits,
             epsilon_distance=min_edits / (budget.d * n),
             incomplete_count=int(np.count_nonzero(incomplete)),
-            low_degree_incomplete_count=low_degree_incomplete,
         )
 
 
@@ -290,21 +272,13 @@ def _edge_hits(edges: np.ndarray, counts: np.ndarray, ids: np.ndarray) -> np.nda
     return np.bincount(owner[edges[pos] == keys], minlength=n)
 
 
-def epsilon_distance(
-    g: GeometricGraph,
-    k: int,
-    budget: EdgeBudget | None = None,
-    epsilon: float | None = None,
-) -> DistanceReport:
+def epsilon_distance(g: GeometricGraph, k: int, budget: EdgeBudget | None = None) -> DistanceReport:
     """Minimum edge insertions to make ``g`` a k-NN graph, normalized by d*n.
 
     Only insertions are counted: the property demands edge presence, never
     absence, so deletions cannot reduce the edit count.
-
-    When ``epsilon`` is given, the report also counts incomplete vertices of
-    degree at most 100k/epsilon.
     """
-    return NeighborhoodProfile(g.coords, k).report(g, budget, epsilon)
+    return NeighborhoodProfile(g.coords, k).report(g, budget)
 
 
 def max_shared_knn(points, k: int) -> int:

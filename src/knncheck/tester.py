@@ -244,16 +244,20 @@ def _scan(
     witness predicate for (v, u) depends only on u's value. Each block then
     charges the session for the reads of the nested loop up to its stop.
 
-    U goes into a leaf index once, before the first block. A leaf whose box
-    bound is not below a row's r_k holds no u strictly inside it, and the
-    u of every other leaf are re-checked with the arithmetic of dist2_row.
-    Counting each u once, a row has a witness when its hits outnumber its
-    guarded hits: v itself and its neighbors that are in U and inside r_k.
+    A mask over the vertices marks T once per run; U is its set positions,
+    ascending. U goes into a leaf index once, before the first block. A leaf
+    whose box bound is not below a row's r_k holds no u strictly inside it,
+    and the u of every other leaf are re-checked with the arithmetic of
+    dist2_row. Counting each u once, a row has a witness when its hits
+    outnumber its guarded hits: v itself and its neighbors that are in T and
+    inside r_k.
     """
     g = session.graph
     low = np.flatnonzero(s_degs < k)
     limit = int(low[0]) if low.size else s_vertices.size
-    u_vals = np.unique(t_draws)
+    in_t = np.zeros(g.n, dtype=bool)
+    in_t[t_draws] = True
+    u_vals = np.flatnonzero(in_t)
     leaves, first, p, box_lo, box_hi = leaf_index(g.coords[u_vals], _LEAF_SIZE)
     for lo in range(0, limit, _SCAN_BLOCK):
         block = s_vertices[lo : min(limit, lo + _SCAN_BLOCK)]
@@ -280,8 +284,7 @@ def _scan(
         # the guard requires u != v and u not in N(v); v's own distance is 0
         ids = np.concatenate((nbrs, block))
         rows = np.concatenate((owner, np.arange(block.size)))
-        pos = np.minimum(np.searchsorted(u_vals, ids), u_vals.size - 1)
-        guarded = (u_vals[pos] == ids) & (np.concatenate((nd, np.zeros(block.size))) < rk[rows])
+        guarded = in_t[ids] & (np.concatenate((nd, np.zeros(block.size))) < rk[rows])
         witnessed = np.flatnonzero(hits > np.bincount(rows[guarded], minlength=block.size))
 
         event = None
@@ -290,8 +293,8 @@ def _scan(
             r = int(witnessed[0])
             scanned = r + 1
             pairs = slice(*np.searchsorted(row, [r, r + 1]))
-            found = np.setdiff1d(leaves[leaf[pairs]][inside[pairs]], pos[guarded & (rows == r)])
-            t_idx = int(np.flatnonzero(np.isin(t_draws, u_vals[found]))[0])
+            found = np.setdiff1d(u_vals[leaves[leaf[pairs]][inside[pairs]]], ids[guarded & (rows == r)])
+            t_idx = int(np.flatnonzero(np.isin(t_draws, found))[0])
             event = ("witness", lo + r, t_idx)
         reads = (np.arange(block.size) < scanned) & ((block != u_vals[0]) | (u_vals.size > 1))
         # the first v that reads anything reads T, up to the witness if it is the

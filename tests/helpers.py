@@ -265,12 +265,11 @@ class BruteForceProfile:
                 counts[u] += 1
         return int(counts.max())
 
-    def report(self, g: GeometricGraph, budget=None, epsilon=None) -> DistanceReport:
+    def report(self, g: GeometricGraph, budget=None) -> DistanceReport:
         """Minimum insertions and incomplete vertices, one vertex at a time."""
         if budget is None:
             budget = EdgeBudget.computed(g)
-        cap = None if epsilon is None else math.ceil(100.0 * self.k / epsilon)
-        min_edits = incomplete = low_degree_incomplete = 0
+        min_edits = incomplete = 0
         for v in range(self.n):
             nbrs = frozenset(g.neighbors(v).tolist())
             inside, at = self.inside[v], self.at[v]
@@ -278,13 +277,10 @@ class BruteForceProfile:
             min_edits += (len(inside) - inside_nbr) + max(0, self.k - len(inside) - at_nbr)
             if len(nbrs) < self.k or len(inside) + len(at) > inside_nbr + at_nbr:
                 incomplete += 1
-                if cap is not None and len(nbrs) <= cap:
-                    low_degree_incomplete += 1
         return DistanceReport(
             min_edits=min_edits,
             epsilon_distance=min_edits / (budget.d * self.n),
             incomplete_count=incomplete,
-            low_degree_incomplete_count=None if cap is None else low_degree_incomplete,
         )
 
 

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, byte-stable output."""
 
+import errno
 import json
 import os
 import subprocess
@@ -110,6 +111,22 @@ class TestExitCodes:
         code, _ = _run(capsys, ["generate", "corrupt", str(missing_dir / "in.knng"),
                                 "--fraction", "0.1", "-o", str(tmp_path / "out.knng")])
         assert code == 66
+
+    def test_unwritable_stdout_is_73(self, monkeypatch, knn_graph_file):
+        class FullStdout:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        test = ["test", str(knn_graph_file), "--k", "3", "--epsilon", "0.2", "--seed", "1"]
+        adversary = ["adversary", "--n", "44", "--k", "3", "--epsilon", "0.25",
+                     "--budget", "3", "--trials", "100"]
+        for argv in ([*test, "--json"], test, ["distance", str(knn_graph_file), "--k", "3"],
+                     [*adversary, "--json"], adversary):
+            assert main(argv) == 73, argv
 
 
 class TestCommands:

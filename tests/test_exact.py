@@ -174,16 +174,6 @@ class TestEpsilonDistance:
         rep = epsilon_distance(gutted, k, EdgeBudget.provided(k))
         assert rep.min_edits == k * (k + 1)
 
-    def test_low_degree_incomplete_census(self):
-        k = 2
-        g = graph_from_rows(
-            np.arange(4, dtype=np.float64)[:, None],
-            (np.array([1]), np.array([0, 2]), np.array([1, 3]), np.array([2, 1])),
-        )
-        rep = epsilon_distance(g, k, EdgeBudget.provided(k), epsilon=0.5)
-        assert rep.incomplete_count >= 1
-        assert rep.low_degree_incomplete_count == rep.incomplete_count
-
     def test_min_edits_zero_iff_no_incomplete_on_tie_free_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
@@ -295,8 +285,7 @@ def _assert_matches_brute_force(points, k, graphs=()):
         # a computed budget needs at least one edge
         budgets = [None] if g.num_edges else []
         for budget in budgets + [EdgeBudget.provided(float(k))]:
-            for epsilon in (None, 0.5):
-                assert p.report(g, budget, epsilon) == ref.report(g, budget, epsilon)
+            assert p.report(g, budget) == ref.report(g, budget)
 
 
 class TestKernelMatchesBruteForce:
@@ -304,22 +293,16 @@ class TestKernelMatchesBruteForce:
 
     @staticmethod
     def _kernel_paths(monkeypatch):
-        """Counts of selected rows, of their candidate pairs and of rows sent to the full scan."""
-        counts = {"rows": 0, "pairs": 0, "scanned": 0}
-        select, scan = exact._select, exact._scan
+        """Each _select call's rows and candidate count, in call order."""
+        calls = []
+        select = exact._select
 
         def select_spy(coords, rows, cand, k):
-            counts["rows"] += rows.size
-            counts["pairs"] += rows.size * cand.size
+            calls.append((rows, cand.size))
             return select(coords, rows, cand, k)
 
-        def scan_spy(coords, rows, k):
-            counts["scanned"] += rows.size
-            return scan(coords, rows, k)
-
         monkeypatch.setattr(exact, "_select", select_spy)
-        monkeypatch.setattr(exact, "_scan", scan_spy)
-        return counts
+        return calls
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_small_lattice_graphs(self, seed):
@@ -376,19 +359,21 @@ class TestKernelMatchesBruteForce:
         _assert_matches_brute_force(pts, 5)
 
     def test_leaf_pass_settles_every_uniform_vertex(self, monkeypatch):
-        paths = self._kernel_paths(monkeypatch)
+        calls = self._kernel_paths(monkeypatch)
         NeighborhoodProfile(np.random.default_rng(11).random((4096, 2)), 10)
-        assert paths["scanned"] == 0 and paths["rows"] == 4096
+        rows = np.concatenate([r for r, _ in calls])
+        assert np.array_equal(np.sort(rows), np.arange(4096))
         # about 350 candidates per row; a full scan would take 4096
-        assert paths["pairs"] / 4096 < 450
+        assert sum(r.size * c for r, c in calls) / 4096 < 450
 
-    def test_units_of_at_most_k_points_are_scanned(self, monkeypatch):
+    def test_units_of_at_most_k_points_take_every_point(self, monkeypatch):
         # units hold at most 80 points here, and the index's repeated points
-        # leave some with fewer than 77, so both paths run
+        # leave some with fewer than 77, whose rows take all 600 candidates
         pts = np.random.default_rng(12).random((600, 2))
-        paths = self._kernel_paths(monkeypatch)
+        calls = self._kernel_paths(monkeypatch)
         _assert_matches_brute_force(pts, 76)
-        assert 0 < paths["scanned"] < paths["rows"]
+        sizes = {c for _, c in calls}
+        assert 600 in sizes and min(sizes) < 600
 
     def test_per_vertex_views_equal_kernel_rows(self):
         rng = np.random.default_rng(12)
