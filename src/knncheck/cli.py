@@ -50,6 +50,10 @@ class _OutputError(Exception):
     """An output file could not be written."""
 
 
+class _DataError(Exception):
+    """An input file holds malformed data."""
+
+
 def _write(write, *args, **kwargs) -> None:
     """Call ``write(*args, **kwargs)``; an OSError it raises becomes an _OutputError."""
     try:
@@ -68,14 +72,18 @@ def _print_json(obj) -> None:
 
 
 def _load_points(path: str) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError(f"{path}: no points")
-    # the delimiter comes from the first line with data; np.loadtxt drops "#" comments
-    data = (line.split("#", 1)[0] for line in lines)
-    delim = "," if "," in next((line for line in data if line.strip()), "") else None
-    return np.loadtxt(lines, delimiter=delim, dtype=np.float64, ndmin=2)
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # the delimiter comes from the first line with data; np.loadtxt drops "#" comments
+        first = next(filter(str.strip, (line.split("#", 1)[0] for line in lines)), None)
+        if first is None:
+            raise ValueError("no points")
+        pts = np.loadtxt(lines, delimiter="," if "," in first else None, dtype=np.float64, ndmin=2)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("coordinates must be finite")
+    except ValueError as exc:
+        raise _DataError(f"{path}: {exc}") from None
+    return pts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +299,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except KnngFormatError as exc:
+    except (KnngFormatError, _DataError) as exc:
         print(f"knncheck: {exc}", file=sys.stderr)
         return EX_DATAERR
     except _OutputError as exc:

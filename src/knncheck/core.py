@@ -28,9 +28,8 @@ def dist2(p, q) -> float:
 
     All distance comparisons in this package are made on squared distances in
     binary64 with exact comparison, which preserves the strict-inequality
-    ordering of true Euclidean distances. The accumulation order is fixed
-    (dimension 0 first) so that scalar, row and block computations agree
-    bit for bit.
+    ordering of true Euclidean distances. This scalar loop is the reference
+    that :func:`sum_squares` matches bit for bit.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -43,42 +42,45 @@ def dist2(p, q) -> float:
     return total
 
 
-def dist2_row(p: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Squared distances from point ``p`` to every row of ``pts``.
+def sum_squares(terms):
+    """Sum of the squares of per-coordinate ``terms``, in coordinate order.
 
-    ``p`` may also hold one point per row of ``pts``, paired row by row.
-    Uses the same per-dimension accumulation order as :func:`dist2`.
+    The one accumulation behind every vectorized squared distance and box
+    bound. The terms are arrays or scalars the caller gives up: each is
+    squared in place, the first square becomes the total and each later one
+    is added to it, one IEEE add per coordinate. They are taken one at a
+    time, so a caller may write every term after the first into one buffer.
+    :func:`dist2` starts from 0.0 instead; x + 0.0 == x for every x >= 0, so
+    both give the same bits. For a box bound the terms are gaps no larger
+    than those between any two points of the boxes; rounding is monotone, so
+    the bound is at most the computed squared distance of every such pair.
     """
+    terms = iter(terms)
+    total = next(terms)
+    total *= total
+    for term in terms:
+        term *= term
+        total += term
+    return total
+
+
+def dist2_row(p: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Squared distances from ``p`` to each row of ``pts``, or row by row from one ``p`` per row."""
     p = np.asarray(p, dtype=np.float64)
     pts = np.asarray(pts, dtype=np.float64)
-    acc = np.zeros(pts.shape[0], dtype=np.float64)
-    for j in range(pts.shape[1]):
-        d = pts[:, j] - p[..., j]
-        acc += d * d
-    return acc
+    return sum_squares(pts[:, j] - p[..., j] for j in range(pts.shape[1]))
 
 
 def dist2_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between rows of ``a`` and rows of ``b``, shape (len(a), len(b)).
-
-    Bit-identical to dist2/dist2_row: per-dimension accumulation in dimension
-    order, one IEEE add per dimension (x + 0.0 == x for every non-negative x,
-    so seeding the accumulator with the first square changes nothing).
-    """
+    """Squared distances between rows of ``a`` and rows of ``b``, shape (len(a), len(b))."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    acc = None
-    buf = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    for j in range(a.shape[1]):
-        aj = np.ascontiguousarray(a[:, j])
-        bj = np.ascontiguousarray(b[:, j])
-        np.subtract(aj[:, None], bj[None, :], out=buf)
-        np.multiply(buf, buf, out=buf)
-        if acc is None:
-            acc, buf = buf, np.empty_like(buf) if a.shape[1] > 1 else buf
-        else:
-            acc += buf
-    return acc
+    # the first difference goes into the total, the others into one buffer; each
+    # column of b is read once per row of a, so it is copied contiguous first
+    total = np.empty((a.shape[0], b.shape[0]))
+    buf = np.empty_like(total)
+    return sum_squares(np.subtract(a[:, j, None], np.ascontiguousarray(b[:, j]), out=buf if j else total)
+                       for j in range(a.shape[1]))
 
 
 def leaf_index(pts: np.ndarray, leaf_size: int):
@@ -119,18 +121,12 @@ def box_gap2(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndar
     """Lower bound on the computed squared distance between points of two boxes.
 
     Coordinates run along the first axis of all four arrays; the remaining
-    axes broadcast. A point is the box with lo == hi. The per-coordinate gaps
-    are clamped at zero, squared and summed in coordinate order: the same
-    binary64 operations as :func:`dist2_block`, on gaps no larger than those
-    between any two points of the boxes. Rounding is monotone, so the bound
-    is at most the computed squared distance of every such pair.
+    axes broadcast. A point is the box with lo == hi. :func:`sum_squares`
+    sums the squares of the per-coordinate gaps, clamped at zero.
     """
-    total = None
-    for j in range(len(lo)):
-        gap = np.maximum(np.maximum(box_lo[j] - hi[j], lo[j] - box_hi[j]), 0.0)
-        gap *= gap
-        total = gap if total is None else np.add(total, gap, out=total)
-    return total
+    return sum_squares(
+        np.maximum(np.maximum(box_lo[j] - hi[j], lo[j] - box_hi[j]), 0.0) for j in range(len(lo))
+    )
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

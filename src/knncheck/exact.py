@@ -10,9 +10,9 @@ points), one unit of consecutive leaves at a time. The largest k-th distance
 of a unit's rows among the unit's own points bounds each row's true k-th
 distance from above, and :func:`core.box_gap2` rules out every leaf beyond
 it, so the leaves left hold every id inside or at the k-th distance, in
-every dimension and with no rounding margin. Candidates are ranked by
-:func:`core.dist2_block`, the same binary64 operations a scan over all points
-would use, so strict inequalities and tie-breaking equal those of a
+every dimension and with no rounding margin. Candidates are ranked with the
+same distance arithmetic (:func:`core.sum_squares`) as a scan over all
+points, so strict inequalities and tie-breaking equal those of a
 brute-force pass bit for bit. A unit of at most k points bounds nothing, so
 its rows take every leaf. :func:`k_nearest_set` selects one row against all
 points with the same :func:`_select`.

@@ -14,8 +14,8 @@ Every block of S finds its witness candidates through the exact k-d leaf
 index that lives in :mod:`core` (:func:`core.leaf_index`, leaves of at most
 64 T values), built once per run over the distinct T values. Its box bounds
 only rule leaves out, and every candidate is re-checked with the same
-distance arithmetic, so verdicts and tallies equal those of the sequential
-scan.
+distance arithmetic (:func:`core.sum_squares`), so verdicts and tallies
+equal those of the sequential scan.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .core import (
     concat_ranges,
     dist2_row,
     leaf_index,
+    sum_squares,
 )
 from .sampling import rng_from, sample_without_replacement, split_seed
 
@@ -247,10 +248,9 @@ def _scan(
     A mask over the vertices marks T once per run; U is its set positions,
     ascending. U goes into a leaf index once, before the first block. A leaf
     whose box bound is not below a row's r_k holds no u strictly inside it,
-    and the u of every other leaf are re-checked with the arithmetic of
-    dist2_row. Counting each u once, a row has a witness when its hits
-    outnumber its guarded hits: v itself and its neighbors that are in T and
-    inside r_k.
+    and the u of every other leaf are re-checked with the arithmetic of r_k.
+    Counting each u once, a row has a witness when its hits outnumber its
+    guarded hits: v itself and its neighbors that are in T and inside r_k.
     """
     g = session.graph
     low = np.flatnonzero(s_degs < k)
@@ -272,13 +272,8 @@ def _scan(
         # the (row, leaf) pairs that may hold a u strictly inside r_k, row-major
         q_t = q.T[:, :, None]
         row, leaf = np.nonzero(box_gap2(q_t, q_t, box_lo, box_hi) < rk[:, None])
-        # their u coordinate by coordinate, in dist2_row's order: bit-identical to nd
-        d2 = None
-        for j in range(q.shape[1]):
-            d = p[j][leaf]
-            d -= q[row, j][:, None]
-            d *= d
-            d2 = d if d2 is None else np.add(d2, d, out=d2)
+        # their u: one gather per coordinate, with the row's coordinate subtracted in place
+        d2 = sum_squares(np.subtract(d := p[j][leaf], q[row, j][:, None], out=d) for j in range(q.shape[1]))
         inside = (d2 < rk[row, None]) & first[leaf]
         hits = np.bincount(row, np.count_nonzero(inside, axis=1), block.size)
         # the guard requires u != v and u not in N(v); v's own distance is 0

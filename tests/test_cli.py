@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +49,14 @@ class TestExitCodes:
         assert main(["test"]) == 64
         assert main(["frobnicate"]) == 64
 
-    def test_semantic_usage_error_is_64(self, capsys, knn_graph_file):
+    def test_semantic_usage_error_is_64(self, capsys, tmp_path, knn_graph_file):
         code, _ = _run(capsys, ["test", str(knn_graph_file), "--k", "100",
                                 "--epsilon", "0.2"])
+        assert code == 64
+        # k >= n on a well-formed points file
+        points = tmp_path / "points.csv"
+        points.write_text("0.1,0.2\n0.3,0.4\n")
+        code, _ = _run(capsys, ["build-knn", str(points), "--k", "2", "-o", str(tmp_path / "out.knng")])
         assert code == 64
 
     @pytest.mark.parametrize("epsilon", ["1.0", "-0.5", "0.0"])
@@ -90,6 +96,23 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert code == 65
             assert err.startswith(f"knncheck: line {line}: ")
+
+    @pytest.mark.parametrize("raw", [b"x,y\n0.1,0.2\n0.3,0.4\n0.5,0.6\n",
+                                     b"0.1,0.2\n0.3,0.4,0.9\n0.5,0.6\n",
+                                     b"0.1,0.2\nnan,0.4\n0.5,0.6\n",
+                                     b"",
+                                     b"# points\n# x,y\n",
+                                     b"0.1,0.2\n\xff0.3,0.4\n"],
+                             ids=["header", "ragged", "nan", "empty", "comments-only", "not-utf8"])
+    def test_malformed_points_file_is_65(self, capsys, tmp_path, raw):
+        points = tmp_path / "points.csv"
+        points.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["build-knn", str(points), "--k", "1", "-o", str(tmp_path / "out.knng")])
+        assert code == 65
+        assert capsys.readouterr().err.startswith(f"knncheck: {points}: ")
+        assert not (tmp_path / "out.knng").exists()
 
     def test_unwritable_output_is_73(self, capsys, tmp_path, knn_graph_file):
         missing_dir = tmp_path / "no-such-dir"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ReferenceOracle, csr_from_rows, first_adjacency_error, graph_from_rows
 from knncheck.core import (
@@ -11,6 +13,7 @@ from knncheck.core import (
     GeometricGraph,
     OracleSession,
     QueryTally,
+    box_gap2,
     dist2,
     dist2_block,
     dist2_row,
@@ -55,7 +58,7 @@ def test_dist2_zero_iff_equal():
 
 @pytest.mark.parametrize("delta", [1, 2, 3, 5, 8, 17, 50])
 def test_dist2_scalar_row_block_bit_identical(delta):
-    """All three accumulation paths must agree bit for bit."""
+    """The scalar, row, block and point-box paths must agree bit for bit."""
     rng = np.random.default_rng(delta)
     a = rng.normal(size=(7, delta))
     b = rng.normal(size=(9, delta))
@@ -65,9 +68,63 @@ def test_dist2_scalar_row_block_bit_identical(delta):
         assert np.array_equal(row, block[i])
         for j in range(b.shape[0]):
             assert dist2(a[i], b[j]) == row[j]
+            assert box_gap2(a[i], a[i], b[j], b[j]) == row[j]
     # one point per row, paired row by row
     paired = dist2_row(np.repeat(a, b.shape[0], axis=0), np.tile(b, (a.shape[0], 1)))
     assert np.array_equal(paired, block.ravel())
+    # a point is the box with lo == hi
+    a_t = a.T[:, :, None]
+    assert np.array_equal(box_gap2(a_t, a_t, b.T, b.T), block)
+
+    # a box bound is at most the distance of every pair of points inside the boxes,
+    # and equals that of the nearest pair
+    for _ in range(50):
+        lo, hi = np.sort(rng.normal(size=(2, 2, delta)) + rng.normal(size=(2, 1)), axis=0)
+        inside = [np.clip(lo[i] + rng.random((5, delta)) * (hi[i] - lo[i]), lo[i], hi[i])
+                  for i in (0, 1)]
+        inside = [np.vstack((pts, lo[i], hi[i])) for i, pts in enumerate(inside)]
+        bound = box_gap2(lo[0], hi[0], lo[1], hi[1])
+        assert bound <= dist2_block(inside[0], inside[1]).min()
+        near = np.clip(lo[1], lo[0], hi[0])
+        assert bound == dist2(near, np.clip(near, lo[1], hi[1]))
+
+
+# subnormals and squares that underflow, squares near the largest finite value,
+# and differences of the largest values, which overflow to inf
+_EXTREMES = (0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1.3407807929942596e154,
+             1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _assert_paths_bit_identical(a, b):
+    """dist2, dist2_row (point and paired), dist2_block and point-box box_gap2 on all pairs."""
+    with np.errstate(over="ignore"):
+        block = dist2_block(a, b)
+        paired = dist2_row(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))).reshape(block.shape)
+        for i, j in np.ndindex(block.shape):
+            paths = (dist2(a[i], b[j]), dist2_row(a[i], b)[j], paired[i, j],
+                     box_gap2(a[i], a[i], b[j], b[j]), block[i, j])
+            assert len({np.float64(x).tobytes() for x in paths}) == 1, (a[i], b[j], paths)
+
+
+def test_dist2_paths_bit_identical_on_extreme_pairs():
+    grid = np.array(_EXTREMES)[:, None]
+    _assert_paths_bit_identical(grid, grid)
+    rng = np.random.default_rng(3)
+    for delta in range(2, 9):
+        a, b = rng.choice(_EXTREMES, size=(2, 6, delta))
+        _assert_paths_bit_identical(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dist2_paths_bit_identical_on_any_finite_coordinates(data):
+    """Subnormals, the largest finite values and squares that overflow to inf included."""
+    delta = data.draw(st.integers(1, 8))
+    coord = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREMES)
+    rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a, b = (np.array(data.draw(st.lists(coord, min_size=m * delta, max_size=m * delta)),
+                     dtype=np.float64).reshape(m, delta) for m in rows)
+    _assert_paths_bit_identical(a, b)
 
 
 class TestGeometricGraphInvariants:
