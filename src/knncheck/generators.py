@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import GeometricGraph
+from .core import GeometricGraph, concat_ranges
 from .exact import NeighborhoodProfile, build_exact_knn_graph
 from .sampling import rng_from, sample_without_replacement, split_seed
 
@@ -175,6 +175,13 @@ def corrupt_edges(
     pairs; each replacement target is drawn uniformly outside the vertex's
     current adjacency and itself, so out-degrees and list invariants are
     preserved. fraction=0 returns an identical graph.
+
+    The chosen slots are served in order, each by rejection from one stream
+    of ``rng.integers(0, n)`` draws, as in the slot-by-slot loop kept in the
+    tests. The draws come in bulk, which numpy makes equal to one call per
+    draw, and are settled a window of slots at a time: the first slot takes
+    the first admissible draw of a block, each later slot is assumed to take
+    the next draw, and the slots before the first rejected one keep theirs.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
@@ -184,24 +191,54 @@ def corrupt_edges(
         raise ValueError("k not given and graph has no k_hint")
     if int(g.degrees.min()) < k:
         raise ValueError("corrupt_edges expects min out-degree >= k")
-    n = g.n
+    n, indptr = g.n, g.indptr
     count = math.ceil(fraction * n * k)
     rng = rng_from(seed)
     chosen = sample_without_replacement(g.num_edges, count, rng)
+    owners = np.searchsorted(indptr, chosen, side="right") - 1
+    full = np.flatnonzero(g.degrees[owners] >= n - 1)
+    if full.size:
+        raise ValueError(f"vertex {owners[full[0]]} is adjacent to every other vertex; cannot corrupt")
 
-    # a chosen slot is a position in indices; its row is edited in place
+    # rank[e]: the position of slot e in chosen order, count for unchosen slots
+    rank = np.full(g.num_edges, count)
+    rank[chosen] = np.arange(count)
+    # a draw is rejected with probability about (deg + 1) / n
+    window = max(16, n // (g.num_edges // n + 1))
     indices = g.indices.copy()
-    owners = np.searchsorted(g.indptr, chosen, side="right") - 1
-    for slot, v in zip(chosen.tolist(), owners.tolist()):
-        nbrs = indices[g.indptr[v] : g.indptr[v + 1]]
-        if n - 1 <= nbrs.size:
-            raise ValueError(f"vertex {v} is adjacent to every other vertex; cannot corrupt")
-        while True:
-            cand = int(rng.integers(0, n))
-            if cand != v and not np.any(nbrs == cand):
-                break
-        indices[slot] = cand
-    return GeometricGraph(g.coords, g.indptr, indices, k_hint=g.k_hint)
+    draws = np.zeros(0, dtype=np.int64)
+    i = pos = 0
+    while i < count:
+        # slot i takes the first admissible draw of a block of about twice the
+        # draws it needs, against its row as it stands
+        v = owners[i]
+        row = indices[indptr[v] : indptr[v + 1]]
+        block = 2 * n // (n - 1 - row.size)
+        w = min(window, count - i - 1)
+        if pos + block + w > draws.size:
+            draws = np.concatenate([draws[pos:], rng.integers(0, n, size=count - i + block + w)])
+            pos = 0
+        tries = draws[pos : pos + block]
+        ok = np.flatnonzero((tries != v) & ~np.isin(tries, row))
+        if not ok.size:
+            pos += block
+            continue
+        indices[chosen[i]] = tries[ok[0]]
+        i, pos = i + 1, pos + int(ok[0]) + 1
+        # the next w slots each take the next draw until the first rejection;
+        # slot i + j sees its row with the window's slots before it replaced
+        cand, v = draws[pos : pos + w], owners[i : i + w]
+        slots = concat_ranges(indptr[v], indptr[v + 1])
+        row_of = np.repeat(np.arange(w), g.degrees[v])
+        step = rank[slots] - i
+        replaced = (step >= 0) & (step < row_of)
+        held = np.where(replaced, cand[np.clip(step, 0, w - 1)], indices[slots])
+        rejected = cand == v
+        rejected[row_of[held == cand[row_of]]] = True
+        f = int(np.argmax(rejected)) if rejected.any() else w
+        indices[chosen[i : i + f]] = cand[:f]
+        i, pos = i + f, pos + f
+    return GeometricGraph(g.coords, indptr, indices, k_hint=g.k_hint)
 
 
 # scaled radius of each split cluster and the center displacement; eta must be

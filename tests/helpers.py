@@ -16,8 +16,54 @@ import numpy as np
 from knncheck.core import EdgeBudget, GeometricGraph, QueryTally, dist2, dist2_block
 from knncheck.exact import DistanceReport
 from knncheck.graphio import KnngFormatError
-from knncheck.sampling import rng_from, sample_without_replacement, split_seed
+from knncheck.sampling import rng_from, split_seed
 from knncheck.tester import Evidence, TesterConfig, Verdict, sample_sizes
+
+
+def reference_sample_without_replacement(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """First ``size`` entries of a partial Fisher-Yates shuffle of range(n), one swap at a time.
+
+    Step j swaps positions j and r_j, all r_j from one draw. A position that
+    no step has touched holds its own index, so only touched positions are
+    stored and n may exceed memory.
+    """
+    if not 0 <= size <= n:
+        raise ValueError(f"sample size {size} out of range [0, {n}]")
+    if size == 0:
+        return np.arange(0, dtype=np.int64)
+    held: dict[int, int] = {}
+    for j, r in enumerate(rng.integers(np.arange(size), n).tolist()):
+        held[j], held[r] = held.get(r, r), held.get(j, j)
+    return np.array([held[j] for j in range(size)], dtype=np.int64)
+
+
+def reference_corrupt_edges(
+    g: GeometricGraph, fraction: float, seed: int, k: int | None = None
+) -> GeometricGraph:
+    """``generators.corrupt_edges`` slot by slot, one ``rng.integers`` call per draw.
+
+    Each chosen slot, in chosen order, redraws until the target is neither
+    its vertex nor in the vertex's current row, which holds the earlier
+    slots' replacements.
+    """
+    if k is None:
+        k = g.k_hint
+    n = g.n
+    count = math.ceil(fraction * n * k)
+    rng = rng_from(seed)
+    chosen = reference_sample_without_replacement(g.num_edges, count, rng)
+    indices = g.indices.copy()
+    owners = np.searchsorted(g.indptr, chosen, side="right") - 1
+    for slot, v in zip(chosen.tolist(), owners.tolist()):
+        nbrs = indices[g.indptr[v] : g.indptr[v + 1]]
+        if n - 1 <= nbrs.size:
+            raise ValueError(f"vertex {v} is adjacent to every other vertex; cannot corrupt")
+        while True:
+            cand = int(rng.integers(0, n))
+            if cand != v and not np.any(nbrs == cand):
+                break
+        indices[slot] = cand
+    return GeometricGraph(g.coords, g.indptr, indices, k_hint=g.k_hint)
 
 
 def csr_from_rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +185,7 @@ def naive_run_tester(oracle: ReferenceOracle, cfg: TesterConfig) -> Verdict:
     n = oracle.graph.n
     s_prime_size, t_size, cap = sample_sizes(n, cfg)
     seq_s, seq_t = split_seed(cfg.seed, 2)
-    s_prime = sample_without_replacement(n, s_prime_size, rng_from(seq_s))
+    s_prime = reference_sample_without_replacement(n, s_prime_size, rng_from(seq_s))
     t_draws = rng_from(seq_t).integers(0, n, size=t_size)
 
     s_vertices = [int(v) for v in s_prime if oracle.degree(int(v)) <= cap]
@@ -216,7 +262,7 @@ def random_small_graph(rng: np.random.Generator, k: int) -> GeometricGraph:
     for v in range(n):
         deg = int(rng.integers(0, min(n - 1, k + 3)))
         others = [u for u in range(n) if u != v]
-        idx = sample_without_replacement(len(others), deg, rng)
+        idx = reference_sample_without_replacement(len(others), deg, rng)
         adjacency.append(np.array([others[i] for i in idx], dtype=np.int64))
     return graph_from_rows(coords, tuple(adjacency))
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import graph_from_rows
+from helpers import graph_from_rows, reference_corrupt_edges
 from knncheck.core import EdgeBudget
 from knncheck.exact import build_exact_knn_graph, epsilon_distance, max_shared_knn, witnesses_of
 from knncheck.generators import (
@@ -193,6 +193,76 @@ class TestCorruptEdges:
         pts = np.random.default_rng(4).random((40, 2))
         g = build_exact_knn_graph(pts, 2)
         assert corrupt_edges(g, 0.3, seed=9).equals(corrupt_edges(g, 0.3, seed=9))
+
+    @staticmethod
+    def _outcome(corrupt, g, fraction, seed, k=None):
+        try:
+            return corrupt(g, fraction, seed, k=k)
+        except ValueError as err:
+            return str(err)
+
+    def _assert_same_as_loop(self, g, fraction, seed, k=None):
+        got = self._outcome(corrupt_edges, g, fraction, seed, k)
+        want = self._outcome(reference_corrupt_edges, g, fraction, seed, k)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.equals(want), (fraction, seed)
+        return want
+
+    @staticmethod
+    def _random_rows(rng, n, k, near_full):
+        """Rows of degree k, ragged rows above k and, with near_full, rows of degree n - 2."""
+        rows = []
+        for v in range(n):
+            others = np.delete(np.arange(n), v)
+            kind = rng.integers(3) if near_full else rng.integers(2)
+            deg = (k, int(rng.integers(k, n - 1)), n - 2)[kind]
+            rows.append(rng.permutation(others)[:deg])
+        return rows
+
+    def test_equals_the_loop_on_random_small_graphs(self):
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 25))
+            k = int(rng.integers(1, n - 1))
+            rows = self._random_rows(rng, n, k, near_full=seed % 2 == 1)
+            hint = seed % 3 != 0
+            g = graph_from_rows(rng.random((n, 2)), rows, k_hint=k if hint else None)
+            for fraction in (0.0, 1.0 / (n * k), 0.5, 1.0, float(rng.random())):
+                self._assert_same_as_loop(g, fraction, 1000 + seed, k=None if hint else k)
+
+    def test_equals_the_loop_when_every_row_has_degree_n_minus_2(self):
+        # one admissible target per row: every slot rejects about n - 2 draws
+        for n in (3, 4, 7, 12):
+            rows = [np.delete(np.arange(n), [v, (v + 1) % n]) for v in range(n)]
+            g = graph_from_rows(np.arange(n, dtype=float)[:, None], rows, k_hint=n - 2)
+            for seed in range(10):
+                for fraction in (1.0 / (n * (n - 2)), 0.5, 1.0):
+                    got = self._assert_same_as_loop(g, fraction, seed)
+                    assert np.array_equal(got.degrees, g.degrees)
+
+    def test_equals_the_loop_on_exact_graphs(self):
+        g = build_exact_knn_graph(np.random.default_rng(6).random((600, 2)), 5)
+        for seed, fraction in ((1, 0.002), (2, 0.05), (3, 0.3), (4, 1.0)):
+            self._assert_same_as_loop(g, fraction, seed)
+
+    def test_full_row_raises_like_the_loop(self):
+        k4 = graph_from_rows(np.arange(4, dtype=float)[:, None],
+                             [np.delete(np.arange(4), v) for v in range(4)], k_hint=3)
+        # vertex 2 is adjacent to all 5 others; the other rows are not full
+        rows = [np.array([1, 2]), np.array([2, 3]), np.array([0, 1, 3, 4, 5]),
+                np.array([4, 5]), np.array([5, 0]), np.array([0, 1])]
+        one_full = graph_from_rows(np.arange(6, dtype=float)[:, None], rows, k_hint=2)
+        raised = 0
+        for seed in range(20):
+            for g, fraction in ((k4, 0.5), (k4, 1.0), (one_full, 0.1), (one_full, 0.25)):
+                want = self._assert_same_as_loop(g, fraction, seed)
+                if isinstance(want, str):
+                    raised += 1
+                    assert want.endswith("is adjacent to every other vertex; cannot corrupt")
+        # K4 raises for every seed; the mixed graph for some seeds only
+        assert 40 < raised < 80
 
     def test_requires_min_degree(self):
         g = graph_from_rows(np.arange(4, dtype=float)[:, None],
