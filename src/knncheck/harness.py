@@ -9,6 +9,7 @@ is 1 across the whole sweep. Reports are reproducible bit for bit from
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import operator
@@ -170,8 +171,8 @@ def run_sweep(cfg: SweepConfig, seed: int) -> SweepReport:
     # per cell and bucket: runs, rejects, queries, ratio
     stats = [[[0, 0, 0.0, 0.0] for _ in buckets] for _ in cfg.grid]
     for ii, (g, report) in enumerate(_instances(cfg, seed)):
-        b = _bucket_of(buckets, report)
-        for cell, (c1, c2) in zip(stats, cfg.grid):
+        b = _bucket_of(cfg.bucket_bounds, report)
+        for ci, (cell, (c1, c2)) in enumerate(zip(stats, cfg.grid)):
             for trial in range(cfg.trials_per_cell):
                 tcfg = TesterConfig(
                     k=cfg.k,
@@ -180,7 +181,7 @@ def run_sweep(cfg: SweepConfig, seed: int) -> SweepReport:
                     mode="experiment",
                     c1=c1,
                     c2=c2,
-                    seed=derive_seed(seed, 1, ii, trial, int(c1 * 1e6), int(c2 * 1e6)),
+                    seed=derive_seed(seed, 1, ii, trial, ci),
                 )
                 verdict = run_tester(OracleSession(g), tcfg)
                 if verdict.decision == "reject" and report.min_edits == 0:
@@ -249,14 +250,11 @@ def _instances(cfg: SweepConfig, seed: int):
                     yield g, profile.report(g)
 
 
-def _bucket_of(buckets, report) -> int | None:
+def _bucket_of(bucket_bounds, report) -> int | None:
+    """The bucket (lo, hi] holding a positive distance; None at distance 0."""
     if report.min_edits == 0:
         return None
-    d = report.epsilon_distance
-    for b, (lo, hi) in enumerate(buckets):
-        if lo < d <= hi:
-            return b
-    return None
+    return bisect.bisect_left(bucket_bounds, report.epsilon_distance)
 
 
 # serialization

@@ -20,23 +20,6 @@ from knncheck.sampling import rng_from, split_seed
 from knncheck.tester import Evidence, TesterConfig, Verdict, sample_sizes
 
 
-def reference_sample_without_replacement(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """First ``size`` entries of a partial Fisher-Yates shuffle of range(n), one swap at a time.
-
-    Step j swaps positions j and r_j, all r_j from one draw. A position that
-    no step has touched holds its own index, so only touched positions are
-    stored and n may exceed memory.
-    """
-    if not 0 <= size <= n:
-        raise ValueError(f"sample size {size} out of range [0, {n}]")
-    if size == 0:
-        return np.arange(0, dtype=np.int64)
-    held: dict[int, int] = {}
-    for j, r in enumerate(rng.integers(np.arange(size), n).tolist()):
-        held[j], held[r] = held.get(r, r), held.get(j, j)
-    return np.array([held[j] for j in range(size)], dtype=np.int64)
-
-
 def reference_corrupt_edges(
     g: GeometricGraph, fraction: float, seed: int, k: int | None = None
 ) -> GeometricGraph:
@@ -51,7 +34,7 @@ def reference_corrupt_edges(
     n = g.n
     count = math.ceil(fraction * n * k)
     rng = rng_from(seed)
-    chosen = reference_sample_without_replacement(g.num_edges, count, rng)
+    chosen = rng.choice(g.num_edges, count, replace=False)
     indices = g.indices.copy()
     owners = np.searchsorted(g.indptr, chosen, side="right") - 1
     for slot, v in zip(chosen.tolist(), owners.tolist()):
@@ -185,7 +168,7 @@ def naive_run_tester(oracle: ReferenceOracle, cfg: TesterConfig) -> Verdict:
     n = oracle.graph.n
     s_prime_size, t_size, cap = sample_sizes(n, cfg)
     seq_s, seq_t = split_seed(cfg.seed, 2)
-    s_prime = reference_sample_without_replacement(n, s_prime_size, rng_from(seq_s))
+    s_prime = rng_from(seq_s).choice(n, s_prime_size, replace=False)
     t_draws = rng_from(seq_t).integers(0, n, size=t_size)
 
     s_vertices = [int(v) for v in s_prime if oracle.degree(int(v)) <= cap]
@@ -253,6 +236,20 @@ def k_reduce(points: np.ndarray, p_idx: int, k: int) -> tuple[list[int], list[in
     return q_set, removals
 
 
+def _swap_sample(n: int, size: int, rng: np.random.Generator) -> list[int]:
+    """First ``size`` entries of a partial Fisher-Yates shuffle of range(n), one swap at a time.
+
+    Step j swaps positions j and r_j, all r_j from one draw. This is
+    ``random_small_graph``'s own draw, kept so the graphs it makes stay fixed.
+    """
+    if size == 0:
+        return []
+    held: dict[int, int] = {}
+    for j, r in enumerate(rng.integers(np.arange(size), n).tolist()):
+        held[j], held[r] = held.get(r, r), held.get(j, j)
+    return [held[j] for j in range(size)]
+
+
 def random_small_graph(rng: np.random.Generator, k: int) -> GeometricGraph:
     """Small lattice-coordinate graph with random adjacency; ties are common."""
     n = int(rng.integers(k + 2, 13))
@@ -262,7 +259,7 @@ def random_small_graph(rng: np.random.Generator, k: int) -> GeometricGraph:
     for v in range(n):
         deg = int(rng.integers(0, min(n - 1, k + 3)))
         others = [u for u in range(n) if u != v]
-        idx = reference_sample_without_replacement(len(others), deg, rng)
+        idx = _swap_sample(len(others), deg, rng)
         adjacency.append(np.array([others[i] for i in idx], dtype=np.int64))
     return graph_from_rows(coords, tuple(adjacency))
 

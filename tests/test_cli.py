@@ -13,6 +13,7 @@ import pytest
 
 from knncheck.cli import main
 from knncheck.exact import build_exact_knn_graph
+from knncheck.generators import line_gadget
 from knncheck.graphio import read_knng, write_knng
 
 
@@ -203,6 +204,11 @@ class TestCommands:
         assert code == 0
         obj = json.loads(out)
         assert read_knng(obj["far"]).n == read_knng(obj["exact"]).n
+        pg = tmp_path / "gadget.knng"
+        code, out = _run(capsys, ["generate", "gadget", "--x", "1.5", "--k", "2", "--delta", "3",
+                                  "-o", str(pg)])
+        assert code == 0 and json.loads(out)["n"] == 3
+        assert read_knng(pg).equals(line_gadget(1.5, 2, 3))
 
     def test_adversary_json(self, capsys):
         code, out = _run(capsys, ["adversary", "--n", "512", "--k", "1", "--epsilon", "0.1",

@@ -143,6 +143,12 @@ class TestGeometricGraphInvariants:
     def test_rejects_nonfinite_coordinates(self):
         with pytest.raises(ValueError, match="finite"):
             graph_from_rows(np.array([[np.inf]]), (np.array([]),))
+        with pytest.raises(ValueError, match="2-d"):
+            graph_from_rows(np.zeros(2), (np.array([]), np.array([])))
+        with pytest.raises(ValueError, match="at least one vertex"):
+            graph_from_rows(np.zeros((0, 2)), ())
+        with pytest.raises(ValueError, match="k_hint"):
+            graph_from_rows(np.zeros((2, 1)), (np.array([1]), np.array([0])), k_hint=0)
 
     def test_rejects_wrong_adjacency_length(self):
         with pytest.raises(ValueError, match="adjacency"):

@@ -137,6 +137,9 @@ class TestBuildExactKnn:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             build_exact_knn_graph(np.zeros((3, 1)), 3)
+        profile = NeighborhoodProfile(np.arange(5.0)[:, None], 2)
+        with pytest.raises(ValueError, match="does not match"):
+            profile.report(build_exact_knn_graph(np.arange(4.0)[:, None], 2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_profile_rejects_non_finite_points(self, bad):

@@ -37,6 +37,8 @@ class TestLineGadget:
         g = line_gadget(5.0, 1)
         assert g.n == 2 and g.num_edges == 2
         assert g.coords[:, 0].tolist() == [5.0, 6.0]
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            line_gadget(5.0, 0)
 
     def test_padded_embedding(self):
         g = line_gadget(1.0, 2, delta=3)
@@ -148,6 +150,8 @@ class TestTightConstruction:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             tight_witness_construction(2, 1)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            tight_witness_construction(3, 0)
 
     def test_icosahedron_chords_strictly_exceed_radius(self):
         dirs = icosahedron_directions()
@@ -269,6 +273,10 @@ class TestCorruptEdges:
                            (np.array([1]), np.array([0]), np.array([1]), np.array([2])))
         with pytest.raises(ValueError):
             corrupt_edges(g, 0.5, seed=0, k=2)
+        with pytest.raises(ValueError, match="fraction"):
+            corrupt_edges(g, 1.5, seed=0, k=1)
+        with pytest.raises(ValueError, match="k_hint"):
+            corrupt_edges(g, 0.5, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +299,9 @@ class TestDimensionLowerBound:
         far, _ = dimlb_pair
         m = math.ceil(2 * 0.1 * 2 * 10)
         assert m / far.n <= 3 / (2 * kissing_number(3))
+        for k, epsilon, c in ((0, 0.1, 10), (2, 0.0, 10), (2, 1.0, 10)):
+            with pytest.raises(ValueError):
+                dimension_lb_instances(k=k, epsilon=epsilon, c=c)
 
     def test_k1_matches_original_cluster_count(self):
         far, exact_g = dimension_lb_instances(k=1, epsilon=0.1, c=12)

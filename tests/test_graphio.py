@@ -226,6 +226,10 @@ _READER_CORPUS = {
     "only a newline": "\n",
     "bad header": _edit(1, "knng 1 4 2"),
     "header with plus": _edit(1, "knng +1 4 2 2"),
+    "float header field": _edit(1, "knng 1 4 2.0 2"),
+    "version 2": _edit(1, "knng 2 4 2 2"),
+    "n=0": _edit(1, "knng 1 0 2 2"),
+    "negative k_hint": _edit(1, "knng 1 4 2 -1"),
     "zero dimension": _edit(1, "knng 1 4 0 2"),
     "dimension beyond memory": _edit(1, "knng 1 4 1000000000000 2"),
     "dimension beyond numpy": _edit(1, "knng 1 4 99999999999999999999 2"),

@@ -68,6 +68,21 @@ def test_one_corrupted_graph_alive_per_tester_run(monkeypatch):
     assert len(refs) == 18
 
 
+def test_cells_seed_their_trials_by_grid_position(monkeypatch):
+    # grid values that agree to 6 decimals still get their own streams
+    seeds = []
+
+    def tester(session, cfg):
+        seeds.append(cfg.seed)
+        return run_tester(session, cfg)
+
+    monkeypatch.setattr(harness, "run_tester", tester)
+    spec = DatasetSpec(n=64, delta=2, distribution="uniform", fractions=(0.2,), seeds=(0,))
+    run_sweep(_small_config(grid=((0.1, 5.0), (0.1000001, 5.0)), datasets=(spec,),
+                            min_bucket=1), seed=11)
+    assert len(seeds) == 2 and seeds[0] != seeds[1]
+
+
 @pytest.fixture(scope="module")
 def small_report():
     return run_sweep(_small_config(), seed=11)
@@ -196,6 +211,13 @@ class TestSweepConfigSchema:
             _small_config(grid=())
         with pytest.raises(ValueError):
             DatasetSpec(n=96, delta=2, distribution="pareto", fractions=(0.1,), seeds=(0,))
+        spec = dict(n=96, delta=2, distribution="uniform", fractions=(0.1,), seeds=(0,))
+        for bad in (dict(n=3), dict(fractions=()), dict(corruptions_per_fraction=0)):
+            with pytest.raises(ValueError):
+                DatasetSpec(**{**spec, **bad})
+        for bad in (dict(k=0), dict(datasets=("uniform",)), dict(trials_per_cell=0)):
+            with pytest.raises(ValueError):
+                _small_config(**bad)
 
     def test_integer_fields_take_numpy_ints(self):
         spec = DatasetSpec(n=np.int64(96), delta=np.int32(2), distribution="uniform",

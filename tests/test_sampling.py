@@ -5,36 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_sample_without_replacement
 from knncheck.sampling import derive_seed, rng_from, sample_without_replacement, split_seed
+
+
+def _check_sample(n, size, seed):
+    """size distinct int64 values in [0, n), the same for the same seed."""
+    got = sample_without_replacement(n, size, rng_from(seed))
+    assert got.dtype == np.int64 and got.shape == (size,)
+    assert np.unique(got).size == size
+    assert size == 0 or 0 <= int(got.min()) and int(got.max()) < n
+    assert np.array_equal(got, sample_without_replacement(n, size, rng_from(seed)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5000), st.data(), st.integers(0, 2**64 - 1))
-def test_sampler_equals_the_swap_loop(n, data, seed):
+def test_sampler_draws_distinct_values_in_range(n, data, seed):
     size = data.draw(st.one_of(st.sampled_from([0, 1, n]), st.integers(0, n)), label="size")
-    got = sample_without_replacement(n, size, rng_from(seed))
-    want = reference_sample_without_replacement(n, size, rng_from(seed))
-    assert got.dtype == want.dtype == np.int64
-    assert np.array_equal(got, want)
+    _check_sample(n, size, seed)
 
 
 @pytest.mark.parametrize("n, size", [(0, 0), (2**40, 5000), (2**62, 2), (2**63 - 1, 300)])
-def test_sampler_equals_the_swap_loop_far_beyond_memory(n, size):
+def test_sampler_draws_distinct_values_far_beyond_memory(n, size):
     for seed in range(3):
-        got = sample_without_replacement(n, size, rng_from(seed))
-        assert np.array_equal(got, reference_sample_without_replacement(n, size, rng_from(seed)))
-
-
-def test_sampler_resolves_chained_swaps():
-    # draws that make every step take the value an earlier step moved
-    class Fixed:
-        def integers(self, low, high):
-            return np.array([1, 2, 3, 3, 5, 5, 6], dtype=np.int64)
-
-    got = sample_without_replacement(7, 7, Fixed())
-    assert np.array_equal(got, reference_sample_without_replacement(7, 7, Fixed()))
-    assert sorted(got.tolist()) == list(range(7))
+        _check_sample(n, size, seed)
 
 
 # bounds on numpy's 32-bit and 64-bit bounded paths, and the draws' own 2**62 + 11
@@ -46,14 +39,14 @@ STREAM_BOUNDS = [7, 16384, 2**31 + 5, 2**32, 2**40 + 3, 2**62 + 11]
 def test_bounded_draws_are_equal_one_by_one_in_bulk_and_in_chunks(n, edges, size):
     """generators.corrupt_edges draws its targets in bulk on this property.
 
-    Right after the sampler's array-bound draw, m scalar calls
-    rng.integers(0, n) return the values of one call with size=m and of any
-    split of it into chunks.
+    Right after the sampler's draw, the one corrupt_edges makes first, m
+    scalar calls rng.integers(0, n) return the values of one call with size=m
+    and of any split of it into chunks.
     """
 
     def after_sampler_draw():
         rng = rng_from(derive_seed(n, edges, size))
-        rng.integers(np.arange(size), edges)
+        sample_without_replacement(edges, size, rng)
         return rng
 
     m = 300

@@ -43,6 +43,8 @@ class TestKissingNumber:
 
     def test_fallback_above_table(self):
         assert kissing_number(9) == int(np.ceil(2 ** (0.401 * 9 * 1.2)))
+        with pytest.raises(ValueError, match="dimension"):
+            kissing_number(0)
 
     def test_hexagon_attains_six_in_the_plane(self):
         h = 0.8660254037844387  # nudged up so adjacent chords exceed the radius
@@ -93,6 +95,11 @@ class TestSampleSizes:
             TesterConfig(k=1, epsilon=0.0, delta=1)
         with pytest.raises(ValueError):
             TesterConfig(k=1, epsilon=0.1, delta=1, mode="experiment")
+        for bad in (dict(delta=0), dict(mode="x"), dict(degree_cap_override=0)):
+            with pytest.raises(ValueError):
+                TesterConfig(**{"k": 1, "epsilon": 0.1, "delta": 1, **bad})
+        with pytest.raises(ValueError, match="two vertices"):
+            sample_sizes(1, TesterConfig(k=1, epsilon=0.1, delta=1))
 
 
 def _delete_edge(g, v, u):
