@@ -1,8 +1,10 @@
 """Geometric graph data model, squared-distance primitives and the query-counting oracle.
 
 It also holds the package's one spatial index, the leaf buckets of a k-d
-tree, and the box bound that prunes with it; the exact kernel and the
-tester's scan both use them.
+tree with the boxes of every level, the box bound that prunes with it, and
+the one query on it, :func:`leaf_pairs`, which descends the levels to find
+the leaves within a radius of each row; the exact kernel and the tester's
+scan both match leaves through that query.
 """
 
 from __future__ import annotations
@@ -90,12 +92,14 @@ def leaf_index(pts: np.ndarray, leaf_size: int):
     coordinate in which the bucket is widest, until buckets hold at most
     ``leaf_size`` points; consecutive leaves form subtrees. The ids repeat
     the first few points so that every bucket of a level has the same size,
-    so a point may sit in two leaves. Returns (leaves, first, p, box_lo,
-    box_hi): leaf i holds the rows leaves[i] of ``pts``; first[i] marks the
-    slots that hold each row's first occurrence in leaves.ravel(), so that
-    counting over first counts every row once; p[:, i] holds the leaf's
-    coordinates, one contiguous (leaf, slot) array per coordinate; and its
-    tight box is [box_lo[:, i], box_hi[:, i]].
+    so a point may sit in two leaves. Returns (leaves, first, p, levels):
+    leaf i holds the rows leaves[i] of ``pts``; first[i] marks the slots that
+    hold each row's first occurrence in leaves.ravel(), so that counting over
+    first counts every row once; p[:, i] holds the leaf's coordinates, one
+    contiguous (leaf, slot) array per coordinate; and levels[d] is the pair
+    (lo, hi) of (coordinate, node) arrays that holds the tight boxes of the
+    2**d buckets of level d, the leaves' last. Node i of a level holds nodes
+    2i and 2i+1 of the next, so its box contains theirs.
     """
     m = pts.shape[0]
     depth = max(0, math.ceil(math.log2(m / leaf_size)))
@@ -103,18 +107,20 @@ def leaf_index(pts: np.ndarray, leaf_size: int):
     # np.take on coordinate columns gives contiguous (coordinate, bucket,
     # point) arrays, whose per-bucket reductions are fast
     cols = np.ascontiguousarray(pts.T)
-    for level in range(depth):
+    levels = []
+    for level in range(depth + 1):
         leaves = leaves.reshape(2**level, -1)
         p = np.take(cols, leaves, axis=1)
-        widest = (p.max(axis=2) - p.min(axis=2)).argmax(axis=0)
+        levels.append((p.min(axis=2), p.max(axis=2)))
+        if level == depth:
+            break
+        widest = (levels[-1][1] - levels[-1][0]).argmax(axis=0)
         key = np.take_along_axis(p, widest[None, :, None], axis=0)[0]
         half = np.argpartition(key, leaves.shape[1] // 2, axis=1)
         leaves = np.take_along_axis(leaves, half, axis=1)
-    leaves = leaves.reshape(2**depth, -1)
     first = np.zeros(leaves.size, dtype=bool)
     first[np.unique(leaves, return_index=True)[1]] = True
-    p = np.take(cols, leaves, axis=1)
-    return leaves, first.reshape(leaves.shape), p, p.min(axis=2), p.max(axis=2)
+    return leaves, first.reshape(leaves.shape), p, levels
 
 
 def box_gap2(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
@@ -127,6 +133,33 @@ def box_gap2(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndar
     return sum_squares(
         np.maximum(np.maximum(box_lo[j] - hi[j], lo[j] - box_hi[j]), 0.0) for j in range(len(lo))
     )
+
+
+def leaf_pairs(lo: np.ndarray, hi: np.ndarray, r: np.ndarray, levels) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, leaf) pairs whose :func:`box_gap2` is at most r[row], row-major, leaves ascending.
+
+    Row i is the box [lo[:, i], hi[:, i]] (a point when lo == hi); ``levels``
+    comes from :func:`leaf_index`. The bound runs flat over level 4 (or the
+    leaves, if there are fewer levels), and each kept node is then expanded
+    into its two children one level at a time (Friedman, Bentley & Finkel
+    1977). A node's box contains its leaves' boxes and rounding is monotone,
+    so a node's bound is at most each of its leaves' bounds, and the pairs
+    are exactly those of a flat pass over the leaves. When level 4 keeps
+    more than a quarter of its pairs, its boxes prune too little for the
+    descent to pay, and the flat pass runs over the leaves instead.
+    """
+    lo3, hi3 = lo[:, :, None], hi[:, :, None]
+    last = len(levels) - 1
+    top = min(4, last)
+    row, node = np.nonzero(box_gap2(lo3, hi3, *levels[top]) <= r[:, None])
+    if top < last and 4 * row.size > r.size << top:
+        top = last
+        row, node = np.nonzero(box_gap2(lo3, hi3, *levels[top]) <= r[:, None])
+    for box_lo, box_hi in levels[top + 1 :]:
+        row, node = np.repeat(row, 2), (2 * node[:, None] + (0, 1)).ravel()
+        keep = box_gap2(lo[:, row], hi[:, row], box_lo[:, node], box_hi[:, node]) <= r[row]
+        row, node = row[keep], node[keep]
+    return row, node
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -8,14 +8,15 @@ the ids strictly inside it and the ids exactly at it. It runs on the k-d leaf
 index that lives in :mod:`core` (:func:`core.leaf_index`, leaves of at most 8
 points), one unit of consecutive leaves at a time. The largest k-th distance
 of a unit's rows among the unit's own points bounds each row's true k-th
-distance from above, and :func:`core.box_gap2` rules out every leaf beyond
-it, so the leaves left hold every id inside or at the k-th distance, in
-every dimension and with no rounding margin. Candidates are ranked with the
-same distance arithmetic (:func:`core.sum_squares`) as a scan over all
-points, so strict inequalities and tie-breaking equal those of a
-brute-force pass bit for bit. A unit of at most k points bounds nothing, so
-its rows take every leaf. :func:`k_nearest_set` selects one row against all
-points with the same :func:`_select`.
+distance from above, and the index's one query :func:`core.leaf_pairs` keeps
+only the leaves whose box bound is within it, so the leaves left hold every
+id inside or at the k-th distance, in every dimension and with no rounding
+margin. Candidates are ranked with the same distance arithmetic
+(:func:`core.sum_squares`) as a scan over all points, so strict inequalities
+and tie-breaking equal those of a brute-force pass bit for bit. A unit of at
+most k points bounds nothing, so its rows take every leaf.
+:func:`k_nearest_set` selects one row against all points with the same
+:func:`_select`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import EdgeBudget, GeometricGraph, box_gap2, concat_ranges, dist2_block, leaf_index
+from .core import EdgeBudget, GeometricGraph, dist2_block, leaf_index, leaf_pairs
 
 __all__ = [
     "WitnessSet",
@@ -51,11 +52,12 @@ def _block_size(n: int) -> int:
 
 
 def _masked_d2(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Squared distances from ``rows`` to the ascending ids ``cand``; a row's own id gets inf."""
+    """Squared distances from ``rows`` to the ascending ids ``cand``; a row's own id gets nan."""
     d2 = dist2_block(coords[rows], coords[cand])
     pos = np.minimum(np.searchsorted(cand, rows), cand.size - 1)
     own = cand[pos] == rows
-    d2[np.flatnonzero(own), pos[own]] = np.inf
+    # no comparison selects nan and partition sorts it last, also past distances that overflow to inf
+    d2[np.flatnonzero(own), pos[own]] = np.nan
     return d2
 
 
@@ -96,42 +98,37 @@ def _select(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int) -> _
 def _leaf_pass(coords: np.ndarray, k: int) -> list[_Selection]:
     """Selections for every vertex, one unit of the leaf index at a time.
 
-    A unit is a subtree of the leaf index holding about _UNIT_ROWS points.
+    A unit is a node of the leaf index holding about _UNIT_ROWS points.
     Its rows' k-th distances among its own points are at least their k-th
     distances among all points, so the largest of them, thr, bounds every
     row's k-th distance. A point of a leaf whose box gap to the unit's box
     exceeds thr has a computed distance above thr from every row, so the
     leaves within thr hold all ids inside or at each row's k-th distance.
     A unit of at most k points has no k-th distance among its own points;
-    its thr is inf, so its rows take every leaf. Units are matched against
-    unit boxes first, then against their leaves.
+    its thr is inf, so its rows take every leaf. The units' leaves come
+    from one :func:`core.leaf_pairs` query per chunk of units.
     """
-    leaves, first, _, box_lo, box_hi = leaf_index(coords, _LEAF_SIZE)
+    leaves, first, _, levels = leaf_index(coords, _LEAF_SIZE)
     count, width = leaves.shape
+    # a power of two, at most the leaf count, so that every unit is one node of the index
+    per = min(count, 1 << max(0, (_UNIT_ROWS // width).bit_length() - 1))
     # a point the index repeats is a row of its first leaf only
-    flat, first = leaves.ravel(), first.ravel()
-    # a power of two, so that every unit is one subtree with a tight box
-    per = 1 << max(0, (_UNIT_ROWS // width).bit_length() - 1)
-    starts = np.arange(0, count, per)
-    unit_lo = np.minimum.reduceat(box_lo, starts, axis=1)
-    unit_hi = np.maximum.reduceat(box_hi, starts, axis=1)
+    slots, firsts = leaves.reshape(-1, per * width), first.reshape(-1, per * width)
+    units = [np.sort(ids[keep]) for ids, keep in zip(slots, firsts)]
+    # each row's own zero distance sorts first, so position k holds its k-th
+    thr = np.array([np.partition(dist2_block(coords[r], coords[r]), k, axis=1)[:, k].max()
+                    if r.size > k else np.inf for r in units])
+    unit_lo, unit_hi = levels[len(units).bit_length() - 1]
     parts = []
-    for u, s in enumerate(starts):
-        span = slice(s * width, (s + per) * width)
-        rows = np.sort(flat[span][first[span]])
-        thr = np.inf
-        if rows.size > k:
-            own = dist2_block(coords[rows], coords[rows])
-            # each row's own zero distance sorts first, so position k holds its k-th
-            own.partition(k, axis=1)
-            thr = own[:, k].max()
-        lo, hi = unit_lo[:, u], unit_hi[:, u]
-        near = starts[box_gap2(lo, hi, unit_lo, unit_hi) <= thr]
-        near = concat_ranges(near, np.minimum(near + per, count))
-        near = near[box_gap2(lo, hi, box_lo[:, near], box_hi[:, near]) <= thr]
-        cand = np.unique(leaves[near])
-        step = _block_size(cand.size)
-        parts += [_select(coords, rows[b : b + step], cand, k) for b in range(0, rows.size, step)]
+    # units per query, so that its unit-by-leaf bounds stay within one distance block
+    chunk = _block_size(count)
+    for c in range(0, len(units), chunk):
+        span = slice(c, c + chunk)
+        row, leaf = leaf_pairs(unit_lo[:, span], unit_hi[:, span], thr[span], levels)
+        for rows, near in zip(units[span], np.split(leaf, np.searchsorted(row, np.arange(1, chunk)))):
+            cand = np.unique(leaves[near])
+            step = _block_size(cand.size)
+            parts += [_select(coords, rows[b : b + step], cand, k) for b in range(0, rows.size, step)]
     return parts
 
 

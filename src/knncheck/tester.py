@@ -10,11 +10,11 @@ scan itself works on the graph's arrays one block of S at a time and charges
 the OracleSession, in bulk, for exactly the reads the sequential scan makes
 up to where it stops, so the session's QueryTally is the tester's cost.
 
-Every block of S finds its witness candidates through the exact k-d leaf
-index that lives in :mod:`core` (:func:`core.leaf_index`, leaves of at most
-64 T values), built once per run over the distinct T values. Its box bounds
-only rule leaves out, and every candidate is re-checked with the same
-distance arithmetic (:func:`core.sum_squares`), so verdicts and tallies
+Every block of S finds its witness candidates by the one query
+:func:`core.leaf_pairs` on a k-d leaf index (:func:`core.leaf_index`, leaves
+of at most 64 T values), built once per run over the distinct T values. Its
+box bounds only rule leaves out, and every candidate is re-checked with the
+same distance arithmetic (:func:`core.sum_squares`), so verdicts and tallies
 equal those of the sequential scan.
 """
 
@@ -31,10 +31,10 @@ from .core import (
     GeometricGraph,
     OracleSession,
     QueryTally,
-    box_gap2,
     concat_ranges,
     dist2_row,
     leaf_index,
+    leaf_pairs,
     sum_squares,
 )
 from .sampling import rng_from, sample_without_replacement, split_seed
@@ -258,7 +258,7 @@ def _scan(
     in_t = np.zeros(g.n, dtype=bool)
     in_t[t_draws] = True
     u_vals = np.flatnonzero(in_t)
-    leaves, first, p, box_lo, box_hi = leaf_index(g.coords[u_vals], _LEAF_SIZE)
+    leaves, first, p, levels = leaf_index(g.coords[u_vals], _LEAF_SIZE)
     for lo in range(0, limit, _SCAN_BLOCK):
         block = s_vertices[lo : min(limit, lo + _SCAN_BLOCK)]
         degs = s_degs[lo : lo + block.size]
@@ -267,11 +267,11 @@ def _scan(
         starts = np.cumsum(degs) - degs
         q = g.coords[block]
         nd = dist2_row(q[owner], g.coords[nbrs])
-        rk = nd[np.lexsort((nd, owner))[starts + k - 1]]
-
-        # the (row, leaf) pairs that may hold a u strictly inside r_k, row-major
-        q_t = q.T[:, :, None]
-        row, leaf = np.nonzero(box_gap2(q_t, q_t, box_lo, box_hi) < rk[:, None])
+        # sorted by distance, then stably by row; int16 row keys take numpy's radix sort
+        o = np.argsort(nd)
+        rk = nd[o[np.argsort(owner.astype(np.int16)[o], kind="stable")][starts + k - 1]]
+        # (row, leaf) pairs that may hold a u strictly inside r_k: x < r_k iff x <= nextafter(r_k, -inf)
+        row, leaf = leaf_pairs(q.T, q.T, np.nextafter(rk, -np.inf), levels)
         # their u: one gather per coordinate, with the row's coordinate subtracted in place
         d2 = sum_squares(np.subtract(d := p[j][leaf], q[row, j][:, None], out=d) for j in range(q.shape[1]))
         inside = (d2 < rk[row, None]) & first[leaf]

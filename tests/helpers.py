@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from knncheck.core import EdgeBudget, GeometricGraph, QueryTally, dist2, dist2_block
+from knncheck.core import EdgeBudget, GeometricGraph, QueryTally, box_gap2, dist2, dist2_block
 from knncheck.exact import DistanceReport
 from knncheck.graphio import KnngFormatError
 from knncheck.sampling import rng_from, split_seed
@@ -264,6 +264,29 @@ def random_small_graph(rng: np.random.Generator, k: int) -> GeometricGraph:
     return graph_from_rows(coords, tuple(adjacency))
 
 
+# coordinates whose differences overflow to inf, or come close to it
+OVERFLOW_COORDS = (1.7976931348623157e308, -1.7976931348623157e308, 8.99e307, -8.99e307, 0.0, 1.0, -1.0)
+
+
+def overflow_points(rng: np.random.Generator, m: int, delta: int, jitter: bool) -> np.ndarray:
+    """m points from OVERFLOW_COORDS, then m uniform in [-1, 1)^delta; optionally shrunk by up to 0.1%.
+
+    Many squared distances overflow to inf, so some k-th distances do too,
+    while the uniform half keeps others finite.
+    """
+    pts = np.vstack((rng.choice(OVERFLOW_COORDS, size=(m, delta)), rng.random((m, delta)) * 2 - 1))
+    return pts * (1 - rng.random(pts.shape) / 1000) if jitter else pts
+
+
+def reference_leaf_pairs(lo, hi, r, leaf_lo, leaf_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The flat rows x leaves bound pass that ``core.leaf_pairs`` must equal.
+
+    Every row box [lo[:, i], hi[:, i]] against every leaf box: the (row, leaf)
+    pairs whose ``box_gap2`` is at most r[row], row-major, leaves ascending.
+    """
+    return np.nonzero(box_gap2(lo[:, :, None], hi[:, :, None], leaf_lo, leaf_hi) <= r[:, None])
+
+
 class BruteForceProfile:
     """Exact k-NN structure of a point set by a full O(n^2) distance scan.
 
@@ -289,12 +312,15 @@ class BruteForceProfile:
         for lo in range(0, n, step):
             hi = min(n, lo + step)
             d2 = dist2_block(coords[lo:hi], coords)
+            # a row's own inf leaves its k-th distance among the others unchanged, as
+            # n - 1 >= k; other distances may overflow to inf, so v is excluded by id
             d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
             dks = np.partition(d2, k - 1, axis=1)[:, k - 1]
             for i in range(hi - lo):
-                self.inside.append(frozenset(np.flatnonzero(d2[i] < dks[i]).tolist()))
-                self.at.append(frozenset(np.flatnonzero(d2[i] == dks[i]).tolist()))
-                cand = np.flatnonzero(d2[i] <= dks[i])
+                other = np.arange(n) != lo + i
+                self.inside.append(frozenset(np.flatnonzero((d2[i] < dks[i]) & other).tolist()))
+                self.at.append(frozenset(np.flatnonzero((d2[i] == dks[i]) & other).tolist()))
+                cand = np.flatnonzero((d2[i] <= dks[i]) & other)
                 order = np.lexsort((cand, d2[i][cand]))
                 self.knn.append(cand[order[:k]].astype(np.int64))
 

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceOracle, csr_from_rows, first_adjacency_error, graph_from_rows
+from helpers import (
+    OVERFLOW_COORDS,
+    ReferenceOracle,
+    csr_from_rows,
+    first_adjacency_error,
+    graph_from_rows,
+    reference_leaf_pairs,
+)
 from knncheck.core import (
     EdgeBudget,
     GeometricGraph,
@@ -17,7 +24,10 @@ from knncheck.core import (
     dist2,
     dist2_block,
     dist2_row,
+    leaf_index,
+    leaf_pairs,
 )
+from knncheck import core
 from knncheck.generators import line_gadget
 
 
@@ -125,6 +135,121 @@ def test_dist2_paths_bit_identical_on_any_finite_coordinates(data):
     a, b = (np.array(data.draw(st.lists(coord, min_size=m * delta, max_size=m * delta)),
                      dtype=np.float64).reshape(m, delta) for m in rows)
     _assert_paths_bit_identical(a, b)
+
+
+# (points, leaf size) giving 1, 2, 16 and 512 leaves
+_LEAF_COUNTS = ((40, 64), (40, 20), (300, 20), (1024, 2))
+
+
+def _point_set(kind, m, delta, rng):
+    if kind == "uniform":
+        return rng.random((m, delta))
+    if kind == "coincident":
+        return np.full((m, delta), 0.25)
+    if kind == "lattice":
+        return rng.integers(0, 4, size=(m, delta)).astype(np.float64)
+    return rng.choice(OVERFLOW_COORDS, size=(m, delta))
+
+
+def _assert_leaf_pairs_equal_flat_pass(pts, leaf_size, lo, hi, r):
+    with np.errstate(over="ignore"):
+        levels = leaf_index(pts, leaf_size)[3]
+        got = leaf_pairs(lo, hi, r, levels)
+        want = reference_leaf_pairs(lo, hi, r, *levels[-1])
+    assert len(got) == 2 and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestLeafPairs:
+    """core.leaf_pairs against the flat rows x leaves pass of tests/helpers."""
+
+    @pytest.mark.parametrize("m,leaf_size", _LEAF_COUNTS)
+    def test_level_boxes_contain_their_children_tightly(self, m, leaf_size):
+        pts = np.random.default_rng(m).random((m, 3))
+        leaves, _, p, levels = leaf_index(pts, leaf_size)
+        assert len(levels) == 1 + int(math.log2(leaves.shape[0]))
+        assert np.array_equal(levels[-1][0], p.min(axis=2)) and np.array_equal(levels[-1][1], p.max(axis=2))
+        for (lo, hi), (child_lo, child_hi) in zip(levels, levels[1:]):
+            assert np.array_equal(lo, child_lo.reshape(3, -1, 2).min(axis=2))
+            assert np.array_equal(hi, child_hi.reshape(3, -1, 2).max(axis=2))
+        assert np.array_equal(levels[0][0][:, 0], pts.min(axis=0))
+        assert np.array_equal(levels[0][1][:, 0], pts.max(axis=0))
+
+    @pytest.mark.parametrize("kind", ["uniform", "coincident", "lattice", "overflow"])
+    @pytest.mark.parametrize("delta", range(1, 9))
+    def test_point_and_box_rows(self, kind, delta):
+        rng = np.random.default_rng(delta)
+        for m, leaf_size in _LEAF_COUNTS:
+            pts = _point_set(kind, m, delta, rng)
+            q = pts[rng.choice(m, size=min(m, 40), replace=False)]
+            with np.errstate(over="ignore"):
+                d2 = dist2_block(q, pts)
+            k = min(m - 1, 5)
+            kth = np.partition(d2, k, axis=1)[:, k]
+            # point rows, then boxes spanned by two points (unit boxes below)
+            corners = np.sort(np.stack((q, pts[rng.integers(0, m, size=q.shape[0])])), axis=0)
+            rows = [(q.T, q.T), (corners[0].T, corners[1].T)]
+            with np.errstate(over="ignore"):
+                levels = leaf_index(pts, leaf_size)[3]
+            rows += [levels[len(levels) // 2]]
+            for lo, hi in rows:
+                for r in (np.zeros(lo.shape[1]), kth[: lo.shape[1]], np.full(lo.shape[1], np.inf)):
+                    _assert_leaf_pairs_equal_flat_pass(pts, leaf_size, lo, hi, r)
+                # each row's bound to some leaf, so that bounds equal to r are common
+                with np.errstate(over="ignore"):
+                    bounds = box_gap2(lo[:, :, None], hi[:, :, None], *levels[-1])
+                r = np.sort(bounds, axis=1)[:, min(bounds.shape[1] - 1, 3)]
+                _assert_leaf_pairs_equal_flat_pass(pts, leaf_size, lo, hi, r)
+
+    def test_descent_evaluates_fewer_bounds_than_the_flat_pass(self, monkeypatch):
+        pts = np.random.default_rng(5).random((4096, 2))
+        q = pts[:256]
+        kth = np.partition(dist2_block(q, pts), 10, axis=1)[:, 10]
+        evaluated = []
+        gap2 = core.box_gap2
+
+        def gap2_spy(*args):
+            out = gap2(*args)
+            evaluated.append(out.size)
+            return out
+
+        monkeypatch.setattr(core, "box_gap2", gap2_spy)
+        _assert_leaf_pairs_equal_flat_pass(pts, 8, q.T, q.T, kth)
+        # the flat pass evaluates all 256 x 512 bounds, the descent a few per row
+        assert len(evaluated) == 6 and sum(evaluated) < 256 * 512 / 8
+        evaluated.clear()
+        _assert_leaf_pairs_equal_flat_pass(pts, 8, q.T, q.T, np.full(256, np.inf))
+        # level 4 keeps every pair, so the query runs the flat pass
+        assert evaluated == [256 * 16, 256 * 512]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_leaf_pairs_equal_flat_pass_on_any_input(data):
+    """Points from any finite floats, the overflowing ones included; rows are points or boxes."""
+    delta = data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(1, 600))
+    leaf_size = data.draw(st.sampled_from((1, 2, 8, 64)))
+    coord = (st.sampled_from(OVERFLOW_COORDS) | st.floats(-4.0, 4.0, width=16)
+             | st.floats(allow_nan=False, allow_infinity=False))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # at most 12 distinct values, so that ties and coincident points are common
+    palette = np.array(data.draw(st.lists(coord, min_size=1, max_size=12)), dtype=np.float64)
+    pts = rng.choice(palette, size=(m, delta))
+    rows = data.draw(st.integers(1, 20))
+    corners = np.sort(pts[rng.integers(0, m, size=(2, rows))], axis=0)
+    if data.draw(st.booleans()):
+        corners[1] = corners[0]
+    with np.errstate(over="ignore"):
+        d2 = dist2_block(corners[0], pts)
+    r = data.draw(st.sampled_from(("zero", "kth", "inf", "drawn")))
+    if r == "kth":
+        r = np.partition(d2, min(m - 1, 3), axis=1)[:, min(m - 1, 3)]
+    elif r == "drawn":
+        r = np.array(data.draw(st.lists(st.floats(0.0, allow_nan=False), min_size=rows, max_size=rows)))
+    else:
+        r = np.full(rows, 0.0 if r == "zero" else np.inf)
+    _assert_leaf_pairs_equal_flat_pass(pts, leaf_size, corners[0].T, corners[1].T, r)
 
 
 class TestGeometricGraphInvariants:

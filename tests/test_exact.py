@@ -11,6 +11,7 @@ from helpers import (
     graph_from_rows,
     k_reduce,
     num_nearer,
+    overflow_points,
     random_small_graph,
     rows_of,
 )
@@ -360,6 +361,21 @@ class TestKernelMatchesBruteForce:
         rng = np.random.default_rng(10)
         pts = np.vstack([rng.random((800, 2)), rng.random((800, 2)) + 1e3, [[-1e6, 5.0]]])
         _assert_matches_brute_force(pts, 5)
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("delta", [1, 2, 3, 8])
+    def test_coordinates_whose_distances_overflow(self, monkeypatch, delta, jitter):
+        # many distances overflow to inf, so some units' thr is inf and their rows
+        # take every point; where a k-th distance is inf too (all but delta=1
+        # without jitter), the vertex must not land in its own set, so the exact
+        # graph is a valid graph at distance 0
+        pts = overflow_points(np.random.default_rng(14 + delta), 300, delta, jitter)
+        calls = self._kernel_paths(monkeypatch)
+        with np.errstate(over="ignore"):
+            _assert_matches_brute_force(pts, 5)
+            p = NeighborhoodProfile(pts, 5)
+            assert p.report(p.graph).min_edits == 0
+        assert 600 in {c for _, c in calls}
 
     def test_leaf_pass_settles_every_uniform_vertex(self, monkeypatch):
         calls = self._kernel_paths(monkeypatch)

@@ -38,3 +38,22 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from knncheck import *", namespace)
     assert set(knncheck.__all__) <= namespace.keys()
+
+
+def _names_used(tree):
+    """Every imported name, attribute and bare name in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+
+
+def test_leaf_matching_goes_through_the_one_query():
+    # the tester and the kernel match leaves through core.leaf_pairs only, never
+    # through the box bound it is built on
+    for name in ("tester.py", "exact.py"):
+        used = set(_names_used(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))))
+        assert "leaf_pairs" in used and "box_gap2" not in used, name

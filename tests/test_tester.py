@@ -15,6 +15,7 @@ from helpers import (
     graph_from_rows,
     local_witness_check,
     naive_run_tester,
+    overflow_points,
     random_small_graph,
     rows_of,
 )
@@ -320,6 +321,19 @@ class TestNaiveEquivalence:
         )
         self._compare(g, cfg)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_on_coordinates_whose_distances_overflow(self, seed):
+        # r_k is inf for some v, so every u at a finite distance, and no u at an
+        # overflowing one, is strictly inside it
+        delta = 2 + seed % 2
+        rng = np.random.default_rng(400 + seed)
+        with np.errstate(over="ignore"):
+            g = build_exact_knn_graph(overflow_points(rng, 60, delta, seed >= 3), 3)
+            g = corrupt_edges(g, 0.1 * (seed % 2), seed)
+            rk = [np.sort(dist2_row(g.coords[v], g.coords[g.neighbors(v)]))[2] for v in range(g.n)]
+            assert np.isinf(rk).any()
+            self._compare(g, TesterConfig(k=3, epsilon=0.5, delta=delta, seed=seed))
+
     # the inputs below reach what the small graphs above do not: several scan
     # blocks, an event at S position 0, a filtered S, lattice ties
 
@@ -498,9 +512,9 @@ class TestNaiveEquivalence:
         rows = self._s_prime(n, cfg)[:_SCAN_BLOCK]
         rk = np.array([np.sort(dist2_row(g.coords[v], g.coords[g.neighbors(v)]))[k - 1]
                        for v in rows])
-        _, _, _, box_lo, box_hi = leaf_index(g.coords[np.unique(self._t(n, cfg))], tester._LEAF_SIZE)
+        levels = leaf_index(g.coords[np.unique(self._t(n, cfg))], tester._LEAF_SIZE)[3]
         q_t = g.coords[rows].T[:, :, None]
-        assert np.mean(box_gap2(q_t, q_t, box_lo, box_hi) < rk[:, None]) > 0.5
+        assert np.mean(box_gap2(q_t, q_t, *levels[-1]) < rk[:, None]) > 0.5
         verdict = self._compare(g, cfg)
         assert verdict.decision == "reject"
 
