@@ -90,37 +90,39 @@ def leaf_index(pts: np.ndarray, leaf_size: int):
 
     Each level splits every bucket at its median (argpartition) along the
     coordinate in which the bucket is widest, until buckets hold at most
-    ``leaf_size`` points; consecutive leaves form subtrees. The ids repeat
-    the first few points so that every bucket of a level has the same size,
-    so a point may sit in two leaves. Returns (leaves, first, p, levels):
-    leaf i holds the rows leaves[i] of ``pts``; first[i] marks the slots that
-    hold each row's first occurrence in leaves.ravel(), so that counting over
-    first counts every row once; p[:, i] holds the leaf's coordinates, one
-    contiguous (leaf, slot) array per coordinate; and levels[d] is the pair
-    (lo, hi) of (coordinate, node) arrays that holds the tight boxes of the
-    2**d buckets of level d, the leaves' last. Node i of a level holds nodes
-    2i and 2i+1 of the next, so its box contains theirs.
+    ``leaf_size`` points; consecutive leaves form subtrees. The splits permute
+    slots, slot s holding row s % m, and the slots outnumber the rows so that
+    every bucket of a level has the same size. Returns (leaves, first, p,
+    levels): leaf i holds the rows leaves[i] of ``pts``; first[i] marks the
+    slots that hold each row's first occurrence in leaves.ravel(), so that
+    counting over first counts every row once; p[:, i] holds the leaf's
+    coordinates, one contiguous (leaf, slot) array per coordinate; and
+    levels[d] is the pair (lo, hi) of (coordinate, node) arrays that holds the
+    tight boxes of the 2**d buckets of level d, the leaves' last. Node i of a
+    level holds nodes 2i and 2i+1 of the next, so its box contains theirs.
     """
     m = pts.shape[0]
     depth = max(0, math.ceil(math.log2(m / leaf_size)))
-    leaves = np.resize(np.arange(m), 2**depth * -(-m // 2**depth))
+    slots = np.arange(2**depth * -(-m // 2**depth))
     # np.take on coordinate columns gives contiguous (coordinate, bucket,
     # point) arrays, whose per-bucket reductions are fast
     cols = np.ascontiguousarray(pts.T)
     levels = []
     for level in range(depth + 1):
-        leaves = leaves.reshape(2**level, -1)
-        p = np.take(cols, leaves, axis=1)
+        slots = slots.reshape(2**level, -1)
+        p = np.take(cols, slots, axis=1, mode="wrap")
         levels.append((p.min(axis=2), p.max(axis=2)))
         if level == depth:
             break
         widest = (levels[-1][1] - levels[-1][0]).argmax(axis=0)
         key = np.take_along_axis(p, widest[None, :, None], axis=0)[0]
-        half = np.argpartition(key, leaves.shape[1] // 2, axis=1)
-        leaves = np.take_along_axis(leaves, half, axis=1)
-    first = np.zeros(leaves.size, dtype=bool)
-    first[np.unique(leaves, return_index=True)[1]] = True
-    return leaves, first.reshape(leaves.shape), p, levels
+        half = np.argpartition(key, slots.shape[1] // 2, axis=1)
+        slots = np.take_along_axis(slots, half, axis=1)
+    # row r sits in slot r and, if it exists, in slot r + m; the later of the two is not first
+    pos = np.empty(slots.size, dtype=np.int64)
+    pos[slots.ravel()] = np.arange(slots.size)
+    first = np.bincount(np.maximum(pos[:-m], pos[m:]), minlength=slots.size) == 0
+    return slots % m, first.reshape(slots.shape), p, levels
 
 
 def box_gap2(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:

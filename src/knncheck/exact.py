@@ -139,6 +139,7 @@ def _csr(n: int, owner: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.nda
     return indptr, ids[np.argsort(owner, kind="stable")]
 
 
+@np.errstate(over="ignore")
 def k_nearest_set(g: GeometricGraph, v: int, k: int) -> set[int]:
     """All vertices u != v with at most k-1 vertices strictly nearer to v.
 
@@ -195,6 +196,7 @@ class NeighborhoodProfile:
     harness reuses it across many corrupted adjacencies).
     """
 
+    @np.errstate(over="ignore")
     def __init__(self, coords, k: int):
         coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
         if coords.ndim != 2 or coords.shape[1] < 1:

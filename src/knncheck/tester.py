@@ -6,9 +6,10 @@ has degree below k or some u in T passes the local witness check against
 some v in S. A graph that is a k-NN graph is never rejected, for any seed.
 
 Its cost is the number of distinct oracle reads of that sequential scan. The
-scan itself works on the graph's arrays one block of S at a time and charges
-the OracleSession, in bulk, for exactly the reads the sequential scan makes
-up to where it stops, so the session's QueryTally is the tester's cost.
+scan works on the graph's arrays a block of S at a time, blocks doubling from 8
+rows to 256, so a stop at S position r evaluates at most 2r + 8 rows. It
+charges the OracleSession, in bulk, for exactly the reads the sequential scan
+makes up to its stop, so the session's QueryTally is the tester's cost.
 
 Every block of S finds its witness candidates by the one query
 :func:`core.leaf_pairs` on a k-d leaf index (:func:`core.leaf_index`, leaves
@@ -54,7 +55,8 @@ KISSING_NUMBERS = (2, 6, 12, 24, 44, 78, 134, 240)
 
 _LN10 = math.log(10.0)
 
-# rows per vertex block in the pair scan
+# rows in vertex block 0 of the pair scan; each later block doubles, up to _SCAN_BLOCK
+_FIRST_BLOCK = 8
 _SCAN_BLOCK = 256
 
 # most points per leaf of the scan's index over T
@@ -175,6 +177,7 @@ def sample_sizes(n: int, cfg: TesterConfig) -> tuple[int, int, int]:
     return s_prime, t, cap
 
 
+@np.errstate(over="ignore")
 def run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
     """Run the tester once; deterministic in (graph, cfg, seed) including tallies.
 
@@ -240,10 +243,11 @@ def _scan(
     """First rejection event in S-major scan order, or None.
 
     Returns ("low-degree", v_index, None) or ("witness", v_index, t_index).
-    Each block of S is evaluated on the graph's arrays, vectorized over the
-    distinct T values U; this equals the literal nested loop because the
-    witness predicate for (v, u) depends only on u's value. Each block then
-    charges the session for the reads of the nested loop up to its stop.
+    Each block of S (_FIRST_BLOCK rows, then twice as many as the block
+    before, up to _SCAN_BLOCK) is evaluated on the graph's arrays, vectorized
+    over the distinct T values U; this equals the literal nested loop because
+    the witness predicate for (v, u) depends only on u's value. Each block
+    then charges the session for the reads of the nested loop up to its stop.
 
     A mask over the vertices marks T once per run; U is its set positions,
     ascending. U goes into a leaf index once, before the first block. A leaf
@@ -259,8 +263,9 @@ def _scan(
     in_t[t_draws] = True
     u_vals = np.flatnonzero(in_t)
     leaves, first, p, levels = leaf_index(g.coords[u_vals], _LEAF_SIZE)
-    for lo in range(0, limit, _SCAN_BLOCK):
-        block = s_vertices[lo : min(limit, lo + _SCAN_BLOCK)]
+    lo, size = 0, _FIRST_BLOCK
+    while lo < limit:
+        block = s_vertices[lo : min(limit, lo + size)]
         degs = s_degs[lo : lo + block.size]
         nbrs = g.indices[concat_ranges(g.indptr[block], g.indptr[block + 1])]
         owner = np.repeat(np.arange(block.size), degs)
@@ -293,8 +298,8 @@ def _scan(
             event = ("witness", lo + r, t_idx)
         reads = (np.arange(block.size) < scanned) & ((block != u_vals[0]) | (u_vals.size > 1))
         # the first v that reads anything reads T, up to the witness if it is the
-        # stop; only when T has one distinct value can that v follow S position 0.
-        # All of T marks the same coordinates as U, which has at most n values
+        # stop. It is S position 0, or 1 when T has one distinct value, so block 0
+        # must hold 2 rows or more. All of T marks the coordinates of U (n at most)
         t_read = t_draws[:0]
         if lo == 0 and reads.any():
             t_read = t_draws[: t_idx + 1] if event is not None and scanned == 1 else u_vals
@@ -302,6 +307,7 @@ def _scan(
         session.coords_many(np.concatenate((block[reads], nbrs[reads[owner]], t_read)))
         if event is not None:
             return event
+        lo, size = lo + size, min(2 * size, _SCAN_BLOCK)
 
     if low.size:
         return ("low-degree", limit, None)

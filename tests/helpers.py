@@ -278,6 +278,33 @@ def overflow_points(rng: np.random.Generator, m: int, delta: int, jitter: bool) 
     return pts * (1 - rng.random(pts.shape) / 1000) if jitter else pts
 
 
+def reference_leaf_index(pts: np.ndarray, leaf_size: int):
+    """``core.leaf_index`` as it permuted row ids and marked first slots by a sort.
+
+    The splits permute the ids themselves, and first marks the index that
+    ``np.unique(..., return_index=True)`` gives for each id: its first slot in
+    leaves.ravel(). ``core.leaf_index`` must return the same four values.
+    """
+    m = pts.shape[0]
+    depth = max(0, math.ceil(math.log2(m / leaf_size)))
+    leaves = np.resize(np.arange(m), 2**depth * -(-m // 2**depth))
+    cols = np.ascontiguousarray(pts.T)
+    levels = []
+    for level in range(depth + 1):
+        leaves = leaves.reshape(2**level, -1)
+        p = np.take(cols, leaves, axis=1)
+        levels.append((p.min(axis=2), p.max(axis=2)))
+        if level == depth:
+            break
+        widest = (levels[-1][1] - levels[-1][0]).argmax(axis=0)
+        key = np.take_along_axis(p, widest[None, :, None], axis=0)[0]
+        half = np.argpartition(key, leaves.shape[1] // 2, axis=1)
+        leaves = np.take_along_axis(leaves, half, axis=1)
+    first = np.zeros(leaves.size, dtype=bool)
+    first[np.unique(leaves, return_index=True)[1]] = True
+    return leaves, first.reshape(leaves.shape), p, levels
+
+
 def reference_leaf_pairs(lo, hi, r, leaf_lo, leaf_hi) -> tuple[np.ndarray, np.ndarray]:
     """The flat rows x leaves bound pass that ``core.leaf_pairs`` must equal.
 

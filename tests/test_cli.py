@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import overflow_points
 from knncheck.cli import main
 from knncheck.exact import build_exact_knn_graph
 from knncheck.generators import line_gadget
@@ -183,6 +184,21 @@ class TestCommands:
             assert code == 0
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_overflowing_coordinates_print_no_warning(self, capsys, tmp_path):
+        # squared distances that overflow are inf by design; numpy must not warn about it
+        pts = overflow_points(np.random.default_rng(0), 300, 3, False)
+        points, graph = tmp_path / "points.csv", tmp_path / "out.knng"
+        points.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in pts))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            built = _run(capsys, ["build-knn", str(points), "--k", "5", "-o", str(graph)])
+            tested = _run(capsys, ["test", str(graph), "--k", "5", "--epsilon", "0.5", "--json"])
+            measured = _run(capsys, ["distance", str(graph), "--k", "5"])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert built[0] == 0 and np.array_equal(read_knng(graph).coords, pts)
+        assert tested[0] == 0 and json.loads(tested[1])["decision"] == "accept"
+        assert measured[0] == 0 and json.loads(measured[1])["min_edits"] == 0
 
     def test_generate_d1_d2(self, capsys, tmp_path):
         p1 = tmp_path / "d1.knng"

@@ -13,6 +13,7 @@ from helpers import (
     csr_from_rows,
     first_adjacency_error,
     graph_from_rows,
+    reference_leaf_index,
     reference_leaf_pairs,
 )
 from knncheck.core import (
@@ -157,6 +158,26 @@ def _assert_leaf_pairs_equal_flat_pass(pts, leaf_size, lo, hi, r):
         got = leaf_pairs(lo, hi, r, levels)
         want = reference_leaf_pairs(lo, hi, r, *levels[-1])
     assert len(got) == 2 and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestLeafIndex:
+    """core.leaf_index against the id-permuting, sort-marking index of tests/helpers."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "coincident", "lattice", "overflow"])
+    @pytest.mark.parametrize("delta", [1, 2, 8])
+    def test_equals_reference(self, kind, delta):
+        rng = np.random.default_rng(delta)
+        cases = list(_LEAF_COUNTS) + [(m, leaf_size) for _, leaf_size in _LEAF_COUNTS
+                                      for m in (1, leaf_size, leaf_size + 1)]
+        for m, leaf_size in cases:
+            pts = _point_set(kind, m, delta, rng)
+            with np.errstate(over="ignore"):
+                got, want = leaf_index(pts, leaf_size), reference_leaf_index(pts, leaf_size)
+            for a, b in zip(got[:3], want[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (m, leaf_size)
+            assert len(got[3]) == len(want[3])
+            for a, b in zip(got[3], want[3]):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b)), (m, leaf_size)
 
 
 class TestLeafPairs:

@@ -343,10 +343,9 @@ class TestNaiveEquivalence:
         seq_s, _ = split_seed(cfg.seed, 2)
         return sample_without_replacement(n, sample_sizes(n, cfg)[0], rng_from(seq_s))
 
-    @pytest.mark.parametrize("reason", ["witness", "low-degree", None])
-    @pytest.mark.parametrize("position", [0, 7, _SCAN_BLOCK + 44])
-    def test_event_at_scan_position(self, reason, position):
-        n, k = 400, 2
+    def _event_at(self, n, position, reason):
+        """(graph, cfg, v): an exact k=2 graph whose v at S position ``position`` has the event."""
+        k = 2
         g = build_exact_knn_graph(np.random.default_rng(position).random((n, 2)), k)
         cfg = TesterConfig(k=k, epsilon=0.5, delta=2, mode="experiment", c1=2.0, c2=0.2,
                            seed=position)
@@ -356,12 +355,34 @@ class TestNaiveEquivalence:
             adjacency[v] = np.argsort(((g.coords - g.coords[v]) ** 2).sum(axis=1))[-k:]
         elif reason == "low-degree":
             adjacency[v] = adjacency[v][: k - 1]
-        g = graph_from_rows(g.coords, tuple(adjacency))
+        return graph_from_rows(g.coords, tuple(adjacency)), cfg, v
+
+    @pytest.mark.parametrize("reason", ["witness", "low-degree", None])
+    # 0, 7, _SCAN_BLOCK + 44, and the first and last rows of the growing blocks
+    @pytest.mark.parametrize("position", [0, 7, _SCAN_BLOCK + 44, 8, 23, 24, 55, 56, 119, 120, 247, 248, 503])
+    def test_event_at_scan_position(self, reason, position):
+        n = 400 if position < 400 else 600
+        g, cfg, v = self._event_at(n, position, reason)
         verdict = self._compare(g, cfg)
         if reason is None:
             assert verdict.decision == "accept" and verdict.s_size == n
         else:
             assert verdict.evidence.reason == reason and verdict.evidence.vertex == v
+
+    @pytest.mark.parametrize("position,most", [(3, 8), (30, 68)])
+    def test_scan_evaluates_rows_up_to_about_twice_its_stop(self, monkeypatch, position, most):
+        g, cfg, v = self._event_at(400, position, "witness")
+        rows = []
+        query = tester.leaf_pairs
+
+        def query_spy(lo, hi, r, levels):
+            rows.append(r.size)
+            return query(lo, hi, r, levels)
+
+        monkeypatch.setattr(tester, "leaf_pairs", query_spy)
+        verdict = self._compare(g, cfg)
+        assert verdict.evidence.reason == "witness" and verdict.evidence.vertex == v
+        assert sum(rows) <= most
 
     @pytest.mark.parametrize("seed", range(3))
     def test_degree_cap_filters_s(self, seed):
@@ -413,6 +434,23 @@ class TestNaiveEquivalence:
         assert verdict.evidence == Evidence(v, None, "low-degree")
         # S position 0 reads nothing, so T's coordinate is never read
         assert verdict.queries == QueryTally(neighbor=0, degree=n, coord=0)
+
+    def test_t_equal_to_first_of_s_before_witness_vertex(self):
+        # S position 0 reads nothing, so position 1 is the first to read T, and
+        # block 0 must hold both for T's one coordinate to be charged
+        n = 6
+        g = build_exact_knn_graph(np.arange(float(n))[:, None], 1)
+        for seed in range(200):
+            cfg = TesterConfig(k=1, epsilon=0.5, delta=1, mode="experiment", c1=5.0, c2=0.01, seed=seed)
+            u, v = (int(x) for x in self._s_prime(n, cfg)[:2])
+            far = 0 if 2 * v >= n - 1 else n - 1
+            if self._t(n, cfg).tolist() == [u] and u != far:
+                break
+        adjacency = rows_of(g)
+        adjacency[v] = np.array([far])  # u is strictly nearer to v than its one neighbor
+        verdict = self._compare(graph_from_rows(g.coords, adjacency), cfg)
+        assert verdict.evidence == Evidence(v, u, "witness")
+        assert verdict.queries == QueryTally(neighbor=1, degree=n, coord=3)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_on_lattices_with_ties(self, seed):
