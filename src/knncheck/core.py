@@ -114,10 +114,10 @@ def leaf_index(pts: np.ndarray, leaf_size: int):
         levels.append((p.min(axis=2), p.max(axis=2)))
         if level == depth:
             break
+        nodes, width = np.arange(2**level), slots.shape[1]
         widest = (levels[-1][1] - levels[-1][0]).argmax(axis=0)
-        key = np.take_along_axis(p, widest[None, :, None], axis=0)[0]
-        half = np.argpartition(key, slots.shape[1] // 2, axis=1)
-        slots = np.take_along_axis(slots, half, axis=1)
+        half = np.argpartition(p[widest, nodes], width // 2, axis=1)
+        slots = slots.ravel()[half + nodes[:, None] * width]
     # row r sits in slot r and, if it exists, in slot r + m; the later of the two is not first
     pos = np.empty(slots.size, dtype=np.int64)
     pos[slots.ravel()] = np.arange(slots.size)

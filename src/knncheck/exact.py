@@ -16,7 +16,8 @@ margin. Candidates are ranked with the same distance arithmetic
 and tie-breaking equal those of a brute-force pass bit for bit. A unit of at
 most k points bounds nothing, so its rows take every leaf.
 :func:`k_nearest_set` selects one row against all points with the same
-:func:`_select`.
+:func:`_select`. A report counts hits by comparing its edges' squared
+distances over the profile's points, overflow to inf ignored, with ``kth``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import EdgeBudget, GeometricGraph, dist2_block, leaf_index, leaf_pairs
+from .core import EdgeBudget, GeometricGraph, dist2_block, leaf_index, leaf_pairs, sum_squares
 
 __all__ = [
     "WitnessSet",
@@ -228,13 +229,18 @@ class NeighborhoodProfile:
         """The exact k-NN graph: k out-neighbors per vertex by (squared distance, id)."""
         return GeometricGraph(self.coords, np.arange(self.n + 1) * self.k, self.knn.ravel(), self.k)
 
+    @np.errstate(over="ignore")
     def report(self, g: GeometricGraph, budget: EdgeBudget | None = None) -> DistanceReport:
         """Minimum insertions and incomplete vertices of ``g`` against this profile.
 
         Per vertex, the ids strictly inside the k-th distance are mandatory;
         ties at the k-th distance fill the remaining slots preferring existing
         neighbors. A vertex is incomplete when its degree is below k or some id
-        inside or at the k-th distance is not a neighbor.
+        inside or at the k-th distance is not a neighbor. Edge (v, u) hits inside
+        (at) it when its squared distance over the profile's points, in the
+        kernel's arithmetic (v - u, :func:`core.sum_squares`, overflow to inf
+        ignored), is below (equal to) ``kth[v]``; valid rows hold no repeat or
+        self-loop. Only ``g``'s adjacency is read.
         """
         if g.n != self.n:
             raise ValueError("graph does not match the profiled point set")
@@ -242,11 +248,14 @@ class NeighborhoodProfile:
             budget = EdgeBudget.computed(g)
         n, k = self.n, self.k
         degrees = g.degrees
-        edges = np.sort(np.repeat(np.arange(n), degrees) * n + g.indices)
-        inside = np.diff(self.inside_indptr)
-        at = np.diff(self.at_indptr)
-        inside_hits = _edge_hits(edges, inside, self.inside_indices)
-        at_hits = _edge_hits(edges, at, self.at_indices)
+        owner = np.repeat(np.arange(n), degrees)
+        # v - u over the edges, one contiguous coordinate column at a time
+        d2 = sum_squares(np.subtract(np.repeat(c, degrees), u := c[g.indices], out=u)
+                         for c in np.ascontiguousarray(self.coords.T))
+        kth = np.repeat(self.kth, degrees)
+        inside_hits = np.bincount(owner[d2 < kth], minlength=n)
+        at_hits = np.bincount(owner[d2 == kth], minlength=n)
+        inside, at = np.diff(self.inside_indptr), np.diff(self.at_indptr)
         edits = (inside - inside_hits) + np.maximum(0, k - inside - at_hits)
         incomplete = (degrees < k) | (inside + at > inside_hits + at_hits)
         min_edits = int(edits.sum())
@@ -255,20 +264,6 @@ class NeighborhoodProfile:
             epsilon_distance=min_edits / (budget.d * n),
             incomplete_count=int(np.count_nonzero(incomplete)),
         )
-
-
-def _edge_hits(edges: np.ndarray, counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Per vertex v, how many of its ``ids`` (CSR with ``counts``) are out-neighbors of v.
-
-    ``edges`` holds the sorted keys v*n + u of the graph's edges.
-    """
-    n = counts.size
-    owner = np.repeat(np.arange(n), counts)
-    keys = owner * n + ids
-    if edges.size == 0:
-        return np.zeros(n, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(edges, keys), edges.size - 1)
-    return np.bincount(owner[edges[pos] == keys], minlength=n)
 
 
 def epsilon_distance(g: GeometricGraph, k: int, budget: EdgeBudget | None = None) -> DistanceReport:

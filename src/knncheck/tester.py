@@ -74,7 +74,7 @@ def kissing_number(delta: int) -> int:
         raise ValueError("dimension must be at least 1")
     if delta <= len(KISSING_NUMBERS):
         return KISSING_NUMBERS[delta - 1]
-    return math.ceil(2.0 ** (0.401 * delta * 1.2))
+    return math.ceil(math.pow(2.0, 0.401 * delta * 1.2))
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,11 @@ def _scan(
             r = int(witnessed[0])
             scanned = r + 1
             pairs = slice(*np.searchsorted(row, [r, r + 1]))
-            found = np.setdiff1d(u_vals[leaves[leaf[pairs]][inside[pairs]]], ids[guarded & (rows == r)])
-            t_idx = int(np.flatnonzero(np.isin(t_draws, found))[0])
+            # row r's witnesses: its inside values, less its guarded ids; the first draw of one
+            found = np.zeros(g.n, dtype=bool)
+            found[u_vals[leaves[leaf[pairs]][inside[pairs]]]] = True
+            found[ids[guarded & (rows == r)]] = False
+            t_idx = int(np.argmax(found[t_draws]))
             event = ("witness", lo + r, t_idx)
         reads = (np.arange(block.size) < scanned) & ((block != u_vals[0]) | (u_vals.size > 1))
         # the first v that reads anything reads T, up to the witness if it is the

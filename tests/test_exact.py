@@ -16,7 +16,7 @@ from helpers import (
     rows_of,
 )
 from knncheck import exact
-from knncheck.core import EdgeBudget
+from knncheck.core import EdgeBudget, GeometricGraph
 from knncheck.exact import (
     NeighborhoodProfile,
     build_exact_knn_graph,
@@ -269,8 +269,26 @@ def _csr_sets(indptr, indices):
     return [frozenset(indices[indptr[v] : indptr[v + 1]].tolist()) for v in range(indptr.size - 1)]
 
 
+def _ragged_graph(ref, seed):
+    """Degrees k - 1, k and 2k in turn (at most n - 1) with row 0 empty, drawn per vertex
+    from its ids inside and at the k-th distance and 2k other vertices."""
+    rng = np.random.default_rng(seed)
+    n, k = ref.n, ref.k
+    rows = [np.empty(0, dtype=np.int64)]
+    for v in range(1, n):
+        others = rng.choice(np.delete(np.arange(n), v), min(2 * k, n - 1), replace=False)
+        pool = np.union1d(sorted(ref.inside[v] | ref.at[v]), others)
+        rows.append(rng.choice(pool, min(pool.size, (k - 1, k, 2 * k)[v % 3]), replace=False))
+    return graph_from_rows(ref.coords, rows)
+
+
 def _assert_matches_brute_force(points, k, graphs=()):
-    """The indexed kernel equals the O(n^2) reference on every vertex and report."""
+    """The indexed kernel equals the O(n^2) reference on every vertex and report.
+
+    The reports cover the exact graph, ``graphs``, a corrupted copy, a ragged
+    graph, and the exact adjacency over a shuffled point set of the same n,
+    whose distances the profile must not read.
+    """
     p = NeighborhoodProfile(points, k)
     ref = BruteForceProfile(points, k)
     assert _csr_sets(p.inside_indptr, p.inside_indices) == ref.inside
@@ -282,7 +300,8 @@ def _assert_matches_brute_force(points, k, graphs=()):
     assert built.equals(ref.graph()) and built.k_hint == k
     assert max_shared_knn(points, k) == ref.max_shared()
     base = ref.graph()
-    checked = [base, *graphs]
+    shuffled = np.random.default_rng(k).permutation(ref.coords)
+    checked = [base, *graphs, _ragged_graph(ref, k), GeometricGraph(shuffled, base.indptr, base.indices)]
     if p.n > k + 1:  # a complete digraph has no slot to corrupt
         checked.append(corrupt_edges(base, 0.3, 1))
     for g in checked:

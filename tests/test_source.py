@@ -41,10 +41,11 @@ def test_every_exported_name_resolves():
 
 
 def _names_used(tree):
-    """Every imported name, attribute and bare name in a module's syntax tree."""
+    """Every part of an imported name or module, attribute and bare name in a module's syntax tree."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield from (alias.name for alias in node.names)
+            dotted = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            yield from (part for name in dotted for part in name.split("."))
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.Name):
@@ -57,3 +58,15 @@ def test_leaf_matching_goes_through_the_one_query():
     for name in ("tester.py", "exact.py"):
         used = set(_names_used(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))))
         assert "leaf_pairs" in used and "box_gap2" not in used, name
+
+
+def test_distances_go_through_core():
+    # the exact report counts hits by comparing its edge distances with the
+    # kernel's k-th distances, and the scan re-checks its candidates against
+    # r_k, so both must square and sum only through core's arithmetic
+    banned = {"square", "power", "einsum", "dot", "vdot", "inner", "matmul", "linalg", "hypot"}
+    for name in ("tester.py", "exact.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        ops = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.AugAssign))
+               and isinstance(node.op, (ast.Pow, ast.MatMult))]
+        assert ops == [] and banned.isdisjoint(_names_used(tree)), name
