@@ -325,7 +325,9 @@ class OracleSession:
     """Query-counting bulk access to a graph: degree, neighbor-row and coordinate reads.
 
     Repeat reads are memoized and free: each degree, neighbor slot and
-    coordinate is charged at most once per session. The graph itself is
+    coordinate is charged at most once per session. Neighbor rows and
+    coordinates are charged only (``charge_neighbor_rows``, ``charge_coords``):
+    the tester's scan reads them from the graph's arrays itself. The graph is
     shared and immutable; each session is owned by one logical task.
     """
 
@@ -356,10 +358,9 @@ class OracleSession:
         self.degrees(vs)
         self._slot_seen[concat_ranges(self.graph.indptr[vs], self.graph.indptr[vs + 1])] = True
 
-    def coords_many(self, vs) -> np.ndarray:
-        vs = self._check_vertices(vs)
-        self._coord_seen[vs] = True
-        return self.graph.coords[vs]
+    def charge_coords(self, vs) -> None:
+        """Charge the coordinate read of every v in vs; the caller reads ``graph.coords`` itself."""
+        self._coord_seen[self._check_vertices(vs)] = True
 
     def _check_vertices(self, vs) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64)

@@ -6,10 +6,11 @@ has degree below k or some u in T passes the local witness check against
 some v in S. A graph that is a k-NN graph is never rejected, for any seed.
 
 Its cost is the number of distinct oracle reads of that sequential scan. The
-scan works on the graph's arrays a block of S at a time, blocks doubling from 8
-rows to 256, so a stop at S position r evaluates at most 2r + 8 rows. It
-charges the OracleSession, in bulk, for exactly the reads the sequential scan
-makes up to its stop, so the session's QueryTally is the tester's cost.
+scan works on the graph's arrays a block of S at a time: 8 rows, then at most
+the rows before plus 8 (a stop at S position r evaluates at most 2r + 8 rows)
+and at most a float budget's worth of candidate gathers. It charges the
+OracleSession, in bulk, for exactly the reads the sequential scan makes up to
+its stop, so the session's QueryTally is the tester's cost.
 
 Every block of S finds its witness candidates by the one query
 :func:`core.leaf_pairs` on a k-d leaf index (:func:`core.leaf_index`, leaves
@@ -55,9 +56,10 @@ KISSING_NUMBERS = (2, 6, 12, 24, 44, 78, 134, 240)
 
 _LN10 = math.log(10.0)
 
-# rows in vertex block 0 of the pair scan; each later block doubles, up to _SCAN_BLOCK
+# rows in vertex block 0 of the pair scan, and the most floats a later block
+# gathers per coordinate (1 MB); _PAIR_FLOATS // _LEAF_SIZE rows at most
 _FIRST_BLOCK = 8
-_SCAN_BLOCK = 256
+_PAIR_FLOATS = 1 << 17
 
 # most points per leaf of the scan's index over T
 _LEAF_SIZE = 64
@@ -243,11 +245,16 @@ def _scan(
     """First rejection event in S-major scan order, or None.
 
     Returns ("low-degree", v_index, None) or ("witness", v_index, t_index).
-    Each block of S (_FIRST_BLOCK rows, then twice as many as the block
-    before, up to _SCAN_BLOCK) is evaluated on the graph's arrays, vectorized
-    over the distinct T values U; this equals the literal nested loop because
-    the witness predicate for (v, u) depends only on u's value. Each block
-    then charges the session for the reads of the nested loop up to its stop.
+    Each block of S is evaluated on the graph's arrays, vectorized over the
+    distinct T values U; this equals the literal nested loop because the
+    witness predicate for (v, u) depends only on u's value. Each block then
+    charges the session for the reads of the nested loop up to its stop.
+
+    Block 0 holds _FIRST_BLOCK rows; a later block at most the rows before it
+    plus _FIRST_BLOCK, so a stop at S position r evaluates at most 2r + 8 rows,
+    and at most _PAIR_FLOATS // max(_LEAF_SIZE, f) rows, f being the floats per
+    coordinate per row the block before gathered (S is in random order). The
+    floor caps blocks at 2048 rows, within the r_k sort's int16 row keys.
 
     A mask over the vertices marks T once per run; U is its set positions,
     ascending. U goes into a leaf index once, before the first block. A leaf
@@ -307,10 +314,11 @@ def _scan(
         if lo == 0 and reads.any():
             t_read = t_draws[: t_idx + 1] if event is not None and scanned == 1 else u_vals
         session.charge_neighbor_rows(block[reads])
-        session.coords_many(np.concatenate((block[reads], nbrs[reads[owner]], t_read)))
+        session.charge_coords(np.concatenate((block[reads], nbrs[reads[owner]], t_read)))
         if event is not None:
             return event
-        lo, size = lo + size, min(2 * size, _SCAN_BLOCK)
+        lo += block.size
+        size = min(lo + _FIRST_BLOCK, int(_PAIR_FLOATS // max(_LEAF_SIZE, d2.size / block.size)))
 
     if low.size:
         return ("low-degree", limit, None)

@@ -6,6 +6,7 @@ import pkgutil
 from pathlib import Path
 
 import knncheck
+from knncheck import tester
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "knncheck"
 
@@ -70,3 +71,9 @@ def test_distances_go_through_core():
         ops = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.AugAssign))
                and isinstance(node.op, (ast.Pow, ast.MatMult))]
         assert ops == [] and banned.isdisjoint(_names_used(tree)), name
+
+
+def test_scan_blocks_fit_int16_row_keys():
+    # the scan sorts each block's neighbor distances by int16 row keys, and a
+    # block holds at most _PAIR_FLOATS // _LEAF_SIZE rows
+    assert tester._PAIR_FLOATS // tester._LEAF_SIZE <= 2**15

@@ -25,7 +25,6 @@ from knncheck.generators import corrupt_edges, line_gadget, sample_d2, tight_wit
 from knncheck import tester
 from knncheck.sampling import rng_from, sample_without_replacement, split_seed
 from knncheck.tester import (
-    _SCAN_BLOCK,
     KISSING_NUMBERS,
     Evidence,
     TesterConfig,
@@ -266,6 +265,20 @@ class TestRunTester:
             assert v.queries.total <= s_prime + v.s_size * (cap + 2) + t
 
 
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Rows of each block of S that the scan evaluates, in order, as its leaf_pairs calls see them."""
+    rows = []
+    query = tester.leaf_pairs
+
+    def query_spy(lo, hi, r, levels):
+        rows.append(r.size)
+        return query(lo, hi, r, levels)
+
+    monkeypatch.setattr(tester, "leaf_pairs", query_spy)
+    return rows
+
+
 class TestNaiveEquivalence:
     """run_tester must match the literal nested-loop tester exactly."""
 
@@ -358,10 +371,14 @@ class TestNaiveEquivalence:
         return graph_from_rows(g.coords, tuple(adjacency)), cfg, v
 
     @pytest.mark.parametrize("reason", ["witness", "low-degree", None])
-    # 0, 7, _SCAN_BLOCK + 44, and the first and last rows of the growing blocks
-    @pytest.mark.parametrize("position", [0, 7, _SCAN_BLOCK + 44, 8, 23, 24, 55, 56, 119, 120, 247, 248, 503])
+    # 0, 7, 300, and the boundaries of the blocks, which double while they hold
+    # few pairs: rows 0-7, 8-23, 24-55, 56-119, 120-247, 248-503, 504-1015, 1016-
+    @pytest.mark.parametrize(
+        "position", [0, 7, 300, 8, 23, 24, 55, 56, 119, 120, 247, 248, 503, 504, 1015, 1016]
+    )
     def test_event_at_scan_position(self, reason, position):
-        n = 400 if position < 400 else 600
+        # S' is all of n up to n = 1024
+        n = 400 if position < 400 else 600 if position < 600 else 1024
         g, cfg, v = self._event_at(n, position, reason)
         verdict = self._compare(g, cfg)
         if reason is None:
@@ -370,19 +387,11 @@ class TestNaiveEquivalence:
             assert verdict.evidence.reason == reason and verdict.evidence.vertex == v
 
     @pytest.mark.parametrize("position,most", [(3, 8), (30, 68)])
-    def test_scan_evaluates_rows_up_to_about_twice_its_stop(self, monkeypatch, position, most):
+    def test_scan_evaluates_rows_up_to_about_twice_its_stop(self, block_rows, position, most):
         g, cfg, v = self._event_at(400, position, "witness")
-        rows = []
-        query = tester.leaf_pairs
-
-        def query_spy(lo, hi, r, levels):
-            rows.append(r.size)
-            return query(lo, hi, r, levels)
-
-        monkeypatch.setattr(tester, "leaf_pairs", query_spy)
         verdict = self._compare(g, cfg)
         assert verdict.evidence.reason == "witness" and verdict.evidence.vertex == v
-        assert sum(rows) <= most
+        assert sum(block_rows) <= most
 
     @pytest.mark.parametrize("seed", range(3))
     def test_degree_cap_filters_s(self, seed):
@@ -476,7 +485,7 @@ class TestNaiveEquivalence:
                             c2=t / (k * math.log(10) * math.sqrt(n)))
 
     @pytest.mark.parametrize("delta", [1, 2, 3])
-    def test_indexed_scan_on_lattices_with_coincident_points(self, delta):
+    def test_indexed_scan_on_lattices_with_coincident_points(self, block_rows, delta):
         # integer lattice sites, half of them doubled: many distances equal r_k
         # exactly and many points lie on the faces of the leaf boxes
         rng = np.random.default_rng(700 + delta)
@@ -484,15 +493,16 @@ class TestNaiveEquivalence:
         pts = np.concatenate((sites, sites[:1000])).astype(np.float64)
         k = 1 + delta % 2
         g = build_exact_knn_graph(pts, k)
-        verdict = self._compare(g, self._sized(g.n, k, delta, 2 * _SCAN_BLOCK + 8, 300, delta))
-        assert verdict.decision == "accept" and verdict.s_size > 2 * _SCAN_BLOCK
+        verdict = self._compare(g, self._sized(g.n, k, delta, 520, 300, delta))
+        assert verdict.decision == "accept" and verdict.s_size > 512
+        assert len(block_rows) >= 3
 
     def test_witness_in_last_leaf_at_known_scan_position(self):
-        # v at S position 517 (block 2) coincides with its only witness w, a T
+        # v at S position 517 (block 6) coincides with its only witness w, a T
         # value beyond every other point in every coordinate, so w lies in the
         # last leaf and on its upper faces. v's neighbor sits one ulp below w
         # in each coordinate, so r_k is two squared ulps.
-        n, k, position = 3000, 1, 2 * _SCAN_BLOCK + 5
+        n, k, position = 3000, 1, 517
         cfg = self._sized(n, k, 2, position + 20, 300, 11)
         v = int(self._s_prime(n, cfg)[position])
         w, nbr = (int(u) for u in np.setdiff1d(self._t(n, cfg), [v])[:2])
@@ -505,12 +515,13 @@ class TestNaiveEquivalence:
         verdict = self._compare(graph_from_rows(g.coords, tuple(adjacency)), cfg)
         assert verdict.evidence == Evidence(v, w, "witness")
 
-    def test_scan_in_eight_dimensions(self):
+    def test_scan_in_eight_dimensions(self, block_rows):
         # leaf boxes in 8 dimensions prune little, so most pairs are re-checked
         rng = np.random.default_rng(800)
         g = build_exact_knn_graph(rng.random((1000, 8)), 2)
-        verdict = self._compare(g, self._sized(g.n, 2, 8, 2 * _SCAN_BLOCK + 8, 300, 8))
+        verdict = self._compare(g, self._sized(g.n, 2, 8, 520, 300, 8))
         assert verdict.decision == "accept"
+        assert len(block_rows) >= 3
 
     # the inputs below stop in block 0, which goes through the index as well
 
@@ -529,7 +540,7 @@ class TestNaiveEquivalence:
         cfg = next(
             cfg
             for seed in range(1000)
-            for cfg in [self._sized(n, k, 2, 2 * _SCAN_BLOCK, 300, seed)]
+            for cfg in [self._sized(n, k, 2, 512, 300, seed)]
             if self._s_prime(n, cfg)[0] in self._t(n, cfg) and self._s_prime(n, cfg)[0] < 1000
         )
         first = int(self._s_prime(n, cfg)[0])
@@ -546,8 +557,8 @@ class TestNaiveEquivalence:
         n, k = 3000, 3
         g = corrupt_edges(build_exact_knn_graph(np.random.default_rng(901).random((n, 2)), k),
                           0.5, 901)
-        cfg = self._sized(n, k, 2, 2 * _SCAN_BLOCK, 600, 901)
-        rows = self._s_prime(n, cfg)[:_SCAN_BLOCK]
+        cfg = self._sized(n, k, 2, 512, 600, 901)
+        rows = self._s_prime(n, cfg)[:256]
         rk = np.array([np.sort(dist2_row(g.coords[v], g.coords[g.neighbors(v)]))[k - 1]
                        for v in rows])
         levels = leaf_index(g.coords[np.unique(self._t(n, cfg))], tester._LEAF_SIZE)[3]
@@ -565,3 +576,47 @@ class TestNaiveEquivalence:
             cfg = self._sized(n, k, 2, n, t, seed)
             assert 1 <= np.unique(self._t(n, cfg)).size <= t + 1 < tester._LEAF_SIZE
             self._compare(g, cfg)
+
+    # the inputs below bound the blocks themselves: each holds at most the rows
+    # before it plus 8, and at most _PAIR_FLOATS // max(_LEAF_SIZE, f) rows, f
+    # being the floats per coordinate per row that the block before gathered
+
+    def test_blocks_hold_at_most_the_rows_before_them_plus_eight(self, block_rows):
+        n, k = 6200, 2
+        g = build_exact_knn_graph(np.random.default_rng(903).random((n, 2)), k)
+        verdict = self._compare(g, self._sized(n, k, 2, n, 5, 903))
+        assert verdict.decision == "accept" and verdict.s_size >= 6000
+        assert sum(block_rows) == verdict.s_size
+        before = np.cumsum([0] + block_rows[:-1])
+        assert all(rows <= lo + 8 for rows, lo in zip(block_rows, before))
+        assert max(block_rows) <= tester._PAIR_FLOATS // tester._LEAF_SIZE
+
+    def test_blocks_without_pairs_stop_at_the_cap(self, block_rows):
+        # distinct lattice sites, each doubled: with k=1 every row holds the
+        # site's twin, so every r_k is 0, no row has a (row, leaf) pair and
+        # only the _LEAF_SIZE floor bounds the next block
+        sites = np.stack(np.meshgrid(np.arange(62), np.arange(50)), axis=-1).reshape(-1, 2)
+        g = build_exact_knn_graph(np.concatenate((sites, sites)).astype(np.float64), 1)
+        assert np.array_equal(g.indices, (np.arange(g.n) + g.n // 2) % g.n)
+        verdict = self._compare(g, self._sized(g.n, 1, 2, g.n, 5, 904))
+        assert verdict.decision == "accept" and verdict.s_size > 4096
+        cap = tester._PAIR_FLOATS // tester._LEAF_SIZE
+        before = np.cumsum([0] + block_rows[:-1])
+        assert max(block_rows) == cap
+        assert any(rows == cap < lo + 8 for rows, lo in zip(block_rows, before))
+
+    def test_blocks_in_eight_dimensions_stay_under_256_rows(self, block_rows):
+        # heavy-tailed points in 8 dimensions, about 1000 distinct T values in
+        # 16 leaves of up to 64: each row pairs with more than half of them, so
+        # the block at S position 248, which holds the witness, gets fewer
+        # than 256 rows; the rows before it double from 8
+        n, k, position = 3000, 1, 248
+        cfg = self._sized(n, k, 8, 520, 1250, 905)
+        g = build_exact_knn_graph(np.random.default_rng(905).standard_cauchy((n, 8)), k)
+        v = int(self._s_prime(n, cfg)[position])
+        adjacency = rows_of(g)
+        adjacency[v] = np.argsort(((g.coords - g.coords[v]) ** 2).sum(axis=1))[-k:]
+        verdict = self._compare(graph_from_rows(g.coords, tuple(adjacency)), cfg)
+        assert verdict.evidence.reason == "witness" and verdict.evidence.vertex == v
+        assert verdict.s_size > 504 and block_rows[:5] == [8, 16, 32, 64, 128]
+        assert len(block_rows) == 6 and block_rows[5] < 256
