@@ -8,9 +8,9 @@ some v in S. A graph that is a k-NN graph is never rejected, for any seed.
 Its cost is the number of distinct oracle reads of that sequential scan. The
 scan works on the graph's arrays a block of S at a time: 8 rows, then at most
 the rows before plus 8 (a stop at S position r evaluates at most 2r + 8 rows)
-and at most a float budget's worth of candidate gathers. It charges the
-OracleSession, in bulk, for exactly the reads the sequential scan makes up to
-its stop, so the session's QueryTally is the tester's cost.
+and at most a float budget's worth of candidate gathers (1 row at least). It
+charges the OracleSession, in bulk, for exactly the reads the sequential scan
+makes up to its stop, so the session's QueryTally is the tester's cost.
 
 Every block of S finds its witness candidates by the one query
 :func:`core.leaf_pairs` on a k-d leaf index (:func:`core.leaf_index`, leaves
@@ -253,8 +253,8 @@ def _scan(
     Block 0 holds _FIRST_BLOCK rows; a later block at most the rows before it
     plus _FIRST_BLOCK, so a stop at S position r evaluates at most 2r + 8 rows,
     and at most _PAIR_FLOATS // max(_LEAF_SIZE, f) rows, f being the floats per
-    coordinate per row the block before gathered (S is in random order). The
-    floor caps blocks at 2048 rows, within the r_k sort's int16 row keys.
+    coordinate per row the block before gathered (S is random), and 1 at least.
+    The floor caps blocks at 2048 rows, within the r_k sort's int16 row keys.
 
     A mask over the vertices marks T once per run; U is its set positions,
     ascending. U goes into a leaf index once, before the first block. A leaf
@@ -318,7 +318,7 @@ def _scan(
         if event is not None:
             return event
         lo += block.size
-        size = min(lo + _FIRST_BLOCK, int(_PAIR_FLOATS // max(_LEAF_SIZE, d2.size / block.size)))
+        size = min(lo + _FIRST_BLOCK, max(1, int(_PAIR_FLOATS // max(_LEAF_SIZE, d2.size / block.size))))
 
     if low.size:
         return ("low-degree", limit, None)

@@ -605,6 +605,20 @@ class TestNaiveEquivalence:
         assert max(block_rows) == cap
         assert any(rows == cap < lo + 8 for rows, lo in zip(block_rows, before))
 
+    @pytest.mark.parametrize("reason,rows", [(None, 400), ("witness", 301), ("low-degree", 300)])
+    def test_blocks_hold_a_row_when_the_budget_rounds_to_zero(self, block_rows, monkeypatch,
+                                                              reason, rows):
+        # a budget below one leaf rounds every later block's bound to 0 rows, as
+        # a |U| above 2^17 whose leaves mostly survive does; each block takes a row
+        monkeypatch.setattr(tester, "_PAIR_FLOATS", tester._LEAF_SIZE // 2)
+        g, cfg, v = self._event_at(400, 300, reason)
+        verdict = self._compare(g, cfg)
+        if reason is None:
+            assert verdict.decision == "accept" and verdict.s_size == 400
+        else:
+            assert verdict.evidence.reason == reason and verdict.evidence.vertex == v
+        assert block_rows == [8] + [1] * (rows - 8)
+
     def test_blocks_in_eight_dimensions_stay_under_256_rows(self, block_rows):
         # heavy-tailed points in 8 dimensions, about 1000 distinct T values in
         # 16 leaves of up to 64: each row pairs with more than half of them, so
