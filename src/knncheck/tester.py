@@ -17,7 +17,8 @@ Every block of S finds its witness candidates by the one query
 of at most 64 T values), built once per run over the distinct T values. Its
 box bounds only rule leaves out, and every candidate is re-checked with the
 same distance arithmetic (:func:`core.sum_squares`), so verdicts and tallies
-equal those of the sequential scan.
+equal those of the sequential scan. Its per-pair gathers are 1-d takes from
+coordinate-major columns, copied once per run; it has no layout option.
 """
 
 from __future__ import annotations
@@ -270,6 +271,7 @@ def _scan(
     in_t[t_draws] = True
     u_vals = np.flatnonzero(in_t)
     leaves, first, p, levels = leaf_index(g.coords[u_vals], _LEAF_SIZE)
+    cols = np.ascontiguousarray(g.coords.T)
     lo, size = 0, _FIRST_BLOCK
     while lo < limit:
         block = s_vertices[lo : min(limit, lo + size)]
@@ -277,15 +279,15 @@ def _scan(
         nbrs = g.indices[concat_ranges(g.indptr[block], g.indptr[block + 1])]
         owner = np.repeat(np.arange(block.size), degs)
         starts = np.cumsum(degs) - degs
-        q = g.coords[block]
-        nd = dist2_row(q[owner], g.coords[nbrs])
+        q = cols.take(block, axis=1)
+        nd = sum_squares(np.subtract(c.take(nbrs), qc.take(owner)) for c, qc in zip(cols, q))
         # sorted by distance, then stably by row; int16 row keys take numpy's radix sort
         o = np.argsort(nd)
         rk = nd[o[np.argsort(owner.astype(np.int16)[o], kind="stable")][starts + k - 1]]
         # (row, leaf) pairs that may hold a u strictly inside r_k: x < r_k iff x <= nextafter(r_k, -inf)
-        row, leaf = leaf_pairs(q.T, q.T, np.nextafter(rk, -np.inf), levels)
+        row, leaf = leaf_pairs(q, q, np.nextafter(rk, -np.inf), levels)
         # their u: one gather per coordinate, with the row's coordinate subtracted in place
-        d2 = sum_squares(np.subtract(d := p[j][leaf], q[row, j][:, None], out=d) for j in range(q.shape[1]))
+        d2 = sum_squares(np.subtract(d := p[j][leaf], q[j].take(row)[:, None], out=d) for j in range(len(q)))
         inside = (d2 < rk[row, None]) & first[leaf]
         hits = np.bincount(row, np.count_nonzero(inside, axis=1), block.size)
         # the guard requires u != v and u not in N(v); v's own distance is 0

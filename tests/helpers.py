@@ -163,8 +163,18 @@ def local_witness_check(oracle: ReferenceOracle, v: int, u: int, k: int) -> bool
     return u not in nbrs and du < rk
 
 
-def naive_run_tester(oracle: ReferenceOracle, cfg: TesterConfig) -> Verdict:
-    """Literal nested-loop tester over the same samples as run_tester."""
+def naive_run_tester(oracle: ReferenceOracle, cfg: TesterConfig, pair_check=None) -> Verdict:
+    """Literal nested-loop tester over the same samples as run_tester.
+
+    At v's first draw u != v, the loop reads v's degree, its row, its
+    coordinate and its neighbors' coordinates and computes r_k, once per v,
+    so a v whose every draw equals v reads only its degree. Each pair then
+    applies ``local_witness_check``'s predicate to them: u is not a neighbor
+    and is strictly inside r_k. It depends on u's value alone, so it is
+    evaluated once per distinct u of v. ``pair_check(oracle, v, u, k)``, when
+    given, is called once per pair in its place; the tests pass
+    ``local_witness_check`` to check the hoisted loop against it.
+    """
     n = oracle.graph.n
     s_prime_size, t_size, cap = sample_sizes(n, cfg)
     seq_s, seq_t = split_seed(cfg.seed, 2)
@@ -178,16 +188,24 @@ def naive_run_tester(oracle: ReferenceOracle, cfg: TesterConfig) -> Verdict:
         if oracle.degree(v) < cfg.k:
             decision, evidence = "reject", Evidence(v, None, "low-degree")
             break
-        found = False
-        for u in t_draws:
-            u = int(u)
+        nbrs, checked = None, {}
+        for u in t_draws.tolist():
             if u == v:
                 continue
-            if local_witness_check(oracle, v, u, cfg.k):
+            if pair_check is not None:
+                found = pair_check(oracle, v, u, cfg.k)
+            else:
+                if nbrs is None:
+                    nbrs = {oracle.neighbor(v, i) for i in range(1, oracle.degree(v) + 1)}
+                    vc = oracle.coord(v)
+                    rk = sorted(dist2(vc, oracle.coord(w)) for w in nbrs)[cfg.k - 1]
+                if u not in checked:
+                    checked[u] = u not in nbrs and dist2(vc, oracle.coord(u)) < rk
+                found = checked[u]
+            if found:
                 decision, evidence = "reject", Evidence(v, u, "witness")
-                found = True
                 break
-        if found:
+        if evidence is not None:
             break
 
     return Verdict(

@@ -221,6 +221,26 @@ class TestLeafPairs:
                 r = np.sort(bounds, axis=1)[:, min(bounds.shape[1] - 1, 3)]
                 _assert_leaf_pairs_equal_flat_pass(pts, leaf_size, lo, hi, r)
 
+    @pytest.mark.parametrize("delta", [1, 2, 8])
+    def test_row_layouts(self, delta):
+        # rows as C-contiguous (coordinate, row) arrays, as the scan passes them,
+        # as transposed views and as strided slices: points, and boxes with lo is not hi
+        rng = np.random.default_rng(60 + delta)
+        pts = rng.random((2048, delta))
+        q = pts[rng.choice(2048, size=300, replace=False)]
+        kth = np.partition(dist2_block(q, pts), 10, axis=1)[:, 10]
+
+        def layouts(rows):
+            wide = np.repeat(rows.T, 2, axis=1)
+            return np.ascontiguousarray(rows.T), rows.T, wide[:, ::2]
+
+        for lo in layouts(q):
+            _assert_leaf_pairs_equal_flat_pass(pts, 8, lo, lo, kth)
+        corners = np.sort(np.stack((q, q + rng.random(q.shape) / 64)), axis=0)
+        for lo in layouts(corners[0]):
+            for hi in layouts(corners[1]):
+                _assert_leaf_pairs_equal_flat_pass(pts, 8, lo, hi, kth)
+
     def test_descent_evaluates_fewer_bounds_than_the_flat_pass(self, monkeypatch):
         pts = np.random.default_rng(5).random((4096, 2))
         q = pts[:256]

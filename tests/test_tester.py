@@ -159,6 +159,27 @@ class TestLocalWitnessCheck:
                     if u != v and local_witness_check(s, v, u, 3):
                         assert witnesses_of(g, v, 3).incomplete
 
+    def test_hoisted_naive_loop_equals_per_pair_checks(self):
+        # naive_run_tester reads v's row and computes r_k once per v; calling
+        # local_witness_check for every (v, u) must give the same run and reads,
+        # also where T is one vertex, so that its v reads only its degree
+        rng = np.random.default_rng(29)
+        outcomes = set()
+        for trial in range(60):
+            k = int(rng.integers(1, 4))
+            g = random_small_graph(rng, k)
+            exact_g = build_exact_knn_graph(g.coords, k)
+            for h in (g, exact_g, corrupt_edges(exact_g, 0.3, trial)):
+                for cfg in (TesterConfig(k=k, epsilon=0.5, delta=g.delta, seed=trial),
+                            TesterConfig(k=k, epsilon=0.5, delta=g.delta, mode="experiment",
+                                         c1=1.0, c2=0.01, seed=trial)):
+                    hoisted = naive_run_tester(ReferenceOracle(h), cfg)
+                    per_pair = naive_run_tester(ReferenceOracle(h), cfg, pair_check=local_witness_check)
+                    assert (hoisted.decision, hoisted.evidence, hoisted.queries) == (
+                        per_pair.decision, per_pair.evidence, per_pair.queries)
+                    outcomes.add(hoisted.evidence.reason if hoisted.evidence else "accept")
+        assert outcomes == {"accept", "witness", "low-degree"}
+
 
 class TestRunTester:
     def test_accepts_exact_knn_graph(self):
@@ -334,11 +355,12 @@ class TestNaiveEquivalence:
         )
         self._compare(g, cfg)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(10))
     def test_on_coordinates_whose_distances_overflow(self, seed):
         # r_k is inf for some v, so every u at a finite distance, and no u at an
-        # overflowing one, is strictly inside it
-        delta = 2 + seed % 2
+        # overflowing one, is strictly inside it. At delta = 1 the scan's
+        # coordinate columns are a view of the graph's coordinates
+        delta = (2, 3, 2, 3, 2, 3, 1, 1, 8, 8)[seed]
         rng = np.random.default_rng(400 + seed)
         with np.errstate(over="ignore"):
             g = build_exact_knn_graph(overflow_points(rng, 60, delta, seed >= 3), 3)
