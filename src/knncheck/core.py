@@ -145,23 +145,22 @@ def leaf_pairs(lo: np.ndarray, hi: np.ndarray, r: np.ndarray, levels) -> tuple[n
     leaves, if there are fewer levels), and each kept node is then expanded
     into its two children one level at a time (Friedman, Bentley & Finkel
     1977), gathering rows and boxes by ``np.take`` along their second axis,
-    fastest when they are C-contiguous (coordinate, row) arrays. A node's box
-    contains its leaves' boxes and rounding is monotone, so a node's bound is
-    at most each of its leaves' bounds, and the pairs are exactly those of a
-    flat pass over the leaves. When level 4 keeps more than a quarter of its
-    pairs, its boxes prune too little for the descent to pay, and the flat
-    pass runs over the leaves instead.
+    fastest when they are C-contiguous (coordinate, row) arrays; point rows
+    (``hi is lo``) are gathered once per level. A node's box contains its
+    leaves' boxes and rounding is monotone, so a node's bound is at most each
+    of its leaves' bounds, and the pairs are exactly those of a flat pass
+    over the leaves. When level 4 keeps more than a quarter of its pairs, its
+    boxes prune too little for the descent to pay, and each kept level-4 node
+    goes straight to its leaves in one step.
     """
-    lo3, hi3 = lo[:, :, None], hi[:, :, None]
     last = len(levels) - 1
     top = min(4, last)
-    row, node = np.nonzero(box_gap2(lo3, hi3, *levels[top]) <= r[:, None])
-    if top < last and 4 * row.size > r.size << top:
-        top = last
-        row, node = np.nonzero(box_gap2(lo3, hi3, *levels[top]) <= r[:, None])
-    for box_lo, box_hi in levels[top + 1 :]:
-        row, node = np.repeat(row, 2), (2 * node[:, None] + (0, 1)).ravel()
-        keep = box_gap2(np.take(lo, row, axis=1), np.take(hi, row, axis=1),
+    row, node = np.nonzero(box_gap2(lo[:, :, None], hi[:, :, None], *levels[top]) <= r[:, None])
+    step = last - top if top < last and 4 * row.size > r.size << top else 1
+    for box_lo, box_hi in levels[top + step :: step]:
+        row, node = np.repeat(row, 1 << step), ((node[:, None] << step) + np.arange(1 << step)).ravel()
+        row_lo = np.take(lo, row, axis=1)
+        keep = box_gap2(row_lo, row_lo if hi is lo else np.take(hi, row, axis=1),
                         np.take(box_lo, node, axis=1), np.take(box_hi, node, axis=1)) <= r[row]
         row, node = row[keep], node[keep]
     return row, node

@@ -14,8 +14,9 @@ makes up to its stop, so the session's QueryTally is the tester's cost.
 
 Every block of S finds its witness candidates by the one query
 :func:`core.leaf_pairs` on a k-d leaf index (:func:`core.leaf_index`, leaves
-of at most 64 T values), built once per run over the distinct T values. Its
-box bounds only rule leaves out, and every candidate is re-checked with the
+of at most 64 points) over the distinct T values, or, when they cover half
+the vertices, over all vertices, kept per graph, until the scan turns long.
+Box bounds only rule leaves out, and every candidate is re-checked with the
 same distance arithmetic (:func:`core.sum_squares`), so verdicts and tallies
 equal those of the sequential scan. Its per-pair gathers are 1-d takes from
 coordinate-major columns, copied once per run; it has no layout option.
@@ -24,7 +25,9 @@ coordinate-major columns, copied once per run; it has no layout option.
 from __future__ import annotations
 
 import math
+import threading
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +65,12 @@ _LN10 = math.log(10.0)
 _FIRST_BLOCK = 8
 _PAIR_FLOATS = 1 << 17
 
-# most points per leaf of the scan's index over T
+# most points per leaf of the scan's indexes
 _LEAF_SIZE = 64
+
+# per graph: None after a run whose T covers half its vertices, then its read-only index over all
+_GRAPH_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_GRAPH_LOCK = threading.Lock()
 
 
 def kissing_number(delta: int) -> int:
@@ -258,7 +265,11 @@ def _scan(
     The floor caps blocks at 2048 rows, within the r_k sort's int16 row keys.
 
     A mask over the vertices marks T once per run; U is its set positions,
-    ascending. U goes into a leaf index once, before the first block. A leaf
+    ascending. If U holds half the vertices and :func:`_graph_index` has an
+    index over all of them, the blocks start on it, its first mask masked to
+    T, until the float budget, not the plus-8 rule, first sizes a block while
+    T misses a vertex; otherwise, and from then on, on an index over U built
+    once. Both hold vertex ids: pairs differ, events and reads do not. A leaf
     whose box bound is not below a row's r_k holds no u strictly inside it,
     and the u of every other leaf are re-checked with the arithmetic of r_k.
     Counting each u once, a row has a witness when its hits outnumber its
@@ -270,10 +281,16 @@ def _scan(
     in_t = np.zeros(g.n, dtype=bool)
     in_t[t_draws] = True
     u_vals = np.flatnonzero(in_t)
-    leaves, first, p, levels = leaf_index(g.coords[u_vals], _LEAF_SIZE)
+    index = _graph_index(g) if 2 * u_vals.size >= g.n else None
+    if index is not None:
+        leaves, first, p, levels = index
+        first = first & in_t[leaves]
     cols = np.ascontiguousarray(g.coords.T)
     lo, size = 0, _FIRST_BLOCK
     while lo < limit:
+        if index is None:  # build the index over U; () marks it built
+            leaves, first, p, levels = leaf_index(g.coords[u_vals], _LEAF_SIZE)
+            leaves, index = u_vals[leaves], ()
         block = s_vertices[lo : min(limit, lo + size)]
         degs = s_degs[lo : lo + block.size]
         nbrs = g.indices[concat_ranges(g.indptr[block], g.indptr[block + 1])]
@@ -304,7 +321,7 @@ def _scan(
             pairs = slice(*np.searchsorted(row, [r, r + 1]))
             # row r's witnesses: its inside values, less its guarded ids; the first draw of one
             found = np.zeros(g.n, dtype=bool)
-            found[u_vals[leaves[leaf[pairs]][inside[pairs]]]] = True
+            found[leaves[leaf[pairs]][inside[pairs]]] = True
             found[ids[guarded & (rows == r)]] = False
             t_idx = int(np.argmax(found[t_draws]))
             event = ("witness", lo + r, t_idx)
@@ -320,11 +337,25 @@ def _scan(
         if event is not None:
             return event
         lo += block.size
-        size = min(lo + _FIRST_BLOCK, max(1, int(_PAIR_FLOATS // max(_LEAF_SIZE, d2.size / block.size))))
+        size = max(1, int(_PAIR_FLOATS // max(_LEAF_SIZE, d2.size / block.size)))
+        if index and size < lo + _FIRST_BLOCK and u_vals.size < g.n:
+            index = None  # the scan has turned long
+        size = min(lo + _FIRST_BLOCK, size)
 
     if low.size:
         return ("low-degree", limit, None)
     return None
+
+
+def _graph_index(g: GeometricGraph):
+    """g's cached leaf index over all its vertices; None on the first call for g, which records g."""
+    with _GRAPH_LOCK:
+        if g in _GRAPH_INDEX and _GRAPH_INDEX[g] is None:
+            leaves, first, p, levels = leaf_index(g.coords, _LEAF_SIZE)
+            for a in (leaves, first, p, *(a for box in levels for a in box)):
+                a.setflags(write=False)
+            _GRAPH_INDEX[g] = leaves, first, p, tuple(levels)
+        return _GRAPH_INDEX.setdefault(g, None)
 
 
 def _evidence_confirmed(g: GeometricGraph, ev: Evidence, k: int) -> bool:

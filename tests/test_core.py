@@ -259,8 +259,35 @@ class TestLeafPairs:
         assert len(evaluated) == 6 and sum(evaluated) < 256 * 512 / 8
         evaluated.clear()
         _assert_leaf_pairs_equal_flat_pass(pts, 8, q.T, q.T, np.full(256, np.inf))
-        # level 4 keeps every pair, so the query runs the flat pass
+        # level 4 keeps every pair, so each of its nodes goes straight to its 32 leaves
         assert evaluated == [256 * 16, 256 * 512]
+
+    @pytest.mark.parametrize("boxes", [False, True])
+    def test_wide_level_four_goes_straight_to_the_leaves_under_its_kept_nodes(self, monkeypatch, boxes):
+        # in 8 dimensions level 4 keeps more than a quarter of its pairs; the
+        # leaves lie 5 levels below it, and only those under a kept node are bounded
+        rng = np.random.default_rng(8)
+        pts = rng.random((4096, 8))
+        q = pts[rng.choice(4096, size=64, replace=False)]
+        kth = np.partition(dist2_block(q, pts), 10, axis=1)[:, 10]
+        lo = hi = np.ascontiguousarray(q.T)
+        if boxes:
+            hi = lo + rng.random(lo.shape) / 64
+        levels = leaf_index(pts, 8)[3]
+        assert len(levels) == 10
+        kept = np.count_nonzero(box_gap2(lo[:, :, None], hi[:, :, None], *levels[4]) <= kth[:, None])
+        assert 64 * 16 // 4 < kept < 64 * 16
+        evaluated = []
+        gap2 = core.box_gap2
+
+        def gap2_spy(*args):
+            out = gap2(*args)
+            evaluated.append(out.size)
+            return out
+
+        monkeypatch.setattr(core, "box_gap2", gap2_spy)
+        _assert_leaf_pairs_equal_flat_pass(pts, 8, lo, hi, kth)
+        assert evaluated == [64 * 16, kept * 32]
 
 
 @settings(max_examples=200, deadline=None)

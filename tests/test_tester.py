@@ -1,10 +1,13 @@
 """The sublinear tester: sizing, local check, full runs, query accounting."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from helpers import (
     random_small_graph,
     rows_of,
 )
-from knncheck.core import OracleSession, QueryTally, box_gap2, dist2_row, leaf_index
+from knncheck.core import GeometricGraph, OracleSession, QueryTally, box_gap2, dist2_row, leaf_index
 from knncheck.exact import build_exact_knn_graph, max_shared_knn, witnesses_of
 from knncheck.generators import corrupt_edges, line_gadget, sample_d2, tight_witness_construction
 from knncheck import tester
@@ -656,3 +659,179 @@ class TestNaiveEquivalence:
         assert verdict.evidence.reason == "witness" and verdict.evidence.vertex == v
         assert verdict.s_size > 504 and block_rows[:5] == [8, 16, 32, 64, 128]
         assert len(block_rows) == 6 and block_rows[5] < 256
+
+
+@pytest.fixture
+def scan_events(monkeypatch):
+    """("index", rows) for every leaf index the tester builds and ("block", rows) for every block of S, in order."""
+    events = []
+    index, query = tester.leaf_index, tester.leaf_pairs
+
+    def index_spy(pts, leaf_size):
+        events.append(("index", pts.shape[0]))
+        return index(pts, leaf_size)
+
+    def query_spy(lo, hi, r, levels):
+        events.append(("block", r.size))
+        return query(lo, hi, r, levels)
+
+    monkeypatch.setattr(tester, "leaf_index", index_spy)
+    monkeypatch.setattr(tester, "leaf_pairs", query_spy)
+    return events
+
+
+class TestCachedGraphIndex:
+    """Runs whose distinct T values U cover half the vertices: the first records the
+    graph, the second builds its index over all vertices and later ones reuse it.
+    Every run equals the literal nested loop."""
+
+    @staticmethod
+    def _runs(g, cfg, events):
+        """The scan events of three runs on g; every run must equal naive_run_tester."""
+        slow = naive_run_tester(ReferenceOracle(g), cfg)
+        seen = []
+        for _ in range(3):
+            events.clear()
+            fast = run_tester(OracleSession(g), cfg)
+            assert (fast.decision, fast.evidence, fast.queries) == (slow.decision, slow.evidence, slow.queries)
+            assert (fast.s_prime_size, fast.s_size, fast.t_size) == (slow.s_prime_size, slow.s_size, slow.t_size)
+            seen.append(list(events))
+        return slow, seen
+
+    @staticmethod
+    def _u_size(n, cfg):
+        return np.unique(TestNaiveEquivalence._t(n, cfg)).size
+
+    @staticmethod
+    def _blocks(events):
+        return [rows for kind, rows in events if kind == "block"]
+
+    def test_witness_in_an_early_block(self, scan_events):
+        n, k = 400, 2
+        g = build_exact_knn_graph(np.random.default_rng(910).random((n, 2)), k)
+        cfg = TestNaiveEquivalence._sized(n, k, 2, n, 1.2 * n, 910)
+        u = self._u_size(n, cfg)
+        assert n // 2 <= u < n
+        v = int(TestNaiveEquivalence._s_prime(n, cfg)[3])
+        adjacency = rows_of(g)
+        adjacency[v] = np.argsort(((g.coords - g.coords[v]) ** 2).sum(axis=1))[-k:]
+        g = graph_from_rows(g.coords, tuple(adjacency))
+        slow, seen = self._runs(g, cfg, scan_events)
+        assert slow.evidence.reason == "witness" and slow.evidence.vertex == v
+        assert seen == [[("index", u), ("block", 8)], [("index", n), ("block", 8)], [("block", 8)]]
+
+    @pytest.mark.parametrize("delta,n,k,s_prime,pair_floats", [(2, 800, 3, 300, 1 << 12), (8, 1000, 2, 400, None)])
+    def test_dense_accept_switches_to_the_index_over_u_once_the_budget_binds(
+            self, scan_events, monkeypatch, delta, n, k, s_prime, pair_floats):
+        if pair_floats is not None:  # in the plane, a small budget makes the scan long sooner
+            monkeypatch.setattr(tester, "_PAIR_FLOATS", pair_floats)
+        g = build_exact_knn_graph(np.random.default_rng(911).random((n, delta)), k)
+        cfg = TestNaiveEquivalence._sized(n, k, delta, s_prime, 1.1 * n, 911)
+        u = self._u_size(n, cfg)
+        assert n // 2 <= u < n
+        slow, seen = self._runs(g, cfg, scan_events)
+        assert slow.decision == "accept" and slow.s_size == s_prime
+        assert seen[0][0] == ("index", u) and seen[0].count(("index", u)) == 1
+        assert seen[1][0] == ("index", n) and seen[1][1:] == seen[2]
+        # the plus-8 rule sizes every block before the one |U|-row build, the
+        # float budget the block right after it
+        switch = seen[2].index(("index", u))
+        assert seen[2].count(("index", u)) == 1 and 0 < switch < len(seen[2]) - 1
+        blocks = self._blocks(seen[2])
+        before = np.cumsum([0] + blocks[:-1])
+        assert blocks[:switch] == [8 * 2**i for i in range(switch)]
+        assert blocks[switch] < before[switch] + 8
+
+    def test_t_covering_every_vertex_builds_no_index_over_u_once_cached(self, scan_events, monkeypatch):
+        monkeypatch.setattr(tester, "_PAIR_FLOATS", 1 << 10)
+        n, k = 200, 2
+        g = build_exact_knn_graph(np.random.default_rng(912).random((n, 2)), k)
+        cfg = TestNaiveEquivalence._sized(n, k, 2, n, 15 * n, 912)
+        assert self._u_size(n, cfg) == n
+        slow, seen = self._runs(g, cfg, scan_events)
+        assert slow.decision == "accept"
+        blocks = self._blocks(seen[2])
+        assert any(rows < lo + 8 for rows, lo in zip(blocks, np.cumsum([0] + blocks[:-1])))
+        assert [e for e in sum(seen, []) if e[0] == "index"] == [("index", n)] * 2
+        assert seen[1][0] == ("index", n) and seen[1][1:] == seen[2]
+
+    def test_u_below_half_of_the_vertices_is_never_cached(self, scan_events):
+        n, k = 400, 2
+        g = build_exact_knn_graph(np.random.default_rng(913).random((n, 2)), k)
+        cfg = TestNaiveEquivalence._sized(n, k, 2, n, 0.6 * n, 913)
+        u = self._u_size(n, cfg)
+        assert u < n // 2
+        _, seen = self._runs(g, cfg, scan_events)
+        assert all(events[0] == ("index", u) and events.count(("index", u)) == 1 for events in seen)
+        assert g not in tester._GRAPH_INDEX
+
+    @pytest.mark.parametrize("delta", [1, 2, 3])
+    def test_on_lattices_with_coincident_points(self, delta):
+        rng = np.random.default_rng(914 + delta)
+        sites = rng.integers(0, {1: 700, 2: 25, 3: 9}[delta], size=(1000, delta))
+        pts = np.concatenate((sites, sites[:500])).astype(np.float64)
+        k = 1 + delta % 2
+        g = corrupt_edges(build_exact_knn_graph(pts, k), 0.01 * (delta - 1), delta)
+        cfg = TestNaiveEquivalence._sized(g.n, k, delta, 150, 1.2 * g.n, delta)
+        assert 2 * self._u_size(g.n, cfg) >= g.n
+        self._runs(g, cfg, [])
+        assert tester._GRAPH_INDEX[g] is not None
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_on_coordinates_whose_distances_overflow(self, seed):
+        # theory mode draws T far beyond n here, so U is every vertex; experiment
+        # mode draws about n values, so U misses some of them
+        delta = (2, 3, 2, 3, 2, 3, 1, 1, 8, 8)[seed]
+        rng = np.random.default_rng(400 + seed)
+        with np.errstate(over="ignore"):
+            g = build_exact_knn_graph(overflow_points(rng, 60, delta, seed >= 3), 3)
+            g = corrupt_edges(g, 0.1 * (seed % 2), seed)
+        for cfg in (TesterConfig(k=3, epsilon=0.5, delta=delta, seed=seed),
+                    TestNaiveEquivalence._sized(g.n, 3, delta, g.n, g.n, seed)):
+            assert 2 * self._u_size(g.n, cfg) >= g.n
+            self._runs(g, cfg, [])
+
+
+class TestGraphIndexCache:
+    def _dense_runs(self, g, runs=2):
+        cfg = TestNaiveEquivalence._sized(g.n, 2, g.delta, 100, 2 * g.n, 0)
+        return [run_tester(OracleSession(g), cfg).to_json_dict() for _ in range(runs)]
+
+    def test_cached_arrays_are_read_only(self):
+        g = build_exact_knn_graph(np.random.default_rng(920).random((500, 3)), 2)
+        self._dense_runs(g)
+        leaves, first, p, levels = tester._GRAPH_INDEX[g]
+        arrays = [leaves, first, p] + [a for box in levels for a in box]
+        assert all(not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            p[0, 0, 0] = 1.0
+
+    def test_entries_vanish_with_their_graphs(self, monkeypatch):
+        cache = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(tester, "_GRAPH_INDEX", cache)
+        rng = np.random.default_rng(921)
+        graphs = [build_exact_knn_graph(rng.random((100, 2)), 2) for _ in range(50)]
+        for g in graphs:
+            self._dense_runs(g)
+        assert len(cache) == 50 and all(cache[g] is not None for g in graphs)
+        del graphs, g
+        gc.collect()
+        assert len(cache) == 0
+
+    def test_threads_on_one_fresh_graph_match_sequential_runs(self):
+        pts = np.random.default_rng(922).random((2000, 2))
+        g = corrupt_edges(build_exact_knn_graph(pts, 3), 0.002, 922)
+        twin = GeometricGraph(g.coords, g.indptr, g.indices)
+        cfgs = [TesterConfig(k=3, epsilon=0.5, delta=2, seed=s) for s in range(16)]
+        want = [run_tester(OracleSession(twin), cfg).to_json_dict() for cfg in cfgs]
+        assert tester._GRAPH_INDEX[twin] is not None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run_tester, OracleSession(g), cfg) for cfg in cfgs]
+                got = [f.result(timeout=120).to_json_dict() for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert tester._GRAPH_INDEX[g] is not None
