@@ -54,7 +54,7 @@ def _block_size(n: int) -> int:
 
 def _masked_d2(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Squared distances from ``rows`` to the ascending ids ``cand``; a row's own id gets nan."""
-    d2 = dist2_block(coords[rows], coords[cand])
+    d2 = dist2_block(coords.take(rows, axis=0), coords.take(cand, axis=0))
     pos = np.minimum(np.searchsorted(cand, rows), cand.size - 1)
     own = cand[pos] == rows
     # no comparison selects nan and partition sorts it last, also past distances that overflow to inf
@@ -117,7 +117,7 @@ def _leaf_pass(coords: np.ndarray, k: int) -> list[_Selection]:
     slots, firsts = leaves.reshape(-1, per * width), first.reshape(-1, per * width)
     units = [np.sort(ids[keep]) for ids, keep in zip(slots, firsts)]
     # each row's own zero distance sorts first, so position k holds its k-th
-    thr = np.array([np.partition(dist2_block(coords[r], coords[r]), k, axis=1)[:, k].max()
+    thr = np.array([np.partition(dist2_block(x := coords.take(r, axis=0), x), k, axis=1)[:, k].max()
                     if r.size > k else np.inf for r in units])
     unit_lo, unit_hi = levels[len(units).bit_length() - 1]
     parts = []

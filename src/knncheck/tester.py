@@ -15,7 +15,8 @@ makes up to its stop, so the session's QueryTally is the tester's cost.
 Every block of S finds its witness candidates by the one query
 :func:`core.leaf_pairs` on a k-d leaf index (:func:`core.leaf_index`, leaves
 of at most 64 points) over the distinct T values, or, when they cover half
-the vertices, over all vertices, kept per graph, until the scan turns long.
+the vertices, over all vertices, kept per coordinate array and so shared by
+every graph over one point set, until the scan turns long.
 Box bounds only rule leaves out, and every candidate is re-checked with the
 same distance arithmetic (:func:`core.sum_squares`), so verdicts and tallies
 equal those of the sequential scan. Its per-pair gathers are 1-d takes from
@@ -68,8 +69,9 @@ _PAIR_FLOATS = 1 << 17
 # most points per leaf of the scan's indexes
 _LEAF_SIZE = 64
 
-# per graph: None after a run whose T covers half its vertices, then its read-only index over all
-_GRAPH_INDEX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# per coordinate array, by id while it lives: None after a run whose T covers half
+# its rows, then the read-only index over all of them, shared by every graph over it
+_GRAPH_INDEX: dict[int, tuple | None] = {}
 _GRAPH_LOCK = threading.Lock()
 
 
@@ -266,14 +268,15 @@ def _scan(
 
     A mask over the vertices marks T once per run; U is its set positions,
     ascending. If U holds half the vertices and :func:`_graph_index` has an
-    index over all of them, the blocks start on it, its first mask masked to
-    T, until the float budget, not the plus-8 rule, first sizes a block while
-    T misses a vertex; otherwise, and from then on, on an index over U built
-    once. Both hold vertex ids: pairs differ, events and reads do not. A leaf
-    whose box bound is not below a row's r_k holds no u strictly inside it,
-    and the u of every other leaf are re-checked with the arithmetic of r_k.
-    Counting each u once, a row has a witness when its hits outnumber its
-    guarded hits: v itself and its neighbors that are in T and inside r_k.
+    index over all of them, kept per coordinate array for every graph over
+    it, the blocks start on it, its first mask masked to T, until the float
+    budget, not the plus-8 rule, first sizes a block while T misses a vertex;
+    otherwise, and from then on, on an index over U built once. Both hold
+    vertex ids: pairs differ, events and reads do not. A leaf whose box bound
+    is not below a row's r_k holds no u strictly inside it, and the u of
+    every other leaf are re-checked with the arithmetic of r_k. Counting each
+    u once, a row has a witness when its hits outnumber its guarded hits: v
+    itself and its neighbors that are in T and inside r_k.
     """
     g = session.graph
     low = np.flatnonzero(s_degs < k)
@@ -289,7 +292,7 @@ def _scan(
     lo, size = 0, _FIRST_BLOCK
     while lo < limit:
         if index is None:  # build the index over U; () marks it built
-            leaves, first, p, levels = leaf_index(g.coords[u_vals], _LEAF_SIZE)
+            leaves, first, p, levels = leaf_index(g.coords.take(u_vals, axis=0), _LEAF_SIZE)
             leaves, index = u_vals[leaves], ()
         block = s_vertices[lo : min(limit, lo + size)]
         degs = s_degs[lo : lo + block.size]
@@ -348,14 +351,18 @@ def _scan(
 
 
 def _graph_index(g: GeometricGraph):
-    """g's cached leaf index over all its vertices; None on the first call for g, which records g."""
+    """The cached leaf index over all rows of g.coords; None on the array's first call, which records it."""
+    key = id(g.coords)
     with _GRAPH_LOCK:
-        if g in _GRAPH_INDEX and _GRAPH_INDEX[g] is None:
+        if key not in _GRAPH_INDEX:
+            # drops the entry as the array dies, before its id can be reused; a dict pop needs no lock
+            weakref.finalize(g.coords, _GRAPH_INDEX.pop, key, None)
+        elif _GRAPH_INDEX[key] is None:
             leaves, first, p, levels = leaf_index(g.coords, _LEAF_SIZE)
             for a in (leaves, first, p, *(a for box in levels for a in box)):
                 a.setflags(write=False)
-            _GRAPH_INDEX[g] = leaves, first, p, tuple(levels)
-        return _GRAPH_INDEX.setdefault(g, None)
+            _GRAPH_INDEX[key] = leaves, first, p, tuple(levels)
+        return _GRAPH_INDEX.setdefault(key, None)
 
 
 def _evidence_confirmed(g: GeometricGraph, ev: Evidence, k: int) -> bool:
@@ -373,7 +380,7 @@ def _evidence_confirmed(g: GeometricGraph, ev: Evidence, k: int) -> bool:
     nbrs = g.neighbors(v)
     if u is None or g.check_vertex(u) == v or nbrs.size < k or np.any(nbrs == u):
         return False
-    d2 = dist2_row(g.coords[v], g.coords[np.append(nbrs, u)])
+    d2 = dist2_row(g.coords[v], g.coords.take(np.append(nbrs, u), axis=0))
     if not d2[-1] < np.partition(d2[:-1], k - 1)[k - 1]:
         return False
     return exact.witnesses_of(g, v, k).incomplete

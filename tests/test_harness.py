@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from knncheck import harness
+from knncheck import harness, tester
 from knncheck.core import OracleSession
 from knncheck.exact import build_exact_knn_graph
 from knncheck.harness import (
@@ -81,6 +81,36 @@ def test_cells_seed_their_trials_by_grid_position(monkeypatch):
     run_sweep(_small_config(grid=((0.1, 5.0), (0.1000001, 5.0)), datasets=(spec,),
                             min_bucket=1), seed=11)
     assert len(seeds) == 2 and seeds[0] != seeds[1]
+
+
+def test_one_all_vertex_index_per_point_set_and_the_same_bytes_without_it(monkeypatch):
+    # two datasets, four point sets; cell (0.5, 2.0) draws T over half the
+    # vertices or more, once per instance graph, so the first instance of a
+    # point set records its array, the second builds the index and later reuse it
+    cfg = _small_config(datasets=(
+        _small_config().datasets[0],
+        DatasetSpec(n=150, delta=3, distribution="gaussian-mixture", fractions=(0.0, 0.05),
+                    seeds=(3,), corruptions_per_fraction=3),
+    ), min_bucket=1)
+    profiles, builds = [], []
+    profile, index = harness.NeighborhoodProfile, tester.leaf_index
+
+    def profile_spy(points, k):
+        profiles.append(profile(points, k))
+        return profiles[-1]
+
+    def index_spy(pts, leaf_size):
+        builds.extend(i for i, p in enumerate(profiles) if pts is p.coords)
+        return index(pts, leaf_size)
+
+    monkeypatch.setattr(harness, "NeighborhoodProfile", profile_spy)
+    monkeypatch.setattr(tester, "leaf_index", index_spy)
+    report = run_sweep(cfg, seed=7)
+    assert len(profiles) == 4 and builds == [0, 1, 2, 3]
+    monkeypatch.setattr(tester, "_graph_index", lambda g: None)
+    plain = run_sweep(cfg, seed=7)
+    assert export_report(report, "csv") == export_report(plain, "csv")
+    assert export_report(report, "json") == export_report(plain, "json")
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -680,10 +679,16 @@ def scan_events(monkeypatch):
     return events
 
 
+def _entry(g):
+    """The tester's cached index entry for g's coordinate array; KeyError when the array has none."""
+    return tester._GRAPH_INDEX[id(g.coords)]
+
+
 class TestCachedGraphIndex:
     """Runs whose distinct T values U cover half the vertices: the first records the
-    graph, the second builds its index over all vertices and later ones reuse it.
-    Every run equals the literal nested loop."""
+    coordinate array, the second builds its index over all vertices and later
+    ones, on any graph over the array, reuse it. Every run equals the literal
+    nested loop."""
 
     @staticmethod
     def _runs(g, cfg, events):
@@ -763,7 +768,7 @@ class TestCachedGraphIndex:
         assert u < n // 2
         _, seen = self._runs(g, cfg, scan_events)
         assert all(events[0] == ("index", u) and events.count(("index", u)) == 1 for events in seen)
-        assert g not in tester._GRAPH_INDEX
+        assert id(g.coords) not in tester._GRAPH_INDEX
 
     @pytest.mark.parametrize("delta", [1, 2, 3])
     def test_on_lattices_with_coincident_points(self, delta):
@@ -775,7 +780,7 @@ class TestCachedGraphIndex:
         cfg = TestNaiveEquivalence._sized(g.n, k, delta, 150, 1.2 * g.n, delta)
         assert 2 * self._u_size(g.n, cfg) >= g.n
         self._runs(g, cfg, [])
-        assert tester._GRAPH_INDEX[g] is not None
+        assert _entry(g) is not None
 
     @pytest.mark.parametrize("seed", range(10))
     def test_on_coordinates_whose_distances_overflow(self, seed):
@@ -800,31 +805,95 @@ class TestGraphIndexCache:
     def test_cached_arrays_are_read_only(self):
         g = build_exact_knn_graph(np.random.default_rng(920).random((500, 3)), 2)
         self._dense_runs(g)
-        leaves, first, p, levels = tester._GRAPH_INDEX[g]
+        leaves, first, p, levels = _entry(g)
         arrays = [leaves, first, p] + [a for box in levels for a in box]
         assert all(not a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             p[0, 0, 0] = 1.0
 
+    @staticmethod
+    def _point_sets(rng, count):
+        """count exact graphs, each with a corrupt_edges child over its coordinate array."""
+        graphs = []
+        for _ in range(count):
+            g = build_exact_knn_graph(rng.random((100, 2)), 2)
+            graphs += [g, corrupt_edges(g, 0.05, 0)]
+        assert all(a.coords is b.coords for a, b in zip(graphs[::2], graphs[1::2]))
+        return graphs
+
     def test_entries_vanish_with_their_graphs(self, monkeypatch):
-        cache = weakref.WeakKeyDictionary()
+        cache = {}
         monkeypatch.setattr(tester, "_GRAPH_INDEX", cache)
-        rng = np.random.default_rng(921)
-        graphs = [build_exact_knn_graph(rng.random((100, 2)), 2) for _ in range(50)]
+        graphs = self._point_sets(np.random.default_rng(921), 50)
         for g in graphs:
-            self._dense_runs(g)
-        assert len(cache) == 50 and all(cache[g] is not None for g in graphs)
+            self._dense_runs(g, runs=1)
+        assert len(cache) == 50 and all(_entry(g) is not None for g in graphs)
         del graphs, g
         gc.collect()
         assert len(cache) == 0
 
+    def test_point_sets_made_after_drops_record_their_first_run(self, monkeypatch, scan_events):
+        # new arrays take the ids of dropped ones; their first dense run must
+        # still only record them, and so build the index over U, as on a fresh array
+        cache = {}
+        monkeypatch.setattr(tester, "_GRAPH_INDEX", cache)
+        rng = np.random.default_rng(923)
+        graphs = self._point_sets(rng, 50)
+        for g in graphs:
+            self._dense_runs(g, runs=1)
+        dropped = set(cache)
+        del graphs, g
+        gc.collect()
+        assert len(cache) == 0
+        reused = 0
+        for _ in range(50):
+            g = build_exact_knn_graph(rng.random((100, 2)), 2)
+            reused += id(g.coords) in dropped
+            scan_events.clear()
+            cfg = TestNaiveEquivalence._sized(g.n, 2, g.delta, 100, 2 * g.n, 0)
+            u = TestCachedGraphIndex._u_size(g.n, cfg)
+            assert u < g.n
+            TestNaiveEquivalence()._compare(g, cfg)
+            assert scan_events[0] == ("index", u) and _entry(g) is None
+        assert reused > 0
+
+    def test_equal_but_distinct_arrays_do_not_share_an_index(self, scan_events):
+        g = build_exact_knn_graph(np.random.default_rng(924).random((500, 2)), 2)
+        twin = GeometricGraph(g.coords.copy(), g.indptr, g.indices, g.k_hint)
+        assert twin.equals(g) and twin.coords is not g.coords
+        cfg = TestNaiveEquivalence._sized(g.n, 2, g.delta, 100, 2 * g.n, 0)
+        u = TestCachedGraphIndex._u_size(g.n, cfg)
+        assert u < g.n
+        self._dense_runs(g)
+        assert ("index", g.n) in scan_events
+        scan_events.clear()
+        TestNaiveEquivalence()._compare(twin, cfg)
+        assert scan_events[0] == ("index", u)
+        assert _entry(g) is not None and _entry(twin) is None
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.05])
+    def test_corrupted_child_of_a_cached_graph_builds_no_index(self, scan_events, fraction):
+        n, k = 800, 3
+        g = build_exact_knn_graph(np.random.default_rng(925).random((n, 2)), k)
+        cfg = TestNaiveEquivalence._sized(n, k, 2, 200, 1.2 * n, 925)
+        assert n // 2 <= TestCachedGraphIndex._u_size(n, cfg) < n
+        for _ in range(2):
+            run_tester(OracleSession(g), cfg)
+        assert scan_events.count(("index", n)) == 1
+        child = corrupt_edges(g, fraction, 925)
+        scan_events.clear()
+        verdict = TestNaiveEquivalence()._compare(child, cfg)
+        assert verdict.decision == ("accept" if fraction == 0 else "reject")
+        assert scan_events and all(kind == "block" for kind, _ in scan_events)
+        assert _entry(child) is _entry(g) is not None
+
     def test_threads_on_one_fresh_graph_match_sequential_runs(self):
         pts = np.random.default_rng(922).random((2000, 2))
         g = corrupt_edges(build_exact_knn_graph(pts, 3), 0.002, 922)
-        twin = GeometricGraph(g.coords, g.indptr, g.indices)
+        twin = GeometricGraph(g.coords.copy(), g.indptr, g.indices)
         cfgs = [TesterConfig(k=3, epsilon=0.5, delta=2, seed=s) for s in range(16)]
         want = [run_tester(OracleSession(twin), cfg).to_json_dict() for cfg in cfgs]
-        assert tester._GRAPH_INDEX[twin] is not None
+        assert _entry(twin) is not None and id(g.coords) not in tester._GRAPH_INDEX
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -834,4 +903,4 @@ class TestGraphIndexCache:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
-        assert tester._GRAPH_INDEX[g] is not None
+        assert _entry(g) is not None
