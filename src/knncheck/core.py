@@ -24,6 +24,8 @@ __all__ = [
     "dist2_block",
 ]
 
+_ROW_BLOCK = 1 << 15  # rows plus edges that row_fault checks at once
+
 
 def dist2(p, q) -> float:
     """Squared Euclidean distance between two points of equal dimension.
@@ -173,30 +175,42 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
 
+def row_blocks(indptr: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Ranges [a, b) of consecutive CSR rows with at most ``budget`` rows plus edges, a longer row alone."""
+    blocks, n, a = [], indptr.size - 1, 0
+    while a < n:
+        span = indptr[a : a + budget + 1] - indptr[a] + np.arange(min(budget + 1, n + 1 - a))
+        blocks.append((a, a + max(1, int(np.searchsorted(span, budget, side="right")) - 1)))
+        a = blocks[-1][1]
+    return blocks
+
+
 def row_fault(n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple[int, str] | None:
     """(vertex, message) for the first faulty CSR row over ids [0, n), or None.
 
     The message names the first failing check in the order: id range,
-    self-loop, duplicate. The rows may be a prefix of a graph's n rows.
+    self-loop, duplicate. The rows, maybe a prefix of a graph's n rows, are
+    checked a block of :func:`row_blocks` at a time, first block first.
     """
-    owner = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    out_of_range = owner[:0]
-    # an out-of-range id equals no owner, so dropping its slot changes no later check
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        in_range = (indices >= 0) & (indices < n)
-        out_of_range, owner, indices = owner[~in_range], owner[in_range], indices[in_range]
-    keys = owner * n + indices
-    keys.sort()
-    repeated = keys[1:][keys[1:] == keys[:-1]]
-    checks = (
-        (out_of_range, f"neighbor id out of range [0, {n})"),
-        (owner[indices == owner], "self-loop"),
-        (repeated // n, "duplicate neighbor"),
-    )
-    firsts = [int(bad.min()) if bad.size else n for bad, _ in checks]
-    v = min(firsts)
-    if v < n:
-        return v, f"vertex {v}: {checks[firsts.index(v)][1]}"
+    for a, b in row_blocks(indptr, _ROW_BLOCK):
+        owner, ids = np.repeat(np.arange(a, b), np.diff(indptr[a : b + 1])), indices[indptr[a] : indptr[b]]
+        out_of_range = owner[:0]
+        # an out-of-range id equals no owner, so dropping its slot changes no later check
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            in_range = (ids >= 0) & (ids < n)
+            out_of_range, owner, ids = owner[~in_range], owner[in_range], ids[in_range]
+        keys = owner * n + ids
+        keys.sort()
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        checks = (
+            (out_of_range, f"neighbor id out of range [0, {n})"),
+            (owner[ids == owner], "self-loop"),
+            (repeated // n, "duplicate neighbor"),
+        )
+        firsts = [int(bad.min()) if bad.size else n for bad, _ in checks]
+        v = min(firsts)
+        if v < n:
+            return v, f"vertex {v}: {checks[firsts.index(v)][1]}"
     return None
 
 
@@ -209,6 +223,10 @@ class GeometricGraph:
     storage order, which is the order of the source and carries no distance
     meaning. Vertices are identified by position; coincident coordinates are
     legal.
+
+    A float64 C-contiguous ``coords`` array is kept, not copied, and set
+    read-only: the graph, later graphs over it (``corrupt_edges`` children)
+    and the tester's cached index share it. Do not set it writable again.
     """
 
     coords: np.ndarray

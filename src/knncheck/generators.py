@@ -200,11 +200,8 @@ def corrupt_edges(
     if full.size:
         raise ValueError(f"vertex {owners[full[0]]} is adjacent to every other vertex; cannot corrupt")
 
-    # rank[e]: the position of slot e in chosen order, count for unchosen slots
-    rank = np.full(g.num_edges, count)
-    rank[chosen] = np.arange(count)
-    # a draw is rejected with probability about (deg + 1) / n
-    window = max(16, n // (g.num_edges // n + 1))
+    # a draw is rejected with probability about (deg + 1) / n; rows of a window hold up to ~2**15 slots
+    window = max(16, min(n, 1 << 15) // (g.num_edges // n + 1))
     indices = g.indices.copy()
     draws = np.zeros(0, dtype=np.int64)
     i = pos = 0
@@ -226,13 +223,18 @@ def corrupt_edges(
         indices[chosen[i]] = tries[ok[0]]
         i, pos = i + 1, pos + int(ok[0]) + 1
         # the next w slots each take the next draw until the first rejection;
-        # slot i + j sees its row with the window's slots before it replaced
+        # slot i + j sees its row with the window's slots before it replaced:
+        # the slots i + e, e < j, of the same vertex, grouped by a stable sort
         cand, v = draws[pos : pos + w], owners[i : i + w]
         slots = concat_ranges(indptr[v], indptr[v + 1])
         row_of = np.repeat(np.arange(w), g.degrees[v])
-        step = rank[slots] - i
-        replaced = (step >= 0) & (step < row_of)
-        held = np.where(replaced, cand[np.clip(step, 0, w - 1)], indices[slots])
+        order = np.argsort(v, kind="stable")
+        at = np.empty(w, dtype=np.int64)
+        at[order] = np.arange(w)
+        group = np.searchsorted(v[order], v)
+        j, e = np.repeat(np.arange(w), at - group), order[concat_ranges(group, at)]
+        held = indices[slots]
+        held[np.searchsorted(row_of, j) + chosen[i + e] - indptr[v[j]]] = cand[e]
         rejected = cand == v
         rejected[row_of[held == cand[row_of]]] = True
         f = int(np.argmax(rejected)) if rejected.any() else w

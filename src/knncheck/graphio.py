@@ -6,37 +6,45 @@ Layout (UTF-8, LF line endings):
   lines n+2 .. 2n+1 "<deg>" followed by <deg> vertex ids
 
 Floats are written as their shortest round-tripping decimal, so graphs
-round-trip bit-exactly. The writer formats each section in one call: the
-coordinates by one %-format of repr, the adjacency lines from a table of
-the id strings.
+round-trip bit-exactly. The writer makes the text a block of rows at a
+time, coordinates by one %-format of repr and adjacency lines as digits
+in a byte array, and ``write_knng`` streams the blocks, so it holds one
+block, not the text.
 
 Reading takes one of two paths with the same result, a graph or an error.
-Both read the header line with ``_header``. The bulk path converts each
-section with a few array calls: coordinates by Python's float, as in the
-per-line reader, and adjacency ids by one integer conversion. It takes
-ASCII text that ends in a newline, has 2n+1 lines and no control byte but
-tab, CR and LF, and whose adjacency tokens are runs of at most 18 decimal
-digits. Any other text, and any text with a fault, goes to the per-line
-reader. It reads signs, "_", non-ASCII digits and other whitespace
-("\\x0b", "\\x1c", ...) as Python's int, float and str.split do, and it
-alone reports faults in the body, with their line numbers. ``read_knng``
-decodes UTF-8 and reads line ends as text mode does: CRLF and a lone CR
-become LF.
+Both read the header line with ``_header``. The bulk path checks and
+converts the body a block of whole lines (about 256 KB) at a time into
+arrays allocated once, so it holds the text, the graph and one block:
+coordinates by Python's float, as in the per-line reader, and adjacency
+ids by integer conversion once a first pass has counted each row's ids. It
+takes ASCII text that ends in a newline, has 2n+1 lines and no control
+byte but tab, CR and LF after the header, and whose adjacency tokens are
+runs of at most 18 decimal digits. Any other text, and any text with a
+fault, goes to the per-line reader, whose memory no block bounds. It reads
+signs, "_", non-ASCII digits and other whitespace ("\\x0b", "\\x1c", ...)
+as Python's int, float and str.split do, and it alone reports faults in
+the body, with their line numbers. ``read_knng`` decodes UTF-8 and reads
+line ends as text mode does: CRLF and a lone CR become LF.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import uuid
 from pathlib import Path
 
 import numpy as np
 
-from .core import GeometricGraph, row_fault
+from .core import GeometricGraph, row_blocks, row_fault
 
 __all__ = ["KnngFormatError", "graph_to_text", "graph_from_text", "write_knng", "read_knng"]
 
 MAGIC = "knng"
 FORMAT_VERSION = 1
 _MAX_DIGITS = 18  # every run of this many decimal digits fits in int64
+_BLOCK_BYTES = 1 << 18  # bytes of whole lines the bulk reader checks and converts at once
+_WRITE_BLOCK = 1 << 15  # rows plus numbers per piece of written text
 
 
 class KnngFormatError(ValueError):
@@ -47,25 +55,30 @@ class KnngFormatError(ValueError):
         self.lineno = lineno
 
 
+def _text_pieces(graph: GeometricGraph):
+    """The .knng text of ``graph`` in pieces of about _WRITE_BLOCK rows plus numbers each."""
+    n, delta, indptr = graph.n, graph.delta, graph.indptr
+    yield f"{MAGIC} {FORMAT_VERSION} {n} {delta} {graph.k_hint or 0}\n"
+    rows = max(1, _WRITE_BLOCK // delta)
+    row = " ".join(["%r"] * delta) + "\n"  # %r is repr: the shortest round trip
+    for a in range(0, n, rows):
+        yield (row * min(rows, n - a)) % tuple(graph.coords[a : a + rows].ravel().tolist())
+    for a, b in row_blocks(indptr, _WRITE_BLOCK):
+        lo = indptr[a]  # each adjacency line is its degree, then its ids
+        tokens = np.insert(graph.indices[lo : indptr[b]], indptr[a:b] - lo, graph.degrees[a:b])
+        digits = sum((tokens >= 10**e for e in range(1, len(str(tokens.max())))), np.ones_like(tokens))
+        ends = np.cumsum(digits + 1)  # token j's digits, then a space or, where a line ends, a newline
+        text = np.full(ends[-1], ord(" "), dtype=np.uint8)
+        text[ends[indptr[a + 1 : b + 1] - lo + np.arange(b - a)] - 1] = ord("\n")
+        pos = ends - 2
+        while tokens.size:  # the last digit not yet written of each token
+            text[pos], tokens = tokens % 10 + ord("0"), tokens // 10
+            pos, tokens = pos[tokens > 0] - 1, tokens[tokens > 0]
+        yield text.tobytes().decode("ascii")
+
+
 def graph_to_text(graph: GeometricGraph) -> str:
-    n = graph.n
-    k_hint = graph.k_hint if graph.k_hint is not None else 0
-    header = f"{MAGIC} {FORMAT_VERSION} {n} {graph.delta} {k_hint}\n"
-    row = " ".join(["%r"] * graph.delta) + "\n"  # %r is repr: the shortest round trip
-    coords = (row * n) % tuple(graph.coords.ravel().tolist())
-    # each line is its degree, then its ids. Token t < n is "t " and t + n is
-    # "t\n", which ends a line; degrees are at most n-1, as rows hold neither
-    # repeats nor the vertex itself
-    degs = graph.degrees
-    deg_pos = graph.indptr[:-1] + np.arange(n)
-    tokens = np.empty(n + graph.num_edges, dtype=np.int64)
-    is_id = np.ones(tokens.size, dtype=bool)
-    is_id[deg_pos] = False
-    tokens[deg_pos] = degs
-    tokens[is_id] = graph.indices
-    tokens[deg_pos + degs] += n
-    words = np.array([f"{i} " for i in range(n)] + [f"{i}\n" for i in range(n)], dtype=object)
-    return header + coords + "".join(words[tokens].tolist())
+    return "".join(_text_pieces(graph))
 
 
 def _header(line: str) -> tuple[int, int, int]:
@@ -87,56 +100,67 @@ def _header(line: str) -> tuple[int, int, int]:
     return n, delta, k_hint
 
 
+def _line_blocks(raw: bytes, pos: int, lines: int):
+    """Runs of about _BLOCK_BYTES, or of one line, over the next ``lines`` lines from offset ``pos``.
+
+    Yields (first line, start, stop, tokens per line, longest token); the
+    tokens per line are None if the run holds a control byte but tab, LF, CR.
+    """
+    first = 0
+    while first < lines:
+        stop = raw.rfind(b"\n", pos, pos + _BLOCK_BYTES) + 1 or raw.find(b"\n", pos + _BLOCK_BYTES) + 1
+        block = np.frombuffer(raw, np.uint8, stop - pos, pos)
+        newlines = np.flatnonzero(block == ord("\n"))[: lines - first]
+        block = block[: newlines[-1] + 1]
+        # tokens start and end where the run switches between separators and
+        # other bytes; a newline comes before it and ends it, so the switches
+        # alternate. Below the space, only tab, LF and CR may occur: then the
+        # separators are the bytes up to the space, exactly those str.split() finds
+        edges = np.flatnonzero(np.diff(block <= ord(" "), prepend=True))
+        per_line = np.diff(np.searchsorted(edges[0::2], newlines), prepend=0)
+        if not np.isin(block[block < ord(" ")], list(b"\t\n\r")).all():
+            per_line = None
+        yield first, pos, pos + block.size, per_line, np.diff(edges)[::2].max(initial=0)
+        first, pos = first + newlines.size, pos + block.size
+
+
 def _bulk_graph(raw: bytes) -> GeometricGraph | None:
     """The graph in ``raw``, or None where the per-line reader must decide."""
     if not raw.endswith(b"\n") or not raw.isascii():
         return None
     head_end = raw.find(b"\n")
     n, delta, k_hint = _header(raw[:head_end].decode("ascii"))
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    # below the space, only tab, LF and CR: then the separators are the
-    # bytes up to the space, exactly the ones str.split() finds here
-    if not np.isin(buf[buf < ord(" ")], list(b"\t\n\r")).all():
+    # a coordinate takes at least two bytes, so a header that lies allocates nothing
+    if raw.count(b"\n") != 1 + 2 * n or 2 * n * delta > len(raw):
         return None
-    newlines = np.flatnonzero(buf == ord("\n"))
-    if newlines.size != 1 + 2 * n:
-        return None
-
-    # tokens start and end where the body switches between separators and
-    # other bytes; it opens and closes with a newline, so the switches alternate
-    is_sep = buf <= ord(" ")
-    edges = np.flatnonzero(is_sep[head_end + 1 :] != is_sep[head_end:-1])
-    edges += head_end + 1
-    starts, ends = edges[0::2], edges[1::2]
-    per_line = np.diff(np.searchsorted(starts, newlines))  # tokens on lines 2 .. 2n+1
-    if not (per_line[:n] == delta).all():
-        return None
+    coords = np.empty((n, delta))
+    for v, start, end, per_line, _ in _line_blocks(raw, head_end + 1, n):
+        if per_line is None or (per_line != delta).any():
+            return None
+        try:
+            coords[v : v + per_line.size].flat = np.fromiter(map(float, raw[start:end].split()), np.float64)
+        except ValueError:
+            return None
+    # the adjacency section: tokens of at most _MAX_DIGITS digits, a degree
+    # first; one pass checks them and counts each row's ids, a second converts
+    blocks, indptr = [], np.zeros(n + 1, dtype=np.int64)
+    for v, start, stop, per_line, longest in _line_blocks(raw, end, n):
+        block = np.frombuffer(raw, np.uint8, stop - start, start)
+        if (per_line is None or per_line.min() < 1 or longest > _MAX_DIGITS
+                or not ((block >= ord("0")) & (block <= ord("9")) | (block <= ord(" "))).all()):
+            return None
+        indptr[1 + v : 1 + v + per_line.size] = per_line - 1
+        blocks.append((start, stop, v, v + per_line.size))
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for start, stop, a, b in blocks:
+        values = np.fromstring(raw[start:stop], dtype=np.int64, sep=" ")
+        deg_pos = indptr[a:b] - indptr[a] + np.arange(b - a)
+        if not (values[deg_pos] == np.diff(indptr[a : b + 1])).all():
+            return None
+        indices[indptr[a] : indptr[b]] = np.delete(values, deg_pos)
     try:
-        coords = np.fromiter(map(float, raw[head_end + 1 : newlines[n]].split()), np.float64, n * delta)
-    except ValueError:
-        return None
-
-    # the adjacency section: tokens of at most _MAX_DIGITS digits, a degree first
-    lo, hi = newlines[n] + 1, newlines[-1]
-    section = buf[lo:hi]
-    id_lines = per_line[n:]
-    if (
-        not ((section >= ord("0")) & (section <= ord("9")) | is_sep[lo:hi]).all()
-        or id_lines.min() < 1
-        or (ends[n * delta :] - starts[n * delta :]).max() > _MAX_DIGITS
-    ):
-        return None
-    del is_sep, edges, starts, ends  # before the id arrays, to lower the peak
-    values = np.fromstring(raw[lo:hi], dtype=np.int64, sep=" ")
-    deg_pos = np.cumsum(id_lines) - id_lines
-    degs = values[deg_pos]
-    if not (degs == id_lines - 1).all():
-        return None
-    indptr = np.concatenate(([0], np.cumsum(degs)))
-    try:
-        return GeometricGraph(
-            coords.reshape(n, delta), indptr, np.delete(values, deg_pos), k_hint=k_hint if k_hint > 0 else None
-        )
+        return GeometricGraph(coords, indptr, indices, k_hint=k_hint if k_hint > 0 else None)
     except ValueError:  # a non-finite coordinate or a faulty row
         return None
 
@@ -206,7 +230,23 @@ def graph_from_text(text: str) -> GeometricGraph:
 
 
 def write_knng(graph: GeometricGraph, path) -> None:
-    Path(path).write_bytes(graph_to_text(graph).encode("utf-8"))
+    """Write ``graph`` a piece at a time to a file beside ``path`` that replaces it once whole.
+
+    An interrupted write leaves ``path`` as it was; a pipe or a device is written directly.
+    """
+    path, real = Path(path), os.path.realpath(path)
+    direct = path.exists() and not path.is_file()
+    tmp = path if direct else Path(f"{real}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "wb") as out:
+            out.writelines(piece.encode("ascii") for piece in _text_pieces(graph))
+        if not direct:
+            if path.exists():  # the new file takes the old one's permissions
+                shutil.copymode(real, tmp)
+            os.replace(tmp, real)
+    finally:
+        if not direct:
+            tmp.unlink(missing_ok=True)
 
 
 def read_knng(path) -> GeometricGraph:

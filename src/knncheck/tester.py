@@ -341,6 +341,9 @@ def _scan(
             return event
         lo += block.size
         size = max(1, int(_PAIR_FLOATS // max(_LEAF_SIZE, d2.size / block.size)))
+        # free this block's pair arrays before the next block gathers its own:
+        # a run's peak then holds one block's, not two
+        del d, d2, inside
         if index and size < lo + _FIRST_BLOCK and u_vals.size < g.n:
             index = None  # the scan has turned long
         size = min(lo + _FIRST_BLOCK, size)

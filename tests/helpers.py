@@ -49,6 +49,14 @@ def reference_corrupt_edges(
     return GeometricGraph(g.coords, g.indptr, indices, k_hint=g.k_hint)
 
 
+def circulant_graph(n: int, k: int, seed: int) -> GeometricGraph:
+    """Uniform points in the plane; row v holds (v + o) mod n for k distinct offsets o, in draw order."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.choice(np.arange(1, n), k, replace=False)
+    rows = (np.arange(n)[:, None] + offsets) % n
+    return GeometricGraph(rng.random((n, 2)), np.arange(0, n * k + 1, k), rows.ravel(), k_hint=k)
+
+
 def csr_from_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) whose row v is ``rows[v]``, in order."""
     rows = [np.asarray(row, dtype=np.int64) for row in rows]
@@ -396,6 +404,29 @@ class BruteForceProfile:
             epsilon_distance=min_edits / (budget.d * self.n),
             incomplete_count=incomplete,
         )
+
+
+def reference_row_fault(n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple[int, str] | None:
+    """``core.row_fault`` over all rows at once: one owner array and one sort of every edge key."""
+    owner = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    out_of_range = owner[:0]
+    # an out-of-range id equals no owner, so dropping its slot changes no later check
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        in_range = (indices >= 0) & (indices < n)
+        out_of_range, owner, indices = owner[~in_range], owner[in_range], indices[in_range]
+    keys = owner * n + indices
+    keys.sort()
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    checks = (
+        (out_of_range, f"neighbor id out of range [0, {n})"),
+        (owner[indices == owner], "self-loop"),
+        (repeated // n, "duplicate neighbor"),
+    )
+    firsts = [int(bad.min()) if bad.size else n for bad, _ in checks]
+    v = min(firsts)
+    if v < n:
+        return v, f"vertex {v}: {checks[firsts.index(v)][1]}"
+    return None
 
 
 def first_adjacency_error(n: int, adjacency) -> str | None:

@@ -15,6 +15,8 @@ from helpers import (
     graph_from_rows,
     reference_leaf_index,
     reference_leaf_pairs,
+    reference_row_fault,
+    rows_of,
 )
 from knncheck.core import (
     EdgeBudget,
@@ -27,6 +29,8 @@ from knncheck.core import (
     dist2_row,
     leaf_index,
     leaf_pairs,
+    row_blocks,
+    row_fault,
 )
 from knncheck import core
 from knncheck.generators import line_gadget
@@ -370,6 +374,17 @@ class TestGeometricGraphInvariants:
                 GeometricGraph(np.zeros((n, 2)), *csr_from_rows(adjacency))
             assert str(err.value) == expected
 
+    def test_keeps_and_freezes_the_callers_coordinate_array(self):
+        p = np.random.default_rng(3).random((4, 2))
+        g = graph_from_rows(p, (np.array([1]), np.array([2]), np.array([3]), np.array([0])))
+        assert g.coords is p and not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = 9.0
+        # a copy is made, and the caller's array left writable, only where the dtype or layout differs
+        q = np.asfortranarray(np.random.default_rng(4).random((4, 2)))
+        h = graph_from_rows(q, rows_of(g))
+        assert h.coords is not q and q.flags.writeable and not h.coords.flags.writeable
+
     def test_immutable_arrays(self):
         g = line_gadget(0.0, 1)
         with pytest.raises(ValueError):
@@ -407,6 +422,54 @@ class TestGeometricGraphInvariants:
     def test_coincident_points_are_legal(self):
         g = graph_from_rows(np.zeros((3, 2)), (np.array([1]), np.array([2]), np.array([0])))
         assert g.n == 3 and g.num_edges == 3
+
+
+def _faulty_csr(rng, n, long_row):
+    """Random CSR rows over [0, n): some empty, one of ``long_row`` ids, a few faults injected."""
+    rows = [rng.permutation(np.delete(np.arange(n), v))[: rng.integers(0, 4) * rng.integers(0, 2)]
+            for v in range(n)]
+    rows[int(rng.integers(n))] = rng.permutation(np.delete(np.arange(n), 0))[:long_row]
+    for v in rng.choice(n, size=int(rng.integers(0, min(n, 4))), replace=False):
+        fault = int(rng.integers(5))
+        row = rows[v]
+        rows[v] = (np.append(row, v) if fault == 0 else np.append(row, row[:1]) if fault == 1
+                   else np.append(row, [-1, n, 2**62][fault - 2]))
+        rows[v] = rng.permutation(rows[v])
+    return csr_from_rows(rows)
+
+
+class TestRowFault:
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 40])
+    def test_blocked_check_equals_the_one_shot_reference(self, budget, monkeypatch):
+        monkeypatch.setattr(core, "_ROW_BLOCK", budget)
+        rng = np.random.default_rng(budget)
+        for _ in range(150):
+            n = int(rng.integers(2, 40))
+            indptr, indices = _faulty_csr(rng, n, long_row=int(rng.integers(0, n)))
+            for rows in (n, int(rng.integers(0, n + 1))):  # every row, and a prefix
+                prefix, ids = indptr[: rows + 1], indices[: indptr[rows]]
+                assert row_fault(n, prefix, ids) == reference_row_fault(n, prefix, ids)
+
+    @pytest.mark.parametrize("budget", [1, 4, 9])
+    def test_blocks_cover_the_rows_in_order_within_the_budget(self, budget):
+        rng = np.random.default_rng(budget)
+        for _ in range(100):
+            degs = rng.integers(0, 12, size=int(rng.integers(0, 30))) * rng.integers(0, 2, size=1)
+            indptr = np.concatenate(([0], np.cumsum(degs)))
+            blocks = list(row_blocks(indptr, budget))
+            bounds = [0] + [b for _, b in blocks]
+            assert [a for a, _ in blocks] == bounds[:-1] and bounds[-1] == degs.size
+            for a, b in blocks:
+                size = indptr[b] - indptr[a] + b - a
+                assert b == a + 1 or size <= budget  # a longer row is its own block
+                assert b == degs.size or size + 1 + degs[b] > budget  # as full as it can be
+
+    def test_empty_graphs(self, monkeypatch):
+        monkeypatch.setattr(core, "_ROW_BLOCK", 2)
+        none = np.zeros(0, dtype=np.int64)
+        assert row_fault(5, np.zeros(1, dtype=np.int64), none) is None
+        assert row_fault(5, np.zeros(6, dtype=np.int64), none) is None
+        assert reference_row_fault(5, np.zeros(6, dtype=np.int64), none) is None
 
 
 class TestOracleSession:

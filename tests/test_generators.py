@@ -2,11 +2,12 @@
 dimension lower-bound pair."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import graph_from_rows, reference_corrupt_edges
+from helpers import circulant_graph, graph_from_rows, reference_corrupt_edges
 from knncheck.core import EdgeBudget
 from knncheck.exact import build_exact_knn_graph, epsilon_distance, max_shared_knn, witnesses_of
 from knncheck.generators import (
@@ -267,6 +268,19 @@ class TestCorruptEdges:
                     assert want.endswith("is adjacent to every other vertex; cannot corrupt")
         # K4 raises for every seed; the mixed graph for some seeds only
         assert 40 < raised < 80
+
+    def test_holds_its_output_and_one_block_and_equals_the_loop_at_scale(self):
+        # at n = 2**16, k = 10 one int64 per slot takes 5 MB, more than the bound
+        # leaves; a window's rows are capped at about 2**15 slots here
+        g = circulant_graph(2**16, 10, seed=2)
+        tracemalloc.start()
+        try:
+            c = corrupt_edges(g, 0.01, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < c.indices.nbytes + 4 * 2**20
+        assert c.equals(reference_corrupt_edges(g, 0.01, seed=3))
 
     def test_requires_min_degree(self):
         g = graph_from_rows(np.arange(4, dtype=float)[:, None],

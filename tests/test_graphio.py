@@ -1,12 +1,16 @@
 """The .knng text format: round trips and line-numbered rejection."""
 
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graph_from_rows, reference_graph_from_text
-from knncheck import graphio
+from helpers import circulant_graph, graph_from_rows, reference_graph_from_text
+from knncheck import core, graphio
 from knncheck.exact import build_exact_knn_graph
 from knncheck.generators import line_gadget, sample_d2, tight_witness_construction
 from knncheck.graphio import (
@@ -293,3 +297,115 @@ def test_invalid_utf8_reports_the_line_of_the_first_bad_byte(raw, line, tmp_path
     path.write_bytes(raw)
     with pytest.raises(KnngFormatError, match=f"^line {line}: invalid UTF-8"):
         read_knng(path)
+
+
+@pytest.fixture(params=[1, 7, 64])
+def small_blocks(request, monkeypatch):
+    """Blocks of ``param`` bytes, rows plus numbers, or rows plus edges: at 1, one line or row each."""
+    monkeypatch.setattr(graphio, "_BLOCK_BYTES", request.param)
+    monkeypatch.setattr(graphio, "_WRITE_BLOCK", request.param)
+    monkeypatch.setattr(core, "_ROW_BLOCK", request.param)
+
+
+def _assert_same_outcome_or_error(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(_READER_CORPUS))
+def test_reader_outcomes_do_not_depend_on_the_block_sizes(name, tmp_path, small_blocks, monkeypatch):
+    text = _READER_CORPUS[name]
+    path = tmp_path / "g.knng"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(graph_from_text, text), _outcome(read_knng, path)
+    monkeypatch.undo()
+    want = _outcome(graph_from_text, text), _outcome(read_knng, path)
+    for g, w in zip(got, want):
+        _assert_same_outcome_or_error(g, w)
+    _assert_same_outcome(want[0], _outcome(reference_graph_from_text, text))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_written_bytes_do_not_depend_on_the_block_sizes(seed, tmp_path, small_blocks, monkeypatch):
+    graphs = [_random_graph(seed), line_gadget(0.0, 2), circulant_graph(300, 4, seed)]
+    texts = [graph_to_text(g) for g in graphs]
+    for i, g in enumerate(graphs):
+        write_knng(g, tmp_path / f"{i}.knng")
+        assert read_knng(tmp_path / f"{i}.knng").equals(g)
+        assert graph_from_text(texts[i]).equals(g)
+    monkeypatch.undo()
+    assert texts == [graph_to_text(g) for g in graphs]
+    for i, text in enumerate(texts):
+        assert (tmp_path / f"{i}.knng").read_bytes() == text.encode("ascii")
+
+
+def test_a_write_cut_short_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    g = _random_graph(3)
+    path = tmp_path / "g.knng"
+    write_knng(line_gadget(0.0, 2), path)
+    before = path.read_bytes()
+
+    whole = list(graphio._text_pieces(g))
+
+    def pieces(graph):
+        yield from whole[: len(whole) // 2]
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(graphio, "_text_pieces", pieces)
+    for target in (path, tmp_path / "new.knng"):
+        with pytest.raises(KeyboardInterrupt):
+            write_knng(g, target)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["g.knng"]
+    monkeypatch.undo()
+    path.chmod(0o640)
+    write_knng(g, path)
+    assert read_knng(path).equals(g) and [p.name for p in tmp_path.iterdir()] == ["g.knng"]
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_a_pipe_is_written_directly_and_a_link_is_followed(tmp_path):
+    g = _random_graph(5)
+    pipe, got = tmp_path / "pipe", []
+    os.mkfifo(pipe)
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    write_knng(g, pipe)
+    reader.join(timeout=30)
+    assert got == [graph_to_text(g).encode("ascii")]
+    link, target = tmp_path / "link.knng", tmp_path / "target.knng"
+    link.symlink_to(target)
+    write_knng(g, link)
+    assert link.is_symlink() and read_knng(target).equals(g)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.knng", "pipe", "target.knng"]
+
+
+def _traced_peak(f, *args):
+    """f(*args) and the peak of the memory that tracemalloc sees it allocate."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    # at n = 2**16, k = 10 the text is 6.2 MB and the graph's arrays 7 MB; a
+    # block's temporaries take about 2 MB, and whole-text ones several times the text
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return circulant_graph(2**16, 10, seed=1)
+
+    def test_write_holds_one_block(self, graph, tmp_path):
+        _, peak = _traced_peak(write_knng, graph, tmp_path / "g.knng")
+        assert peak < 5 * 2**20
+
+    def test_read_holds_the_text_the_graph_and_one_block(self, graph, tmp_path):
+        path = tmp_path / "g.knng"
+        write_knng(graph, path)
+        g, peak = _traced_peak(read_knng, path)
+        assert g.equals(graph)
+        outputs = sum(a.nbytes for a in (g.coords, g.indptr, g.indices, g.degrees))
+        assert peak < path.stat().st_size + outputs + 4 * 2**20
