@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import GeometricGraph, concat_ranges
+from .core import GeometricGraph, concat_ranges, row_blocks
 from .exact import NeighborhoodProfile, build_exact_knn_graph
 from .sampling import rng_from, sample_without_replacement, split_seed
 
@@ -166,22 +166,26 @@ def tight_witness_construction(delta: int, k: int) -> tuple[GeometricGraph, int]
     return GeometricGraph(coords, indptr, indptr[:0], k_hint=k), 0
 
 
+_CORRUPT_BLOCK = 1 << 15  # rows plus excluded ids and chosen slots that corrupt_edges serves at once
+
+
 def corrupt_edges(
     g: GeometricGraph, fraction: float, seed: int, k: int | None = None
 ) -> GeometricGraph:
-    """Replace ceil(fraction*n*k) adjacency slots with random non-neighbors.
+    """Replace ceil(fraction*n*k) adjacency slots with distinct random non-neighbors.
 
     Slots are drawn uniformly without replacement over all (vertex, slot)
-    pairs; each replacement target is drawn uniformly outside the vertex's
-    current adjacency and itself, so out-degrees and list invariants are
-    preserved. fraction=0 returns an identical graph.
+    pairs. The chosen slots of vertex v, in ascending order, take distinct
+    values uniform over its pool V \\ ({v} ∪ N(v)), N(v) its original row, so
+    each removes a neighbor; a vertex with more chosen slots than pool values
+    raises ValueError. Out-degrees and list invariants are kept.
 
-    The chosen slots are served in order, each by rejection from one stream
-    of ``rng.integers(0, n)`` draws, as in the slot-by-slot loop kept in the
-    tests. The draws come in bulk, which numpy makes equal to one call per
-    draw, and are settled a window of slots at a time: the first slot takes
-    the first admissible draw of a block, each later slot is assumed to take
-    the next draw, and the slots before the first rejected one keep theirs.
+    Draw j of a row is a rank in [0, p - j) among the p pool values that its
+    draws 0..j-1 left, as in the slot-by-slot loop kept in the tests; a block
+    of whole rows draws its ranks in one ``rng.integers(0, highs)`` call, which
+    numpy makes equal to one call per rank. A rank steps over the row's earlier
+    ranks, latest first, to a pool position, which one ``searchsorted`` maps
+    to its value over the row's sorted excluded ids, each less its index.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
@@ -191,55 +195,44 @@ def corrupt_edges(
         raise ValueError("k not given and graph has no k_hint")
     if int(g.degrees.min()) < k:
         raise ValueError("corrupt_edges expects min out-degree >= k")
-    n, indptr = g.n, g.indptr
-    count = math.ceil(fraction * n * k)
+    n, indptr, degrees = g.n, g.indptr, g.degrees
     rng = rng_from(seed)
-    chosen = sample_without_replacement(g.num_edges, count, rng)
-    owners = np.searchsorted(indptr, chosen, side="right") - 1
-    full = np.flatnonzero(g.degrees[owners] >= n - 1)
-    if full.size:
-        raise ValueError(f"vertex {owners[full[0]]} is adjacent to every other vertex; cannot corrupt")
-
-    # a draw is rejected with probability about (deg + 1) / n; rows of a window hold up to ~2**15 slots
-    window = max(16, min(n, 1 << 15) // (g.num_edges // n + 1))
+    drawn = sample_without_replacement(g.num_edges, math.ceil(fraction * n * k), rng)
+    drawn.sort()
+    # the chosen slots as one byte per edge; the draw itself turns into owner ids
+    # plus one, a block at a time, so that no second 8 bytes per slot are held
+    chosen = np.zeros(g.num_edges, dtype=bool)
+    chosen[drawn] = True
+    for i in range(0, drawn.size, _CORRUPT_BLOCK):
+        drawn[i : i + _CORRUPT_BLOCK] = np.searchsorted(indptr, drawn[i : i + _CORRUPT_BLOCK], side="right")
+    counts = np.bincount(drawn, minlength=n + 1)[1:]
+    del drawn
+    rows = np.flatnonzero(counts)
+    counts = counts[rows]
+    short = np.flatnonzero(counts >= n - degrees[rows])
+    if short.size:
+        v, c = rows[short[0]], counts[short[0]]
+        raise ValueError(f"vertex {v} has {n - 1 - degrees[v]} non-neighbors for {c} replaced slots; "
+                         "cannot corrupt")
     indices = g.indices.copy()
-    draws = np.zeros(0, dtype=np.int64)
-    i = pos = 0
-    while i < count:
-        # slot i takes the first admissible draw of a block of about twice the
-        # draws it needs, against its row as it stands
-        v = owners[i]
-        row = indices[indptr[v] : indptr[v + 1]]
-        block = 2 * n // (n - 1 - row.size)
-        w = min(window, count - i - 1)
-        if pos + block + w > draws.size:
-            draws = np.concatenate([draws[pos:], rng.integers(0, n, size=count - i + block + w)])
-            pos = 0
-        tries = draws[pos : pos + block]
-        ok = np.flatnonzero((tries != v) & ~np.isin(tries, row))
-        if not ok.size:
-            pos += block
-            continue
-        indices[chosen[i]] = tries[ok[0]]
-        i, pos = i + 1, pos + int(ok[0]) + 1
-        # the next w slots each take the next draw until the first rejection;
-        # slot i + j sees its row with the window's slots before it replaced:
-        # the slots i + e, e < j, of the same vertex, grouped by a stable sort
-        cand, v = draws[pos : pos + w], owners[i : i + w]
-        slots = concat_ranges(indptr[v], indptr[v + 1])
-        row_of = np.repeat(np.arange(w), g.degrees[v])
-        order = np.argsort(v, kind="stable")
-        at = np.empty(w, dtype=np.int64)
-        at[order] = np.arange(w)
-        group = np.searchsorted(v[order], v)
-        j, e = np.repeat(np.arange(w), at - group), order[concat_ranges(group, at)]
-        held = indices[slots]
-        held[np.searchsorted(row_of, j) + chosen[i + e] - indptr[v[j]]] = cand[e]
-        rejected = cand == v
-        rejected[row_of[held == cand[row_of]]] = True
-        f = int(np.argmax(rejected)) if rejected.any() else w
-        indices[chosen[i : i + f]] = cand[:f]
-        i, pos = i + f, pos + f
+    for a, b in row_blocks(np.cumsum(np.append(0, degrees[rows] + 1 + counts)), _CORRUPT_BLOCK):
+        rs, cs, local = rows[a:b], counts[a:b], np.arange(b - a)
+        edges = concat_ranges(indptr[rs], indptr[rs + 1])
+        slots = edges[chosen[edges]]
+        j = np.arange(slots.size) - np.repeat(np.cumsum(cs) - cs, cs)
+        ranks = rng.integers(0, np.repeat(n - 1 - degrees[rs], cs) - j)
+        pos = ranks.copy()
+        for t in range(1, int(cs.max())):
+            later = np.flatnonzero(j >= t)
+            pos[later] += pos[later] >= ranks[later - t]
+        # row r's sorted excluded ids e_i as keys r * n + e_i - starts[r] - i: the value at
+        # position q of its pool is q plus the number of its keys up to r * n - starts[r] + q
+        keys = np.sort(np.concatenate([np.repeat(local, degrees[rs]) * n + g.indices[edges], local * n + rs]))
+        starts = np.searchsorted(keys, local * n)
+        keys -= np.arange(keys.size)
+        at = np.repeat(local, cs)
+        indices[slots] = pos + np.searchsorted(keys, at * n - starts[at] + pos, side="right") - starts[at]
+    del chosen, rows, counts  # before the output's row check
     return GeometricGraph(g.coords, indptr, indices, k_hint=g.k_hint)
 
 

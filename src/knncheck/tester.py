@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact
 from .core import (
     GeometricGraph,
     OracleSession,
@@ -369,13 +368,14 @@ def _graph_index(g: GeometricGraph):
 
 
 def _evidence_confirmed(g: GeometricGraph, ev: Evidence, k: int) -> bool:
-    """Ground-truth confirmation of rejection evidence.
+    """Ground-truth confirmation of rejection evidence, in O(k) reads.
 
-    Low-degree evidence means deg(v) < k. A witness pair (v, u) certifies
-    that v is incomplete: u is a non-neighbor other than v strictly inside
-    r_k(v), the k-th smallest squared distance from v to its neighbors, which
-    forces a missing true k-nearest neighbor. Both the pair and the exact
-    witness set of v are checked.
+    Low-degree evidence means deg(v) < k. A witness pair (v, u) has u a
+    non-neighbor other than v strictly inside r_k(v), the k-th smallest squared
+    distance from v to its neighbors. That proves v incomplete: v's nearest
+    non-neighbor w has d(v, w) <= d(v, u) < r_k(v), and every vertex strictly
+    nearer than w is a neighbor strictly inside r_k(v), of which there are
+    fewer than k, so w is a k-nearest vertex missing from v's row.
     """
     if ev.reason == "low-degree":
         return g.degree(ev.vertex) < k
@@ -384,6 +384,4 @@ def _evidence_confirmed(g: GeometricGraph, ev: Evidence, k: int) -> bool:
     if u is None or g.check_vertex(u) == v or nbrs.size < k or np.any(nbrs == u):
         return False
     d2 = dist2_row(g.coords[v], g.coords.take(np.append(nbrs, u), axis=0))
-    if not d2[-1] < np.partition(d2[:-1], k - 1)[k - 1]:
-        return False
-    return exact.witnesses_of(g, v, k).incomplete
+    return bool(d2[-1] < np.partition(d2[:-1], k - 1)[k - 1])

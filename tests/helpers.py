@@ -23,30 +23,40 @@ from knncheck.tester import Evidence, TesterConfig, Verdict, sample_sizes
 def reference_corrupt_edges(
     g: GeometricGraph, fraction: float, seed: int, k: int | None = None
 ) -> GeometricGraph:
-    """``generators.corrupt_edges`` slot by slot, one ``rng.integers`` call per draw.
+    """``generators.corrupt_edges`` slot by slot, with a literal pool per slot.
 
-    Each chosen slot, in chosen order, redraws until the target is neither
-    its vertex nor in the vertex's current row, which holds the earlier
-    slots' replacements.
+    The chosen slots, in ascending order, each take the value at one
+    ``rng.integers(0, pool.size)`` draw in the sorted pool of their vertex v:
+    the ids other than v, its original row and its current row, which holds
+    the values its earlier slots took.
     """
     if k is None:
         k = g.k_hint
     n = g.n
-    count = math.ceil(fraction * n * k)
     rng = rng_from(seed)
-    chosen = rng.choice(g.num_edges, count, replace=False)
-    indices = g.indices.copy()
+    chosen = np.sort(rng.choice(g.num_edges, math.ceil(fraction * n * k), replace=False))
     owners = np.searchsorted(g.indptr, chosen, side="right") - 1
+    indices = g.indices.copy()
     for slot, v in zip(chosen.tolist(), owners.tolist()):
-        nbrs = indices[g.indptr[v] : g.indptr[v + 1]]
-        if n - 1 <= nbrs.size:
-            raise ValueError(f"vertex {v} is adjacent to every other vertex; cannot corrupt")
-        while True:
-            cand = int(rng.integers(0, n))
-            if cand != v and not np.any(nbrs == cand):
-                break
-        indices[slot] = cand
+        row = slice(g.indptr[v], g.indptr[v + 1])
+        free = np.ones(n, dtype=bool)
+        free[[v, *g.indices[row].tolist(), *indices[row].tolist()]] = False
+        pool = np.flatnonzero(free)
+        if not pool.size:
+            p, c = n - 1 - g.degree(v), int(np.sum(owners == v))
+            raise ValueError(f"vertex {v} has {p} non-neighbors for {c} replaced slots; cannot corrupt")
+        indices[slot] = pool[int(rng.integers(0, pool.size))]
     return GeometricGraph(g.coords, g.indptr, indices, k_hint=g.k_hint)
+
+
+def corruptible_fraction(n: int, k: int, fraction: float) -> float:
+    """A fraction at which ``corrupt_edges`` cannot run short on an exact k-NN graph of n points.
+
+    Each row there has k slots and a pool of n - 1 - k values. With n > 2k
+    no row's slots outnumber its pool, so ``fraction`` stays; otherwise the
+    fraction replaces n - 1 - k slots in all, which no pool can lack.
+    """
+    return fraction if n > 2 * k else (n - k - 1.5) / (n * k)
 
 
 def circulant_graph(n: int, k: int, seed: int) -> GeometricGraph:

@@ -17,7 +17,7 @@ from helpers import exhaustive_min_edits, graph_from_rows, random_small_graph, r
 from knncheck.adversary import estimate_collision_probability
 from knncheck.cli import main as cli_main
 from knncheck.core import EdgeBudget, OracleSession
-from knncheck.exact import build_exact_knn_graph, epsilon_distance, max_shared_knn
+from knncheck.exact import build_exact_knn_graph, epsilon_distance, max_shared_knn, witnesses_of
 from knncheck.generators import (
     corrupt_edges,
     dimension_lb_instances,
@@ -76,6 +76,8 @@ def far_runs():
             assert rep.epsilon_distance > 0.05
         cfg = TesterConfig(k=2, epsilon=0.05, delta=1, seed=seed)
         v = run_tester(OracleSession(g), cfg)
+        # the run confirms its evidence by the O(k) pair check; check it against ground truth
+        assert v.decision == "accept" or witnesses_of(g, v.evidence.vertex, 2).incomplete
         runs.append(TheoryRun(g.n, cfg, v.decision, v.s_size, v.queries.total))
     return runs
 

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     BruteForceProfile,
+    corruptible_fraction,
     exhaustive_min_edits,
     graph_from_rows,
     k_reduce,
@@ -303,7 +304,7 @@ def _assert_matches_brute_force(points, k, graphs=()):
     shuffled = np.random.default_rng(k).permutation(ref.coords)
     checked = [base, *graphs, _ragged_graph(ref, k), GeometricGraph(shuffled, base.indptr, base.indices)]
     if p.n > k + 1:  # a complete digraph has no slot to corrupt
-        checked.append(corrupt_edges(base, 0.3, 1))
+        checked.append(corrupt_edges(base, corruptible_fraction(p.n, k, 0.3), 1))
     for g in checked:
         # a computed budget needs at least one edge
         budgets = [None] if g.num_edges else []

@@ -2,14 +2,24 @@
 dimension lower-bound pair."""
 
 import math
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from helpers import circulant_graph, graph_from_rows, reference_corrupt_edges
+from knncheck import generators
 from knncheck.core import EdgeBudget
-from knncheck.exact import build_exact_knn_graph, epsilon_distance, max_shared_knn, witnesses_of
+from knncheck.exact import (
+    NeighborhoodProfile,
+    build_exact_knn_graph,
+    epsilon_distance,
+    max_shared_knn,
+    witnesses_of,
+)
 from knncheck.generators import (
     corrupt_edges,
     dimension_lb_instances,
@@ -238,14 +248,20 @@ class TestCorruptEdges:
                 self._assert_same_as_loop(g, fraction, 1000 + seed, k=None if hint else k)
 
     def test_equals_the_loop_when_every_row_has_degree_n_minus_2(self):
-        # one admissible target per row: every slot rejects about n - 2 draws
+        # one pool value per row: a row with two chosen slots raises
         for n in (3, 4, 7, 12):
             rows = [np.delete(np.arange(n), [v, (v + 1) % n]) for v in range(n)]
             g = graph_from_rows(np.arange(n, dtype=float)[:, None], rows, k_hint=n - 2)
             for seed in range(10):
                 for fraction in (1.0 / (n * (n - 2)), 0.5, 1.0):
                     got = self._assert_same_as_loop(g, fraction, seed)
-                    assert np.array_equal(got.degrees, g.degrees)
+                    if isinstance(got, str):
+                        assert fraction > 1.0 / (n * (n - 2)) and n > 3
+                    else:
+                        assert np.array_equal(got.degrees, g.degrees)
+                        owner = np.repeat(np.arange(n), n - 2)
+                        changed = got.indices != g.indices
+                        assert np.array_equal(got.indices[changed], (owner[changed] + 1) % n)
 
     def test_equals_the_loop_on_exact_graphs(self):
         g = build_exact_knn_graph(np.random.default_rng(6).random((600, 2)), 5)
@@ -265,7 +281,8 @@ class TestCorruptEdges:
                 want = self._assert_same_as_loop(g, fraction, seed)
                 if isinstance(want, str):
                     raised += 1
-                    assert want.endswith("is adjacent to every other vertex; cannot corrupt")
+                    assert re.fullmatch(r"vertex \d has 0 non-neighbors for \d replaced slots; "
+                                        r"cannot corrupt", want)
         # K4 raises for every seed; the mixed graph for some seeds only
         assert 40 < raised < 80
 
@@ -281,6 +298,70 @@ class TestCorruptEdges:
             tracemalloc.stop()
         assert peak < c.indices.nbytes + 4 * 2**20
         assert c.equals(reference_corrupt_edges(g, 0.01, seed=3))
+
+    @pytest.mark.parametrize("fraction", [0.1, 1.0])
+    def test_holds_its_output_and_one_block_at_high_fractions(self, monkeypatch, fraction):
+        # the bound holds from the draw of the chosen slots on; at f = 1 numpy's
+        # own draw holds two arrays of n * k int64 (its tail shuffle copies an
+        # arange of all slots), more than the bound, before the output exists
+        draw, peaks = generators.sample_without_replacement, []
+
+        def traced_draw(*args):
+            chosen = draw(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return chosen
+
+        monkeypatch.setattr(generators, "sample_without_replacement", traced_draw)
+        g = circulant_graph(2**16, 10, seed=2)
+        tracemalloc.start()
+        try:
+            c = corrupt_edges(g, fraction, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        bound = c.indices.nbytes + 4 * 2**20
+        draw_peak, peak = peaks
+        assert peak < bound
+        assert draw_peak < bound or fraction == 1.0
+
+    def test_block_size_changes_no_output(self, monkeypatch):
+        exact_g = build_exact_knn_graph(np.random.default_rng(7).random((300, 2)), 4)
+        rows = [np.array([1, 2]), np.array([2, 3]), np.array([0, 1, 3, 4, 5]),
+                np.array([4, 5]), np.array([5, 0]), np.array([0, 1])]
+        ragged = graph_from_rows(np.arange(6, dtype=float)[:, None], rows, k_hint=2)
+        cases = [(exact_g, f, s) for f in (0.002, 0.1, 0.6, 1.0) for s in range(3)]
+        cases += [(ragged, f, s) for f in (0.25, 0.5, 1.0) for s in range(8)]
+        want = [self._outcome(corrupt_edges, *case) for case in cases]
+        assert any(isinstance(w, str) for w in want) and not all(isinstance(w, str) for w in want)
+        for block in (1, 7, 37):
+            monkeypatch.setattr(generators, "_CORRUPT_BLOCK", block)
+            for case, w in zip(cases, want):
+                got = self._outcome(corrupt_edges, *case)
+                assert got == w if isinstance(w, str) else got.equals(w), (block, case[1:])
+
+    @pytest.mark.parametrize("fraction", [0.001, 0.01, 0.1, 1.0])
+    def test_epsilon_distance_equals_the_fraction_on_tie_free_exact_graphs(self, fraction):
+        # every replaced slot of an exact row takes a value outside the row, so
+        # each one is a missing true neighbor and no two of a row coincide
+        for seed, (n, delta, k) in enumerate(((2000, 2, 5), (1000, 3, 10))):
+            p = NeighborhoodProfile(np.random.default_rng(40 + seed).random((n, delta)), k)
+            assert np.all(np.diff(p.at_indptr) == 1)  # no ties at any k-th distance
+            rep = p.report(corrupt_edges(p.graph, fraction, seed=seed))
+            assert rep.min_edits == math.ceil(fraction * n * k)
+
+    def test_replaced_slots_of_a_row_are_a_uniform_pair_of_its_pool(self):
+        # row 0 is [1, 2], so its pool is {3, 4, 5}; at fraction 1 both slots
+        # take a pair of it, each of the three with probability 1/3
+        g = graph_from_rows(np.arange(6, dtype=float)[:, None],
+                            [np.array([(v + 1) % 6, (v + 2) % 6]) for v in range(6)], k_hint=2)
+        trials = 6000
+        pairs = Counter(tuple(sorted(corrupt_edges(g, 1.0, seed=s).neighbors(0).tolist()))
+                        for s in range(trials))
+        assert set(pairs) <= {(3, 4), (3, 5), (4, 5)}
+        # two-sided exact binomial bound at 1e-6 per pair
+        lo, hi = scipy.stats.binom.ppf(1e-6, trials, 1 / 3), scipy.stats.binom.isf(1e-6, trials, 1 / 3)
+        assert all(lo <= pairs[pair] <= hi for pair in ((3, 4), (3, 5), (4, 5))), pairs
 
     def test_requires_min_degree(self):
         g = graph_from_rows(np.arange(4, dtype=float)[:, None],

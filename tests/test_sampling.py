@@ -37,11 +37,10 @@ STREAM_BOUNDS = [7, 16384, 2**31 + 5, 2**32, 2**40 + 3, 2**62 + 11]
 @pytest.mark.parametrize("n", STREAM_BOUNDS)
 @pytest.mark.parametrize("edges, size", [(1000, 37), (2**33 + 1, 1), (50, 50)])
 def test_bounded_draws_are_equal_one_by_one_in_bulk_and_in_chunks(n, edges, size):
-    """generators.corrupt_edges draws its targets in bulk on this property.
+    """numpy's bounded stream under one bound, in bulk and in chunks.
 
-    Right after the sampler's draw, the one corrupt_edges makes first, m
-    scalar calls rng.integers(0, n) return the values of one call with size=m
-    and of any split of it into chunks.
+    Right after the sampler's draw, m scalar calls rng.integers(0, n) return
+    the values of one call with size=m and of any split of it into chunks.
     """
 
     def after_sampler_draw():
@@ -57,6 +56,38 @@ def test_bounded_draws_are_equal_one_by_one_in_bulk_and_in_chunks(n, edges, size
     chunks = np.concatenate([rng.integers(0, n, size=c) for c in (1, 0, 2, 3, 1, 50, 0, 243)])
     assert bulk.tolist() == one_by_one
     assert chunks.tolist() == one_by_one
+
+
+@pytest.mark.parametrize("top", STREAM_BOUNDS)
+def test_draws_under_an_array_of_bounds_are_equal_one_by_one_and_in_chunks(top):
+    """generators.corrupt_edges draws the ranks of a block of rows on this property.
+
+    Right after the sampler's draw, one call rng.integers(0, highs) with an
+    array of bounds returns the values of one scalar call per bound, and of
+    any split of the bounds into chunks, and leaves the stream at the same
+    place. The bounds mix numpy's 32-bit and 64-bit paths, and a bound of 1
+    draws nothing.
+    """
+    mix = rng_from(derive_seed(top))
+    highs = mix.integers(1, top, size=300, endpoint=True)
+    highs[::7] = 1
+    highs[::11] = mix.choice(STREAM_BOUNDS, size=highs[::11].size)
+
+    def after_sampler_draw():
+        rng = rng_from(derive_seed(top, 1))
+        sample_without_replacement(1000, 37, rng)
+        return rng
+
+    rng = after_sampler_draw()
+    one_by_one = [int(rng.integers(0, h)) for h in highs.tolist()] + [int(rng.integers(0, 2**62))]
+    rng = after_sampler_draw()
+    bulk = rng.integers(0, highs).tolist() + [int(rng.integers(0, 2**62))]
+    rng = after_sampler_draw()
+    cuts = [0, 1, 1, 3, 10, 11, 150, 150, 299, 300]
+    chunks = [v for a, b in zip(cuts, cuts[1:]) for v in rng.integers(0, highs[a:b]).tolist()]
+    chunks.append(int(rng.integers(0, 2**62)))
+    assert bulk == one_by_one
+    assert chunks == one_by_one
 
 
 def test_sample_without_replacement_is_a_prefix_of_a_permutation():

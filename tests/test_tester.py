@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     ReferenceOracle,
+    corruptible_fraction,
     graph_from_rows,
     local_witness_check,
     naive_run_tester,
@@ -171,7 +172,7 @@ class TestLocalWitnessCheck:
             k = int(rng.integers(1, 4))
             g = random_small_graph(rng, k)
             exact_g = build_exact_knn_graph(g.coords, k)
-            for h in (g, exact_g, corrupt_edges(exact_g, 0.3, trial)):
+            for h in (g, exact_g, corrupt_edges(exact_g, corruptible_fraction(g.n, k, 0.3), trial)):
                 for cfg in (TesterConfig(k=k, epsilon=0.5, delta=g.delta, seed=trial),
                             TesterConfig(k=k, epsilon=0.5, delta=g.delta, mode="experiment",
                                          c1=1.0, c2=0.01, seed=trial)):
@@ -223,18 +224,20 @@ class TestRunTester:
         assert not tester._evidence_confirmed(g, Evidence(0, 3, "witness"), 1)
 
     def test_unconfirmed_evidence_raises_under_optimize(self):
-        # ground truth that calls every vertex complete contradicts the
-        # witness rejection above; the check must survive python -O
+        # a confirmation that puts every vertex at distance 0 from v finds no
+        # pair strictly inside r_k(v), which contradicts the witness rejection
+        # above; the check must survive python -O
         script = textwrap.dedent(
             """
             import sys
-            from knncheck import exact
+            import numpy as np
+            from knncheck import tester
             from knncheck.core import OracleSession
             from knncheck.generators import sample_d2
             from knncheck.tester import TesterConfig, run_tester
 
             print("optimize:", sys.flags.optimize)
-            exact.witnesses_of = lambda g, v, k: exact.WitnessSet(v, frozenset(), 0)
+            tester.dist2_row = lambda p, pts: np.zeros(len(pts))
             g = sample_d2(120, 2, 0.1, seed=3)
             try:
                 run_tester(OracleSession(g), TesterConfig(k=2, epsilon=0.1, delta=1, seed=4))
@@ -316,6 +319,7 @@ class TestNaiveEquivalence:
             slow.s_size,
             slow.t_size,
         )
+        assert fast.decision == "accept" or witnesses_of(g, fast.evidence.vertex, cfg.k).incomplete
         return fast
 
     @pytest.mark.parametrize("seed", range(10))
@@ -833,8 +837,8 @@ class TestGraphIndexCache:
         assert len(cache) == 0
 
     def test_point_sets_made_after_drops_record_their_first_run(self, monkeypatch, scan_events):
-        # new arrays take the ids of dropped ones; their first dense run must
-        # still only record them, and so build the index over U, as on a fresh array
+        # a new array that takes the id of a dropped one: its first dense run
+        # must still only record it, and so build the index over U, as on a fresh array
         cache = {}
         monkeypatch.setattr(tester, "_GRAPH_INDEX", cache)
         rng = np.random.default_rng(923)
@@ -845,17 +849,19 @@ class TestGraphIndexCache:
         del graphs, g
         gc.collect()
         assert len(cache) == 0
-        reused = 0
-        for _ in range(50):
-            g = build_exact_knn_graph(rng.random((100, 2)), 2)
-            reused += id(g.coords) in dropped
-            scan_events.clear()
-            cfg = TestNaiveEquivalence._sized(g.n, 2, g.delta, 100, 2 * g.n, 0)
-            u = TestCachedGraphIndex._u_size(g.n, cfg)
-            assert u < g.n
-            TestNaiveEquivalence()._compare(g, cfg)
-            assert scan_events[0] == ("index", u) and _entry(g) is None
-        assert reused > 0
+        # the arrays made are kept alive, so each takes a place no earlier one holds
+        made = [rng.random((100, 2))]
+        while id(made[-1]) not in dropped:
+            assert len(made) < 5000, "no new array took the id of a dropped one"
+            made.append(rng.random((100, 2)))
+        g = build_exact_knn_graph(made[-1], 2)
+        assert g.coords is made[-1]
+        cfg = TestNaiveEquivalence._sized(g.n, 2, g.delta, 100, 2 * g.n, 0)
+        u = TestCachedGraphIndex._u_size(g.n, cfg)
+        assert u < g.n
+        scan_events.clear()
+        TestNaiveEquivalence()._compare(g, cfg)
+        assert scan_events[0] == ("index", u) and _entry(g) is None
 
     def test_equal_but_distinct_arrays_do_not_share_an_index(self, scan_events):
         g = build_exact_knn_graph(np.random.default_rng(924).random((500, 2)), 2)
