@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success (for `test`: accept), 3 reject, 64 usage error,
-65 malformed data, 66 missing or unreadable input, 73 output not written.
+65 malformed data, 66 missing or unreadable input, 71 out of memory,
+73 output not written.
 JSON and CSV outputs contain no timestamps or timings, so identical
 invocations produce identical bytes.
 """
@@ -36,6 +37,7 @@ EX_REJECT = 3
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
+EX_OSERR = 71
 EX_CANTCREAT = 73
 
 
@@ -308,6 +310,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"knncheck: {exc}", file=sys.stderr)
         return EX_NOINPUT
+    except MemoryError as exc:
+        print(f"knncheck: out of memory: {exc}", file=sys.stderr)
+        return EX_OSERR
     except (ValueError, json.JSONDecodeError, KeyError) as exc:
         print(f"knncheck: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -4,9 +4,10 @@ Everything here reads the graph directly (never through an OracleSession) and
 serves as the ground truth the sublinear tester is validated against.
 
 One kernel computes, for every vertex, its k-th smallest squared distance,
-the ids strictly inside it and the ids exactly at it. It runs on the k-d leaf
-index that lives in :mod:`core` (:func:`core.leaf_index`, leaves of at most 8
-points), one unit of consecutive leaves at a time. The largest k-th distance
+its k nearest ids, how many of them lie strictly inside that distance and the
+ids exactly at it. It runs on the k-d leaf index that lives in :mod:`core`
+(:func:`core.leaf_index`, leaves of at most 8 points), one unit of
+consecutive leaves at a time. The largest k-th distance
 of a unit's rows among the unit's own points bounds each row's true k-th
 distance from above, and the index's one query :func:`core.leaf_pairs` keeps
 only the leaves whose box bound is within it, so the leaves left hold every
@@ -14,10 +15,13 @@ id inside or at the k-th distance, in every dimension and with no rounding
 margin. Candidates are ranked with the same distance arithmetic
 (:func:`core.sum_squares`) as a scan over all points, so strict inequalities
 and tie-breaking equal those of a brute-force pass bit for bit. A unit of at
-most k points bounds nothing, so its rows take every leaf.
-:func:`k_nearest_set` selects one row against all points with the same
-:func:`_select`. A report counts hits by comparing its edges' squared
-distances over the profile's points, overflow to inf ignored, with ``kth``.
+most k points bounds nothing, so its rows take every leaf. Each block's
+selection is written straight into the profile's arrays. The ids inside a
+vertex's k-th distance are the first ones of its k nearest, so they are not
+stored but read from ``knn``. :func:`k_nearest_set` selects one row against
+all points with the same :func:`_select`. A report counts hits by comparing
+its edges' squared distances over the profile's points, overflow to inf
+ignored, with ``kth``, one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import EdgeBudget, GeometricGraph, dist2_block, leaf_index, leaf_pairs, sum_squares
+from .core import EdgeBudget, GeometricGraph, dist2_block, leaf_index, leaf_pairs, row_blocks, sum_squares
 
 __all__ = [
     "WitnessSet",
@@ -40,8 +44,10 @@ __all__ = [
     "max_shared_knn",
 ]
 
-# rows per distance block, sized to keep temporaries around 64 MB
+# floats per distance block; a selection holds two such blocks and a byte mask, about 136 MB
 _BLOCK_FLOATS = 8_000_000
+# rows plus edges that a report compares at once
+_REPORT_BLOCK = 1 << 15
 # most points per leaf of the kernel's index
 _LEAF_SIZE = 8
 # rows the kernel aims to put in one unit of consecutive leaves
@@ -69,8 +75,7 @@ class _Selection:
     rows: np.ndarray  # vertex ids
     kth: np.ndarray  # k-th smallest squared distance per row
     knn: np.ndarray  # (rows, k): first k ids by (squared distance, id)
-    inside_of: np.ndarray  # owning vertex of each entry of inside_ids
-    inside_ids: np.ndarray  # strictly nearer than the k-th distance, ascending per row
+    inside: np.ndarray  # count per row of ids strictly nearer than the k-th distance, the first ones of knn
     at_of: np.ndarray
     at_ids: np.ndarray  # exactly at the k-th distance, ascending per row
 
@@ -91,13 +96,13 @@ def _select(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int) -> _
     counts = np.bincount(r, minlength=rows.size)
     first = np.cumsum(counts) - counts
     knn = cand[c[order][first[:, None] + np.arange(k)]]
-    inside = d < kth[r]
-    owner, ids = rows[r], cand[c]
-    return _Selection(rows, kth, knn, owner[inside], ids[inside], owner[~inside], ids[~inside])
+    at = d == kth[r]
+    inside = counts - np.bincount(r[at], minlength=rows.size)
+    return _Selection(rows, kth, knn, inside, rows[r[at]], cand[c[at]])
 
 
-def _leaf_pass(coords: np.ndarray, k: int) -> list[_Selection]:
-    """Selections for every vertex, one unit of the leaf index at a time.
+def _leaf_pass(coords: np.ndarray, k: int):
+    """Yields selections that cover every vertex once, one unit of the leaf index at a time.
 
     A unit is a node of the leaf index holding about _UNIT_ROWS points.
     Its rows' k-th distances among its own points are at least their k-th
@@ -110,6 +115,7 @@ def _leaf_pass(coords: np.ndarray, k: int) -> list[_Selection]:
     from one :func:`core.leaf_pairs` query per chunk of units.
     """
     leaves, first, _, levels = leaf_index(coords, _LEAF_SIZE)
+    del _  # the leaves' coordinates, n·δ floats the pass does not read
     count, width = leaves.shape
     # a power of two, at most the leaf count, so that every unit is one node of the index
     per = min(count, 1 << max(0, (_UNIT_ROWS // width).bit_length() - 1))
@@ -120,7 +126,6 @@ def _leaf_pass(coords: np.ndarray, k: int) -> list[_Selection]:
     thr = np.array([np.partition(dist2_block(x := coords.take(r, axis=0), x), k, axis=1)[:, k].max()
                     if r.size > k else np.inf for r in units])
     unit_lo, unit_hi = levels[len(units).bit_length() - 1]
-    parts = []
     # units per query, so that its unit-by-leaf bounds stay within one distance block
     chunk = _block_size(count)
     for c in range(0, len(units), chunk):
@@ -129,8 +134,8 @@ def _leaf_pass(coords: np.ndarray, k: int) -> list[_Selection]:
         for rows, near in zip(units[span], np.split(leaf, np.searchsorted(row, np.arange(1, chunk)))):
             cand = np.unique(leaves[near])
             step = _block_size(cand.size)
-            parts += [_select(coords, rows[b : b + step], cand, k) for b in range(0, rows.size, step)]
-    return parts
+            for b in range(0, rows.size, step):
+                yield _select(coords, rows[b : b + step], cand, k)
 
 
 def _csr(n: int, owner: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +154,7 @@ def k_nearest_set(g: GeometricGraph, v: int, k: int) -> set[int]:
     v = g.check_vertex(v)
     _check_k(g.n, k)
     sel = _select(g.coords, np.array([v]), np.arange(g.n), k)
-    return set(sel.inside_ids.tolist()) | set(sel.at_ids.tolist())
+    return set(sel.knn[0, : sel.inside[0]].tolist()) | set(sel.at_ids.tolist())
 
 
 @dataclass(frozen=True)
@@ -190,11 +195,14 @@ class NeighborhoodProfile:
     """Per-vertex k-th-distance structure of a point set, from one pass of the kernel.
 
     For every vertex it holds the k-th smallest squared distance ``kth``, the
-    ids strictly inside it (``inside_indptr``/``inside_indices``), the ids
-    exactly at it (``at_indptr``/``at_indices``), both ascending per vertex,
-    and the exact k-NN adjacency ``knn``. This depends only on coordinates,
-    so one profile serves every graph over the same point set (the sweep
-    harness reuses it across many corrupted adjacencies).
+    exact k-NN adjacency ``knn``, the ids strictly inside the k-th distance
+    (``inside_indptr``/``inside_indices``) and the ids exactly at it
+    (``at_indptr``/``at_indices``), both ascending per vertex. The ids inside
+    are the first ``inside_indptr[v + 1] - inside_indptr[v]`` of ``knn[v]``:
+    only their counts are stored, and ``inside_indices`` is derived from
+    ``knn`` on first use. This depends only on coordinates, so one profile
+    serves every graph over the same point set (the sweep harness reuses it
+    across many corrupted adjacencies).
     """
 
     @np.errstate(over="ignore")
@@ -208,21 +216,32 @@ class NeighborhoodProfile:
         self.k = k
         self.n = coords.shape[0]
         self.coords = coords
-        parts = _leaf_pass(coords, k)
-
-        def merged(field):
-            return np.concatenate([getattr(p, field) for p in parts])
-
-        rows = merged("rows")
         self.kth = np.empty(self.n)
-        self.kth[rows] = merged("kth")
         self.knn = np.empty((self.n, k), dtype=np.int64)
-        self.knn[rows] = merged("knn")
-        self.inside_indptr, self.inside_indices = _csr(self.n, merged("inside_of"), merged("inside_ids"))
-        self.at_indptr, self.at_indices = _csr(self.n, merged("at_of"), merged("at_ids"))
-        for a in (self.kth, self.knn, self.inside_indptr, self.inside_indices,
-                  self.at_indptr, self.at_indices):
+        self.inside_indptr = np.zeros(self.n + 1, dtype=np.int64)
+        at = []
+        for sel in _leaf_pass(coords, k):
+            self.kth[sel.rows] = sel.kth
+            self.knn[sel.rows] = sel.knn
+            self.inside_indptr[sel.rows + 1] = sel.inside
+            at.append((sel.at_of, sel.at_ids))
+        np.cumsum(self.inside_indptr, out=self.inside_indptr)
+        self.at_indptr, self.at_indices = _csr(self.n, *(np.concatenate(a) for a in zip(*at)))
+        for a in (self.kth, self.knn, self.inside_indptr, self.at_indptr, self.at_indices):
             a.setflags(write=False)
+
+    def _inside(self) -> np.ndarray:
+        """(n, k) mask of the slots of ``knn`` strictly inside each vertex's k-th distance."""
+        return np.arange(self.k) < np.diff(self.inside_indptr)[:, None]
+
+    @cached_property
+    def inside_indices(self) -> np.ndarray:
+        """Ids strictly inside each vertex's k-th distance, ascending per vertex, read-only."""
+        inside = self._inside()
+        # the id n sorts after every slot outside, so each row's first slots hold its inside ids
+        ids = np.sort(np.where(inside, self.knn, self.n), axis=1)[inside]
+        ids.setflags(write=False)
+        return ids
 
     @cached_property
     def graph(self) -> GeometricGraph:
@@ -246,23 +265,24 @@ class NeighborhoodProfile:
             raise ValueError("graph does not match the profiled point set")
         if budget is None:
             budget = EdgeBudget.computed(g)
-        n, k = self.n, self.k
-        degrees = g.degrees
-        owner = np.repeat(np.arange(n), degrees)
-        # v - u over the edges, one contiguous coordinate column at a time
-        d2 = sum_squares(np.subtract(np.repeat(c, degrees), u := c[g.indices], out=u)
-                         for c in np.ascontiguousarray(self.coords.T))
-        kth = np.repeat(self.kth, degrees)
-        inside_hits = np.bincount(owner[d2 < kth], minlength=n)
-        at_hits = np.bincount(owner[d2 == kth], minlength=n)
-        inside, at = np.diff(self.inside_indptr), np.diff(self.at_indptr)
-        edits = (inside - inside_hits) + np.maximum(0, k - inside - at_hits)
-        incomplete = (degrees < k) | (inside + at > inside_hits + at_hits)
-        min_edits = int(edits.sum())
+        k, cols = self.k, np.ascontiguousarray(self.coords.T)
+        min_edits = incomplete = 0
+        for a, b in row_blocks(g.indptr, _REPORT_BLOCK):
+            degrees = g.degrees[a:b]
+            owner = np.repeat(np.arange(b - a), degrees)
+            ids = g.indices[g.indptr[a] : g.indptr[b]]
+            # v - u over the block's edges, one contiguous coordinate column at a time
+            d2 = sum_squares(np.subtract(np.repeat(c[a:b], degrees), u := c[ids], out=u) for c in cols)
+            kth = np.repeat(self.kth[a:b], degrees)
+            inside_hits = np.bincount(owner[d2 < kth], minlength=b - a)
+            at_hits = np.bincount(owner[d2 == kth], minlength=b - a)
+            inside, at = np.diff(self.inside_indptr[a : b + 1]), np.diff(self.at_indptr[a : b + 1])
+            min_edits += int(((inside - inside_hits) + np.maximum(0, k - inside - at_hits)).sum())
+            incomplete += int(np.count_nonzero((degrees < k) | (inside + at > inside_hits + at_hits)))
         return DistanceReport(
             min_edits=min_edits,
-            epsilon_distance=min_edits / (budget.d * n),
-            incomplete_count=int(np.count_nonzero(incomplete)),
+            epsilon_distance=min_edits / (budget.d * self.n),
+            incomplete_count=incomplete,
         )
 
 
@@ -278,7 +298,7 @@ def epsilon_distance(g: GeometricGraph, k: int, budget: EdgeBudget | None = None
 def max_shared_knn(points, k: int) -> int:
     """Largest number of points that share one point among their k nearest."""
     p = NeighborhoodProfile(points, k)
-    counts = np.bincount(p.inside_indices, minlength=p.n)
+    counts = np.bincount(p.knn[p._inside()], minlength=p.n)
     counts += np.bincount(p.at_indices, minlength=p.n)
     return int(counts.max())
 

@@ -199,8 +199,9 @@ def run_tester(session: OracleSession, cfg: TesterConfig) -> Verdict:
     their coordinates and its own, plus the coordinates of T (only up to the
     witness when the scan stops at the first v of S). A v whose every draw
     of T equals v reads nothing beyond its degree. Rejection evidence is
-    re-verified against ground truth, also under ``python -O``; evidence
-    that fails it raises AssertionError.
+    confirmed by the O(k) witness-pair check on v's row (deg(v) < k for
+    low-degree evidence), also under ``python -O``; evidence that fails it
+    raises AssertionError.
     """
     g = session.graph
     n = g.n

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import overflow_points
+from knncheck import cli
 from knncheck.cli import main
 from knncheck.exact import build_exact_knn_graph
 from knncheck.generators import line_gadget
@@ -152,6 +153,26 @@ class TestExitCodes:
         for argv in ([*test, "--json"], test, ["distance", str(knn_graph_file), "--k", "3"],
                      [*adversary, "--json"], adversary):
             assert main(argv) == 73, argv
+
+
+    def test_out_of_memory_is_71(self, capsys, monkeypatch, tmp_path, knn_graph_file):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.33 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_tester", exhausted)
+        monkeypatch.setattr(cli, "run_sweep", exhausted)
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({
+            "k": 2, "grid": [[0.5, 1.0]], "bucket_bounds": [0.05], "min_bucket": 1,
+            "datasets": [{"n": 32, "delta": 2, "distribution": "uniform",
+                          "fractions": [0.2], "seeds": [0]}],
+        }))
+        for argv in (["test", str(knn_graph_file), "--k", "3", "--epsilon", "0.2", "--json"],
+                     ["sweep", "--config", str(cfg_path), "-o", str(tmp_path / "report.csv")]):
+            assert main(argv) == 71
+            out, err = capsys.readouterr()
+            assert out == "" and err == "knncheck: out of memory: Unable to allocate 1.33 TiB for an array\n"
+        assert not (tmp_path / "report.csv").exists()
 
 
 class TestCommands:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     BruteForceProfile,
@@ -300,16 +302,25 @@ def _assert_matches_brute_force(points, k, graphs=()):
     built = build_exact_knn_graph(points, k)
     assert built.equals(ref.graph()) and built.k_hint == k
     assert max_shared_knn(points, k) == ref.max_shared()
-    base = ref.graph()
-    shuffled = np.random.default_rng(k).permutation(ref.coords)
-    checked = [base, *graphs, _ragged_graph(ref, k), GeometricGraph(shuffled, base.indptr, base.indices)]
-    if p.n > k + 1:  # a complete digraph has no slot to corrupt
-        checked.append(corrupt_edges(base, corruptible_fraction(p.n, k, 0.3), 1))
-    for g in checked:
-        # a computed budget needs at least one edge
-        budgets = [None] if g.num_edges else []
-        for budget in budgets + [EdgeBudget.provided(float(k))]:
+    for g in _report_graphs(ref, graphs):
+        for budget in _budgets(g, k):
             assert p.report(g, budget) == ref.report(g, budget)
+
+
+def _report_graphs(ref, graphs=()):
+    """The exact graph, ``graphs``, a ragged graph, the exact adjacency over a shuffled point
+    set of the same n, whose distances a profile must not read, and a corrupted copy."""
+    base = ref.graph()
+    shuffled = np.random.default_rng(ref.k).permutation(ref.coords)
+    checked = [base, *graphs, _ragged_graph(ref, ref.k), GeometricGraph(shuffled, base.indptr, base.indices)]
+    if ref.n > ref.k + 1:  # a complete digraph has no slot to corrupt
+        checked.append(corrupt_edges(base, corruptible_fraction(ref.n, ref.k, 0.3), 1))
+    return checked
+
+
+def _budgets(g, k):
+    # a computed budget needs at least one edge
+    return ([None] if g.num_edges else []) + [EdgeBudget.provided(float(k))]
 
 
 class TestKernelMatchesBruteForce:
@@ -450,3 +461,87 @@ class TestKernelMatchesBruteForce:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestProfileMemory:
+    """Traced peaks: a profile holds its arrays plus one block, and a report one row block."""
+
+    @staticmethod
+    def _traced(f, *args):
+        """f(*args) and the peak of the memory that tracemalloc sees it allocate."""
+        tracemalloc.start()
+        try:
+            return f(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_profile_holds_its_arrays_plus_one_block(self):
+        # the ids inside each k-th distance are read from knn, never stored
+        pts = np.random.default_rng(16).random((1 << 16, 2))
+        p, peak = self._traced(NeighborhoodProfile, pts, 10)
+        kept = sum(a.nbytes for a in (p.kth, p.knn, p.inside_indptr, p.at_indptr, p.at_indices))
+        assert peak <= kept + 8 * 2**20
+
+    def test_report_holds_one_row_block_and_builds_no_inside_ids(self):
+        p = NeighborhoodProfile(np.random.default_rng(17).random((1 << 16, 2)), 10)
+        g = corrupt_edges(p.graph, 0.01, 1)
+        report, peak = self._traced(p.report, g)
+        assert peak <= 4 * 2**20
+        assert report.min_edits == np.ceil(0.01 * g.num_edges)
+        assert "inside_indices" not in vars(p)
+        inside = p.inside_indices
+        assert inside is p.inside_indices and not inside.flags.writeable
+        assert inside.size == p.inside_indptr[-1] == 9 * p.n
+
+
+class TestReportBlocks:
+    """A report's row blocks change no DistanceReport."""
+
+    @staticmethod
+    def _corpus(name):
+        rng = np.random.default_rng(18)
+        if name == "small graphs":
+            graphs = [(k, random_small_graph(rng, k)) for k in (1, 2, 3) for _ in range(4)]
+            return [(g.coords, k, [g]) for k, g in graphs]
+        points, k = {
+            # ties at the k-th distance of most vertices, and repeated points
+            "lattice": (rng.integers(0, 12, size=(300, 2)).astype(np.float64), 4),
+            # ragged rows of 2k = 40 slots, longer than the blocks of 7 and 37
+            "long rows": (rng.random((400, 2)), 20),
+            "coincident": (np.full((40, 2), 0.25), 3),
+            "overflow": (overflow_points(rng, 100, 2, False), 5),
+        }[name]
+        return [(points, k, [])]
+
+    @pytest.mark.parametrize("block", [1, 7, 37])
+    @pytest.mark.parametrize("name", ["small graphs", "lattice", "long rows", "coincident", "overflow"])
+    def test_block_size_changes_no_report(self, monkeypatch, block, name):
+        with np.errstate(over="ignore"):
+            for points, k, graphs in self._corpus(name):
+                p = NeighborhoodProfile(points, k)
+                checked = _report_graphs(BruteForceProfile(points, k), graphs)
+                default = [[p.report(g, b) for b in _budgets(g, k)] for g in checked]
+                with monkeypatch.context() as m:
+                    m.setattr(exact, "_REPORT_BLOCK", block)
+                    assert [[p.report(g, b) for b in _budgets(g, k)] for g in checked] == default
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_report_equals_the_brute_force_report_for_any_block(data):
+    n = data.draw(st.integers(2, 16))
+    delta = data.draw(st.integers(1, 3))
+    # few distinct coordinates: ties at the k-th distance and coincident points are common
+    flat = data.draw(st.lists(st.integers(-2, 2), min_size=n * delta, max_size=n * delta))
+    coords = np.array(flat, dtype=np.float64).reshape(n, delta)
+    k = data.draw(st.integers(1, n - 1))
+    rows = []
+    for v in range(n):
+        order = data.draw(st.permutations([u for u in range(n) if u != v]))
+        rows.append(order[: data.draw(st.integers(0, n - 1))])
+    g = graph_from_rows(coords, rows)
+    budget = EdgeBudget.provided(float(k))
+    p = NeighborhoodProfile(coords, k)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exact, "_REPORT_BLOCK", data.draw(st.integers(1, n * n)))
+        assert p.report(g, budget) == BruteForceProfile(coords, k).report(g, budget)
