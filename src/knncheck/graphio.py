@@ -5,11 +5,13 @@ Layout (UTF-8, LF line endings):
   lines 2 .. n+1    delta space-separated decimal floats, row v in id order
   lines n+2 .. 2n+1 "<deg>" followed by <deg> vertex ids
 
-Floats are written as their shortest round-tripping decimal, so graphs
-round-trip bit-exactly. The writer makes the text a block of rows at a
-time, coordinates by one %-format of repr and adjacency lines as digits
-in a byte array, and ``write_knng`` streams the blocks, so it holds one
-block, not the text.
+Floats are written as repr writes them, the shortest decimals that round
+trip, so graphs round-trip bit-exactly. The writer makes the text in numpy
+a block of rows at a time, as bytes equal to repr's and str's byte for
+byte, and ``write_knng`` streams the blocks, so it holds one block, not the
+text: coordinates by a Schubfach kernel, or by repr in a block that holds a
+subnormal, and degrees and ids through a digit table whose size does not
+depend on n, both cross-checked against references in tests/helpers.py.
 
 Reading takes one of two paths with the same result, a graph or an error.
 Both read the header line with ``_header``. The bulk path checks and
@@ -44,7 +46,7 @@ MAGIC = "knng"
 FORMAT_VERSION = 1
 _MAX_DIGITS = 18  # every run of this many decimal digits fits in int64
 _BLOCK_BYTES = 1 << 18  # bytes of whole lines the bulk reader checks and converts at once
-_WRITE_BLOCK = 1 << 15  # rows plus numbers per piece of written text
+_WRITE_BLOCK = 1 << 14  # rows plus numbers per piece of written text
 
 
 class KnngFormatError(ValueError):
@@ -55,30 +57,138 @@ class KnngFormatError(ValueError):
         self.lineno = lineno
 
 
+# Schubfach's g(k) = floor(beta) + 1 for k in [-324, 292], where 10**-k = beta 2**r, 2**125 <= beta < 2**126
+_G = np.array([[g >> 63, g & (1 << 63) - 1] for g in (
+    (t << 126 >> t.bit_length()) + 1 if k <= 0 else (1 << 125 + t.bit_length()) // t + 1
+    for k, t in ((k, 10 ** abs(k)) for k in range(-324, 293)))], dtype=np.uint64).T.copy()
+_POW10 = 10 ** np.arange(18)
+_DIGITS4 = sum((np.arange(10**4) // 10 ** (3 - j) % 10 + 48 << 8 * j).astype(np.uint64) for j in range(4))
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, digits, point) for normal x > 0: 0.f 10**point, f of ``digits`` digits, is the shortest decimal
+    that rounds to x, the nearest such with ties to even, by Schubfach (R. Giulietti, "The Schubfach
+    way to render doubles", 2020), with products rounded to odd from 32-bit halves."""
+    bits = x.view(np.uint64)
+    q = (bits >> 52).astype(np.int64) - 1075
+    c = bits & 0xFFFFFFFFFFFFF | 1 << 52
+    irregular = (c == 1 << 52) & (q > -1074)  # the gap below a power of two is half the gap above
+    k = q * 661971961083 - irregular * 274743187321 >> 41  # floor(log10(2**q)), or of 3/4 2**q
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    g1, g0 = _G[0].take(k + 324), _G[1].take(k + 324)
+    halves = g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF
+
+    def rop(cp):  # (g1 2**63 + g0) cp / 2**127 rounded down, bit 0 set where that was inexact
+        (a1, a0, b1, b0), c1, c0 = halves, cp >> 32, cp & 0xFFFFFFFF
+        mid = b1 * c0 + (b0 * c0 >> 32)
+        x1 = b1 * c1 + (mid >> 32) + (b0 * c1 + (mid & 0xFFFFFFFF) >> 32)  # the high 64 bits of g0 cp
+        mid = a1 * c0 + (a0 * c0 >> 32)
+        y1 = a1 * c1 + (mid >> 32) + (a0 * c1 + (mid & 0xFFFFFFFF) >> 32)  # of g1 cp
+        z = (g1 * cp >> 1) + x1
+        return y1 + (z >> 63) | (z & 0x7FFFFFFFFFFFFFFF) + 0x7FFFFFFFFFFFFFFF >> 63
+
+    cb = c << 2
+    vb, vbl, vbr = rop(cb << h), rop(cb - 2 + irregular << h), rop(cb + 2 << h)
+    odd, s = c & 1, vb >> 2
+    s10 = s // 10 * 10  # s10 and s10 + 10 have one digit less than s
+    up, wp = vbl + odd <= s10 << 2, (s10 + 10 << 2) + odd <= vbr
+    u, w = vbl + odd <= s << 2, (s + 1 << 2) + odd <= vbr
+    down = u & ~w | (vb < 4 * s + 2 + (s & 1 == 0)) & (u == w)  # s, not s + 1: below s + 1/2, or on it with s even
+    f = (s + ~down).view(np.int64)
+    np.copyto(f, s10.view(np.int64) + 10 * wp, where=(s >= 100) & (up != wp))
+    digits = 16 + (f >= 10**16)
+    point = k + digits
+    for p in 16, 8, 4, 2, 1:  # drop the trailing zeros
+        r = f // 10**p
+        zeros = r * 10**p == f
+        np.copyto(f, r, where=zeros)
+        digits -= p * zeros
+    return f, digits, point
+
+
+def _digits(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``values`` >= 0 in decimal, zero-padded, to end each row of little-endian uint64 ``out``."""
+    for j in reversed(range(out.shape[1])):
+        q = values // 10**8 if j else 0
+        r = values - q * 10**8 if j else values
+        r4 = r // 10**4
+        out[:, j] = _DIGITS4.take(r4) | _DIGITS4.take(r - r4 * 10**4) << 32
+        values = q
+
+
+def _concat(rows: np.ndarray, lengths: np.ndarray) -> bytes:
+    """The last ``lengths[i]`` bytes of each uint64 row, rows[0] last. Each row is written to end where its
+    piece ends, rows[0] first: its bytes before the piece fall on earlier pieces, written after it."""
+    size = rows.shape[1] * 8
+    ends = np.cumsum(lengths)
+    total = int(ends[-1])
+    buf = np.empty(total + size, np.uint8)
+    windows = np.ndarray((total + 1,), f"S{size}", buf, 0, (1,))  # windows[i] is buf[i : i + size]
+    windows[lengths - ends + total] = rows.view(f"S{size}").ravel()
+    return buf[size:].tobytes()
+
+
+def _float_text(x: np.ndarray, delta: int) -> bytes:
+    """Rows of ``delta`` of the floats ``x``, each zero or normal, each as repr writes it."""
+    x = np.ascontiguousarray(x[::-1])  # for _concat, which takes the text's pieces last first
+    neg, zero = np.signbit(x), x == 0
+    f, digits, point = _shortest(np.abs(x) + zero)  # zero as 1, whose digits are then cleared
+    sci = (point < -3) | (point > 16)  # as repr: d.ddde+XX, else ddd.ddd with ".0" on integral values
+    tail = np.where(sci, digits - 1, np.maximum(digits - point, 1))  # the digits after the point
+    head = np.where(sci, 1, np.maximum(point, 1))  # and before it
+    shown = f * _POW10.take(np.where(sci, 0, np.maximum(point - digits + 1, 0))) * ~zero  # as one number
+    scale = _POW10.take(np.minimum(tail, 17))
+    hi = shown // scale
+    # per float, two rows of 24 bytes: the point, fraction, exponent and separator; the sign and integer digits
+    words = np.empty((x.size, 2, 3), "<u8")
+    frac, text, at = words[:, 0], words.view(np.uint8).ravel(), np.arange(0, 48 * x.size, 48)
+    _digits(shown - hi * scale, frac)
+    text[at + 23 - tail] = ord(".")
+    exp, sep = np.abs(point - 1), np.resize(np.array([10] + [32] * (delta - 1), np.uint64), x.size)  # "\n" ends rows
+    big, minus = (exp >= 100).astype(np.uint64) * 8, (point <= 0).astype(np.uint64)  # a third exponent digit
+    end = (_DIGITS4.take(exp) >> 16 - big << 16 | ord("e") | 43 + 2 * minus << 8) * sci << 24 - big | sep << 56
+    shift = 8 + sci * (32 + big)  # the exponent and separator come after the fraction
+    for j in 0, 1:
+        frac[:, j] = frac[:, j] >> shift | frac[:, j + 1] << 64 - shift
+    frac[:, 2] = frac[:, 2] >> shift | end
+    _digits(hi, words[:, 1, -1 - len(str(hi.max())) // 8 :])  # the words before are never shown
+    text[at + 47 - head] = ord("0") - 3 * neg  # "-" where negative
+    lengths = np.stack([tail + (tail > 0) + (shift // 8).view(np.int64), head + neg], axis=1)
+    return _concat(words.reshape(-1, 3), lengths.ravel())
+
+
+def _int_text(tokens: np.ndarray, line_ends: np.ndarray) -> bytes:
+    """The int64 ``tokens`` >= 0 in decimal, each followed by a space, or by a newline at ``line_ends``."""
+    width = len(str(tokens.max())) + 1  # the longest token's digits and separator
+    t = np.ascontiguousarray(tokens[::-1])  # for _concat, which takes the text's pieces last first
+    rows = np.empty((t.size, -(-width // 8)), "<u8")
+    high = t // 10**7 if rows.shape[1] > 1 else 0
+    _digits(high, rows[:, :-1])
+    _digits((t - high * 10**7) * 10, rows[:, -1:])  # the last digit, 0, makes room for the separator
+    text = rows.view(np.uint8)
+    text[:, -1] = ord(" ")
+    text[t.size - 1 - line_ends, -1] = ord("\n")
+    lengths = sum(((t >= 10**e).view(np.uint8) for e in range(1, width - 1)), np.full(t.size, 2, np.uint8))
+    return _concat(rows, lengths)
+
+
 def _text_pieces(graph: GeometricGraph):
-    """The .knng text of ``graph`` in pieces of about _WRITE_BLOCK rows plus numbers each."""
+    """The .knng text of ``graph`` in pieces of about _WRITE_BLOCK rows plus numbers each, as bytes."""
     n, delta, indptr = graph.n, graph.delta, graph.indptr
-    yield f"{MAGIC} {FORMAT_VERSION} {n} {delta} {graph.k_hint or 0}\n"
-    rows = max(1, _WRITE_BLOCK // delta)
-    row = " ".join(["%r"] * delta) + "\n"  # %r is repr: the shortest round trip
+    yield f"{MAGIC} {FORMAT_VERSION} {n} {delta} {graph.k_hint or 0}\n".encode("ascii")
+    rows, row = max(1, _WRITE_BLOCK // delta), " ".join(["%r"] * delta) + "\n"
     for a in range(0, n, rows):
-        yield (row * min(rows, n - a)) % tuple(graph.coords[a : a + rows].ravel().tolist())
+        x = graph.coords[a : a + rows].ravel()
+        subnormal = ((np.abs(x) < 2.0**-1022) & (x != 0)).any()  # which repr alone writes
+        yield (row * (x.size // delta) % tuple(x.tolist())).encode("ascii") if subnormal else _float_text(x, delta)
     for a, b in row_blocks(indptr, _WRITE_BLOCK):
         lo = indptr[a]  # each adjacency line is its degree, then its ids
         tokens = np.insert(graph.indices[lo : indptr[b]], indptr[a:b] - lo, graph.degrees[a:b])
-        digits = sum((tokens >= 10**e for e in range(1, len(str(tokens.max())))), np.ones_like(tokens))
-        ends = np.cumsum(digits + 1)  # token j's digits, then a space or, where a line ends, a newline
-        text = np.full(ends[-1], ord(" "), dtype=np.uint8)
-        text[ends[indptr[a + 1 : b + 1] - lo + np.arange(b - a)] - 1] = ord("\n")
-        pos = ends - 2
-        while tokens.size:  # the last digit not yet written of each token
-            text[pos], tokens = tokens % 10 + ord("0"), tokens // 10
-            pos, tokens = pos[tokens > 0] - 1, tokens[tokens > 0]
-        yield text.tobytes().decode("ascii")
+        yield _int_text(tokens, indptr[a + 1 : b + 1] - lo + np.arange(b - a))
 
 
 def graph_to_text(graph: GeometricGraph) -> str:
-    return "".join(_text_pieces(graph))
+    return b"".join(_text_pieces(graph)).decode("ascii")
 
 
 def _header(line: str) -> tuple[int, int, int]:
@@ -239,7 +349,7 @@ def write_knng(graph: GeometricGraph, path) -> None:
     tmp = path if direct else Path(f"{real}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "wb") as out:
-            out.writelines(piece.encode("ascii") for piece in _text_pieces(graph))
+            out.writelines(_text_pieces(graph))
         if not direct:
             if path.exists():  # the new file takes the old one's permissions
                 shutil.copymode(real, tmp)

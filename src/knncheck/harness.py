@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import logging
+import math
 import operator
 from dataclasses import asdict, astuple, dataclass, field, fields
 
@@ -108,11 +109,14 @@ class SweepConfig:
             raise ValueError("sweep needs a grid and at least one dataset")
         if any(len(cell) != 2 for cell in self.grid):
             raise ValueError("each grid cell must be a (c1, c2) pair")
+        if not all(0 < c < math.inf for cell in self.grid for c in cell):
+            raise ValueError("grid values c1 and c2 must be finite and positive")
         if not all(isinstance(d, DatasetSpec) for d in self.datasets):
             raise ValueError("datasets must be DatasetSpec objects")
         bounds = self.bucket_bounds
-        if not bounds or bounds[0] <= 0 or any(a >= b for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("bucket bounds must be strictly increasing and start above 0")
+        if (not bounds or not all(0 < b < math.inf for b in bounds)
+                or any(a >= b for a, b in zip(bounds, bounds[1:]))):
+            raise ValueError("bucket_bounds must be finite, strictly increasing and start above 0")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be positive")
         if self.min_bucket < 1:

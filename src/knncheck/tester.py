@@ -77,9 +77,11 @@ _GRAPH_LOCK = threading.Lock()
 def kissing_number(delta: int) -> int:
     """Kissing number psi_delta used to size the witness sample T.
 
-    Dimensions above 8 fall back to ceil(2^(0.401 * delta * 1.2)), a sizing
-    heuristic with slack for the asymptotic correction term. The value only
-    affects sample sizes, never the one-sidedness of the tester.
+    Dimensions above 8 fall back to ceil(2^(0.401 * delta * 1.2)). That is
+    no upper bound on psi_delta for delta = 9..16: it gives 21 at delta=9,
+    though psi is non-decreasing, so psi_9 >= psi_8 = 240 (ROADMAP item 3).
+    The value only affects sample sizes, never the one-sidedness of the
+    tester.
     """
     if delta < 1:
         raise ValueError("dimension must be at least 1")
@@ -117,8 +119,9 @@ class TesterConfig:
         if self.mode not in ("theory", "experiment"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "experiment":
-            if self.c1 is None or self.c2 is None or self.c1 <= 0 or self.c2 <= 0:
-                raise ValueError("experiment mode needs positive c1 and c2")
+            for name, value in (("c1", self.c1), ("c2", self.c2)):
+                if value is None or not 0 < value < math.inf:
+                    raise ValueError(f"experiment mode needs a finite positive {name}, got {value}")
         if self.degree_cap_override is not None and self.degree_cap_override < 1:
             raise ValueError("degree cap override must be positive")
 

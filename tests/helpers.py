@@ -453,6 +453,34 @@ def first_adjacency_error(n: int, adjacency) -> str | None:
     return None
 
 
+def reference_coordinate_lines(coords: np.ndarray) -> str:
+    """The coordinate lines of .knng text: each float by one %-format of repr, the shortest round trip."""
+    row = " ".join(["%r"] * coords.shape[1]) + "\n"
+    return (row * coords.shape[0]) % tuple(coords.ravel().tolist())
+
+
+def reference_token_text(tokens: np.ndarray, line_ends: np.ndarray) -> str:
+    """int64 ``tokens`` >= 0 in decimal, each followed by a space, or by a newline at ``line_ends``:
+    one digit of every token at a time, last digits first, into a byte array."""
+    digits = sum((tokens >= 10**e for e in range(1, len(str(tokens.max())))), np.ones_like(tokens))
+    ends = np.cumsum(digits + 1)  # token j's digits, then its separator
+    text = np.full(ends[-1], ord(" "), dtype=np.uint8)
+    text[ends[line_ends] - 1] = ord("\n")
+    pos = ends - 2
+    while tokens.size:  # the last digit not yet written of each token
+        text[pos], tokens = tokens % 10 + ord("0"), tokens // 10
+        pos, tokens = pos[tokens > 0] - 1, tokens[tokens > 0]
+    return text.tobytes().decode("ascii")
+
+
+def reference_graph_to_text(g: GeometricGraph) -> str:
+    """The .knng text of ``g``: coordinates by ``reference_coordinate_lines``, each adjacency line its
+    degree and ids by ``reference_token_text``."""
+    tokens = np.insert(g.indices, g.indptr[:-1], g.degrees)
+    return (f"knng 1 {g.n} {g.delta} {g.k_hint or 0}\n" + reference_coordinate_lines(g.coords)
+            + reference_token_text(tokens, g.indptr[1:] + np.arange(g.n)))
+
+
 def reference_graph_from_text(text: str) -> GeometricGraph:
     """The .knng reader line by line, every row checked on its own line.
 

@@ -85,6 +85,36 @@ class TestExitCodes:
         assert not csv_path.exists()
         assert len(err.splitlines()) == 1 and "grid cell" in err
 
+    @pytest.mark.parametrize("flag, value", [("--c1", "inf"), ("--c2", "inf"), ("--c1", "nan"), ("--c2", "-inf")])
+    def test_non_finite_tester_constant_is_64(self, capsys, knn_graph_file, flag, value):
+        code = main(["test", str(knn_graph_file), "--k", "3", "--epsilon", "0.2", "--mode", "experiment",
+                     "--c1", "0.1", "--c2", "5", f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert len(err.splitlines()) == 1 and f"finite positive {flag[2:]}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, field", [
+        (dict(grid=[[float("inf"), 5.0]]), "grid"),
+        (dict(grid=[[0.5, float("nan")]]), "grid"),
+        (dict(grid=[[0.5, -1.0]]), "grid"),
+        (dict(bucket_bounds=[0.05, float("nan")]), "bucket_bounds"),
+        (dict(bucket_bounds=[float("nan")]), "bucket_bounds"),
+        (dict(bucket_bounds=[0.05, float("inf")]), "bucket_bounds"),
+    ])
+    def test_non_finite_sweep_config_is_64(self, capsys, tmp_path, edit, field):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({
+            "k": 2, "grid": [[0.5, 5.0]], "bucket_bounds": [0.05], "min_bucket": 1,
+            "datasets": [{"n": 32, "delta": 2, "distribution": "uniform",
+                          "fractions": [0.2], "seeds": [0]}], **edit,
+        }))
+        csv_path = tmp_path / "report.csv"
+        code = main(["sweep", "--config", str(cfg_path), "-o", str(csv_path)])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert not csv_path.exists()
+        assert len(err.splitlines()) == 1 and field in err and "finite" in err and "Traceback" not in err
+
     def test_missing_file_is_66(self, capsys):
         code, _ = _run(capsys, ["distance", "/nonexistent/g.knng", "--k", "2"])
         assert code == 66

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import circulant_graph, graph_from_rows, reference_corrupt_edges
+from helpers import circulant_graph, graph_from_rows, reference_corrupt_edges, reference_graph_to_text
 from knncheck import generators
 from knncheck.core import EdgeBudget
 from knncheck.exact import (
@@ -416,4 +416,5 @@ class TestRoundTripsAndDeterminism:
             corrupt_edges(build_exact_knn_graph(np.random.default_rng(5).random((20, 2)), 2), 0.4, 7),
         ]
         for g in graphs:
+            assert graph_to_text(g) == reference_graph_to_text(g)
             assert graph_from_text(graph_to_text(g)).equals(g)

@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import circulant_graph, graph_from_rows, reference_graph_from_text
+from helpers import (
+    circulant_graph,
+    graph_from_rows,
+    reference_coordinate_lines,
+    reference_graph_from_text,
+    reference_graph_to_text,
+    reference_token_text,
+)
 from knncheck import core, graphio
+from knncheck.core import GeometricGraph
 from knncheck.exact import build_exact_knn_graph
 from knncheck.generators import line_gadget, sample_d2, tight_witness_construction
 from knncheck.graphio import (
@@ -42,6 +51,7 @@ def _random_graph(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_random_graphs_round_trip_bit_exactly(seed):
     g = _random_graph(seed)
+    assert graph_to_text(g) == reference_graph_to_text(g)
     assert graph_from_text(graph_to_text(g)).equals(g)
 
 
@@ -58,7 +68,73 @@ def test_generator_outputs_round_trip():
         tight_witness_construction(3, 2)[0],
         build_exact_knn_graph(np.random.default_rng(0).random((12, 2)), 3),
     ):
+        assert graph_to_text(g) == reference_graph_to_text(g)
         assert graph_from_text(graph_to_text(g)).equals(g)
+
+
+def _coordinate_graph(coords):
+    """A graph with these coordinates and no edges."""
+    return GeometricGraph(coords, np.zeros(len(coords) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coordinates_are_written_as_repr_writes_them(data):
+    """Any finite floats: subnormals, signed zeros and the extremes, or blocks with no subnormal."""
+    floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=data.draw(st.booleans()))
+    shape = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 4))
+    g = _coordinate_graph(data.draw(arrays(np.float64, shape, elements=floats)))
+    assert graph_to_text(g) == reference_graph_to_text(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tokens_are_written_as_str_writes_them(data):
+    """int64 values of every length from 1 to 19 digits, 0 included, in lines of any length."""
+    length = st.integers(1, 19).flatmap(lambda d: st.integers(10 ** (d - 1) * (d > 1), min(10**d, 2**63) - 1))
+    values = data.draw(st.lists(length | st.just(0), min_size=1, max_size=50))
+    last = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    last[-1] = True  # whether each token ends its line
+    tokens, ends = np.array(values, dtype=np.int64), np.flatnonzero(last)
+    want = "".join(f"{v}{chr(10) if end else ' '}" for v, end in zip(values, last))
+    assert graphio._int_text(tokens, ends).decode("ascii") == want == reference_token_text(tokens, ends)
+
+
+def _float_corpus() -> np.ndarray:
+    """Floats where a shortest-digit writer errs first, each with both neighbours, and 2**20 random normal ones."""
+    rng = np.random.default_rng(2029)
+    special = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, 1024)),  # below a power of two the spacing halves
+        [float(f"1e{i}") for i in range(-323, 309)],
+        [1e-4, 1e-5, 1e16, 1e17, 9999999999999998.0],  # where repr changes notation, and its largest fixed
+        np.arange(2**12, dtype=np.float64),
+        rng.integers(0, 2**53, 2**12, endpoint=True).astype(np.float64),
+        rng.integers(0, 10**7, 2**12) / 10.0 ** rng.integers(0, 12, 2**12),  # short decimals
+    ])
+    with np.errstate(over="ignore"):  # the largest float's upper neighbour is inf
+        special = np.concatenate([special, np.nextafter(special, np.inf), np.nextafter(special, -np.inf)])
+    special = special[np.isfinite(special)]
+    bits = rng.integers(0, 2**52, 2**20, dtype=np.uint64)  # a significand, then a normal exponent and a sign
+    bits |= rng.integers(1, 2047, 2**20, dtype=np.uint64) << 52 | rng.integers(0, 2, 2**20, dtype=np.uint64) << 63
+    return np.concatenate([special, -special, bits.view(np.float64)])
+
+
+def test_coordinates_of_a_float_corpus_are_written_as_repr_writes_them():
+    x = _float_corpus()
+    tiny = (np.abs(x) < 2.0**-1022) & (x != 0)
+    for part in x[~tiny], x[tiny]:  # blocks with no subnormal take the kernel, the others repr
+        coords = np.resize(part, (-(-part.size // 4), 4))
+        lines = graph_to_text(_coordinate_graph(coords)).split("\n")[1 : 1 + len(coords)]
+        assert "\n".join(lines) + "\n" == reference_coordinate_lines(coords)
+
+
+def test_a_block_with_a_subnormal_is_written_by_repr(monkeypatch):
+    # below 2**-1022 Schubfach's length search picks 7.9e-323 and 9.9e-323 where repr
+    # picks 8e-323 and 1e-322, so a block that holds a subnormal is written by repr
+    g = _coordinate_graph(np.array([[8e-323, 0.1], [1e-322, -2.5], [-5e-324, 1e300]]))
+    monkeypatch.setattr(graphio, "_float_text", None)
+    assert graph_to_text(g).split("\n")[1:4] == ["8e-323 0.1", "1e-322 -2.5", "-5e-324 1e+300"]
+    assert graph_to_text(g) == reference_graph_to_text(g)
 
 
 def test_file_round_trip(tmp_path):
@@ -163,6 +239,7 @@ def test_round_trip_is_bit_exact_on_any_finite_coordinates_and_rows(data):
         rows.append(order[: data.draw(st.integers(0, n - 1))])
     k_hint = data.draw(st.none() | st.integers(1, 20))
     g = graph_from_rows(np.array(flat, dtype=np.float64).reshape(n, delta), rows, k_hint=k_hint)
+    assert graph_to_text(g) == reference_graph_to_text(g)
     assert graph_from_text(graph_to_text(g)).equals(g)
 
 
@@ -301,7 +378,7 @@ def test_invalid_utf8_reports_the_line_of_the_first_bad_byte(raw, line, tmp_path
 
 @pytest.fixture(params=[1, 7, 64])
 def small_blocks(request, monkeypatch):
-    """Blocks of ``param`` bytes, rows plus numbers, or rows plus edges: at 1, one line or row each."""
+    """Blocks of ``param`` bytes, rows plus numbers, floats or rows plus edges: at 1, one line or row each."""
     monkeypatch.setattr(graphio, "_BLOCK_BYTES", request.param)
     monkeypatch.setattr(graphio, "_WRITE_BLOCK", request.param)
     monkeypatch.setattr(core, "_ROW_BLOCK", request.param)
@@ -329,8 +406,11 @@ def test_reader_outcomes_do_not_depend_on_the_block_sizes(name, tmp_path, small_
 
 @pytest.mark.parametrize("seed", range(6))
 def test_written_bytes_do_not_depend_on_the_block_sizes(seed, tmp_path, small_blocks, monkeypatch):
-    graphs = [_random_graph(seed), line_gadget(0.0, 2), circulant_graph(300, 4, seed)]
+    coords = np.random.default_rng(seed).normal(size=(80, 2)) * 10.0 ** np.arange(-20, 20, 0.5)[:, None]
+    coords[[3, 36], 1] = 5e-324, -1e-310  # blocks with one of these rows are written by repr, the others not
+    graphs = [_random_graph(seed), line_gadget(0.0, 2), circulant_graph(300, 4, seed), _coordinate_graph(coords)]
     texts = [graph_to_text(g) for g in graphs]
+    assert texts == [reference_graph_to_text(g) for g in graphs]
     for i, g in enumerate(graphs):
         write_knng(g, tmp_path / f"{i}.knng")
         assert read_knng(tmp_path / f"{i}.knng").equals(g)

@@ -287,6 +287,11 @@ MALFORMED_CONFIGS = {
     "zero min_bucket": _edited(lambda o: o.update(min_bucket=0)),
     "epsilon above 1": _edited(lambda o: o.update(epsilon=2.0)),
     "fraction above 1": _edited(lambda o: o["datasets"][0].update(fractions=[0.2, 1.5])),
+    "infinite c1": _edited(lambda o: o.update(grid=[[float("inf"), 5.0]])),
+    "nan c2": _edited(lambda o: o.update(grid=[[0.1, float("nan")]])),
+    "negative c2": _edited(lambda o: o.update(grid=[[0.1, -1.0]])),
+    "nan bucket bound": _edited(lambda o: o.update(bucket_bounds=[float("nan")])),
+    "infinite bucket bound": _edited(lambda o: o.update(bucket_bounds=[0.05, float("inf")])),
 }
 
 

@@ -70,6 +70,12 @@ class TestKissingNumber:
 
 
 class TestSampleSizes:
+    @pytest.mark.parametrize("name", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, None])
+    def test_experiment_constants_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"finite positive {name}"):
+            TesterConfig(k=1, epsilon=0.1, delta=1, mode="experiment", **{"c1": 0.5, "c2": 5.0, name: value})
+
     def test_theory_formulas(self):
         cfg = TesterConfig(k=2, epsilon=1.0, delta=2)
         s, t, cap = sample_sizes(1_000_000, cfg)
