@@ -343,6 +343,8 @@ class EdgeBudget:
     @classmethod
     def computed(cls, graph: GeometricGraph) -> "EdgeBudget":
         """Default budget |E|/n. Raises for edgeless graphs; supply d explicitly there."""
+        if graph.num_edges == 0:
+            raise ValueError("the graph has no edges, so the edge budget d must be given")
         return cls(graph.num_edges / graph.n, "computed")
 
 
@@ -350,24 +352,21 @@ class OracleSession:
     """Query-counting bulk access to a graph: degree, neighbor-row and coordinate reads.
 
     Repeat reads are memoized and free: each degree, neighbor slot and
-    coordinate is charged at most once per session. Neighbor rows and
-    coordinates are charged only (``charge_neighbor_rows``, ``charge_coords``):
-    the tester's scan reads them from the graph's arrays itself. The graph is
-    shared and immutable; each session is owned by one logical task.
+    coordinate is charged at most once, in one n-entry mask per kind; rows are
+    charged whole, so the slots read sum the degrees of the rows read. Rows and
+    coordinates are charged only: the scan reads them from the graph's arrays.
+    The graph is shared and immutable; each session is owned by one task.
     """
 
     def __init__(self, graph: GeometricGraph):
         self.graph = graph
-        n = graph.n
-        self._deg_seen = np.zeros(n, dtype=bool)
-        self._coord_seen = np.zeros(n, dtype=bool)
-        self._slot_seen = np.zeros(graph.num_edges, dtype=bool)  # slot i of v: indptr[v] + i - 1
+        self._deg_seen, self._row_seen, self._coord_seen = np.zeros((3, graph.n), dtype=bool)
 
     @property
     def query_count(self) -> QueryTally:
-        """Distinct reads so far: the entries set in the read masks."""
+        """Distinct reads so far: the degrees of the rows read, and the entries set in the other masks."""
         return QueryTally(
-            int(np.count_nonzero(self._slot_seen)),
+            int(np.sum(self.graph._degrees, where=self._row_seen)),
             int(np.count_nonzero(self._deg_seen)),
             int(np.count_nonzero(self._coord_seen)),
         )
@@ -379,9 +378,8 @@ class OracleSession:
 
     def charge_neighbor_rows(self, vs) -> None:
         """Charge, for every v in vs, the reads of its whole row: deg(v) and slots 1..deg(v)."""
-        vs = np.asarray(vs, dtype=np.int64)
-        self.degrees(vs)
-        self._slot_seen[concat_ranges(self.graph.indptr[vs], self.graph.indptr[vs + 1])] = True
+        vs = self._check_vertices(vs)
+        self._deg_seen[vs] = self._row_seen[vs] = True
 
     def charge_coords(self, vs) -> None:
         """Charge the coordinate read of every v in vs; the caller reads ``graph.coords`` itself."""

@@ -9,9 +9,9 @@ Floats are written as repr writes them, the shortest decimals that round
 trip, so graphs round-trip bit-exactly. The writer makes the text in numpy
 a block of rows at a time, as bytes equal to repr's and str's byte for
 byte, and ``write_knng`` streams the blocks, so it holds one block, not the
-text: coordinates by a Schubfach kernel, or by repr in a block that holds a
-subnormal, and degrees and ids through a digit table whose size does not
-depend on n, both cross-checked against references in tests/helpers.py.
+text: coordinates by a Schubfach kernel, subnormals included, and degrees
+and ids through a digit table whose size does not depend on n, both
+cross-checked against references in tests/helpers.py.
 
 Reading takes one of two paths with the same result, a graph or an error.
 Both read the header line with ``_header``. The bulk path checks and
@@ -66,12 +66,12 @@ _DIGITS4 = sum((np.arange(10**4) // 10 ** (3 - j) % 10 + 48 << 8 * j).astype(np.
 
 
 def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, digits, point) for normal x > 0: 0.f 10**point, f of ``digits`` digits, is the shortest decimal
+    """(f, digits, point) for finite x > 0: 0.f 10**point, f of ``digits`` digits, is the shortest decimal
     that rounds to x, the nearest such with ties to even, by Schubfach (R. Giulietti, "The Schubfach
     way to render doubles", 2020), with products rounded to odd from 32-bit halves."""
     bits = x.view(np.uint64)
-    q = (bits >> 52).astype(np.int64) - 1075
-    c = bits & 0xFFFFFFFFFFFFF | 1 << 52
+    e = np.maximum(bits >> 52, 1)  # a subnormal has the exponent of 2**-1022 and no hidden bit
+    q, c = e.view(np.int64) - 1075, bits - (e - 1 << 52)
     irregular = (c == 1 << 52) & (q > -1074)  # the gap below a power of two is half the gap above
     k = q * 661971961083 - irregular * 274743187321 >> 41  # floor(log10(2**q)), or of 3/4 2**q
     h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
@@ -95,8 +95,8 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, w = vbl + odd <= s << 2, (s + 1 << 2) + odd <= vbr
     down = u & ~w | (vb < 4 * s + 2 + (s & 1 == 0)) & (u == w)  # s, not s + 1: below s + 1/2, or on it with s even
     f = (s + ~down).view(np.int64)
-    np.copyto(f, s10.view(np.int64) + 10 * wp, where=(s >= 100) & (up != wp))
-    digits = 16 + (f >= 10**16)
+    np.copyto(f, s10.view(np.int64) + 10 * wp, where=up != wp)
+    digits = np.searchsorted(_POW10, f, side="right")
     point = k + digits
     for p in 16, 8, 4, 2, 1:  # drop the trailing zeros
         r = f // 10**p
@@ -129,7 +129,7 @@ def _concat(rows: np.ndarray, lengths: np.ndarray) -> bytes:
 
 
 def _float_text(x: np.ndarray, delta: int) -> bytes:
-    """Rows of ``delta`` of the floats ``x``, each zero or normal, each as repr writes it."""
+    """Rows of ``delta`` of the finite floats ``x``, each as repr writes it."""
     x = np.ascontiguousarray(x[::-1])  # for _concat, which takes the text's pieces last first
     neg, zero = np.signbit(x), x == 0
     f, digits, point = _shortest(np.abs(x) + zero)  # zero as 1, whose digits are then cleared
@@ -176,11 +176,9 @@ def _text_pieces(graph: GeometricGraph):
     """The .knng text of ``graph`` in pieces of about _WRITE_BLOCK rows plus numbers each, as bytes."""
     n, delta, indptr = graph.n, graph.delta, graph.indptr
     yield f"{MAGIC} {FORMAT_VERSION} {n} {delta} {graph.k_hint or 0}\n".encode("ascii")
-    rows, row = max(1, _WRITE_BLOCK // delta), " ".join(["%r"] * delta) + "\n"
+    rows = max(1, _WRITE_BLOCK // delta)
     for a in range(0, n, rows):
-        x = graph.coords[a : a + rows].ravel()
-        subnormal = ((np.abs(x) < 2.0**-1022) & (x != 0)).any()  # which repr alone writes
-        yield (row * (x.size // delta) % tuple(x.tolist())).encode("ascii") if subnormal else _float_text(x, delta)
+        yield _float_text(graph.coords[a : a + rows].ravel(), delta)
     for a, b in row_blocks(indptr, _WRITE_BLOCK):
         lo = indptr[a]  # each adjacency line is its degree, then its ids
         tokens = np.insert(graph.indices[lo : indptr[b]], indptr[a:b] - lo, graph.degrees[a:b])

@@ -113,6 +113,8 @@ class SweepConfig:
             raise ValueError("grid values c1 and c2 must be finite and positive")
         if not all(isinstance(d, DatasetSpec) for d in self.datasets):
             raise ValueError("datasets must be DatasetSpec objects")
+        if any(d.n <= self.k for d in self.datasets):
+            raise ValueError(f"k={self.k} must be below every dataset's n, got n={min(d.n for d in self.datasets)}")
         bounds = self.bucket_bounds
         if (not bounds or not all(0 < b < math.inf for b in bounds)
                 or any(a >= b for a, b in zip(bounds, bounds[1:]))):

@@ -9,8 +9,8 @@ Its cost is the number of distinct oracle reads of that sequential scan. The
 scan works on the graph's arrays a block of S at a time: 8 rows, then at most
 the rows before plus 8 (a stop at S position r evaluates at most 2r + 8 rows)
 and at most a float budget's worth of candidate gathers (1 row at least). It
-charges the OracleSession, in bulk, for exactly the reads the sequential scan
-makes up to its stop, so the session's QueryTally is the tester's cost.
+charges the OracleSession, in bulk, for the degrees, whole rows and coordinates
+the sequential scan reads up to its stop, so the session's QueryTally is its cost.
 
 Every block of S finds its witness candidates by the one query
 :func:`core.leaf_pairs` on a k-d leaf index (:func:`core.leaf_index`, leaves

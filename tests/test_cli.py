@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import overflow_points
-from knncheck import cli
+from knncheck import cli, harness
 from knncheck.cli import main
 from knncheck.exact import build_exact_knn_graph
 from knncheck.generators import line_gadget
@@ -114,6 +114,29 @@ class TestExitCodes:
         assert code == 64
         assert not csv_path.exists()
         assert len(err.splitlines()) == 1 and field in err and "finite" in err and "Traceback" not in err
+
+    def test_sweep_dataset_with_n_not_above_k_is_64_before_any_points(self, capsys, tmp_path, monkeypatch):
+        made = []
+        monkeypatch.setattr(harness, "_make_points", lambda *args: made.append(args))
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({
+            "k": 10, "grid": [[0.5, 5.0]], "bucket_bounds": [0.05], "min_bucket": 1,
+            "datasets": [{"n": n, "delta": 2, "distribution": "uniform", "fractions": [0.2], "seeds": [0]}
+                         for n in (64, 8)],
+        }))
+        code = main(["sweep", "--config", str(cfg_path), "-o", str(tmp_path / "report.csv")])
+        err = capsys.readouterr().err
+        assert code == 64 and made == []
+        assert len(err.splitlines()) == 1 and "k=10" in err and "n=8" in err
+
+    def test_distance_on_an_edgeless_graph_is_64_and_says_why(self, capsys, tmp_path):
+        graph = tmp_path / "tight.knng"
+        assert main(["generate", "tight", "--delta", "1", "--k", "2", "-o", str(graph)]) == 0
+        capsys.readouterr()
+        code = main(["distance", str(graph), "--k", "2"])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert len(err.splitlines()) == 1 and "no edges" in err and "d must be given" in err
 
     def test_missing_file_is_66(self, capsys):
         code, _ = _run(capsys, ["distance", "/nonexistent/g.knng", "--k", "2"])

@@ -1,6 +1,7 @@
 """Graph model, distance primitive and oracle accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     OVERFLOW_COORDS,
     ReferenceOracle,
+    circulant_graph,
     csr_from_rows,
     first_adjacency_error,
     graph_from_rows,
@@ -630,6 +632,42 @@ class TestOracleSession:
         for tally in tallies:
             assert tally.degree == 60 and tally.coord == 60 and tally.neighbor == 180
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_call_sequence_tallies_as_the_single_reads(self, data):
+        """Random CSR graphs, degree-0 rows included, under any interleaving of the bulk calls, repeats too."""
+        n = data.draw(st.integers(1, 12))
+        edges = st.lists(st.booleans(), min_size=n, max_size=n)
+        rows = [[u for u, on in enumerate(data.draw(edges)) if on and u != v] for v in range(n)]
+        g = graph_from_rows(np.arange(float(n))[:, None], rows)
+        a, b = OracleSession(g), ReferenceOracle(g)
+        single = {
+            "degrees": b.degree,
+            "charge_neighbor_rows": lambda v: [b.neighbor(v, i) for i in range(1, b.degree(v) + 1)],
+            "charge_coords": b.coord,
+        }
+        vertices = st.lists(st.integers(0, n - 1), max_size=2 * n)
+        for name, vs in data.draw(st.lists(st.tuples(st.sampled_from(sorted(single)), vertices), max_size=8)):
+            getattr(a, name)(vs)
+            for v in vs:
+                single[name](v)
+            assert a.query_count == b.query_count
+
+    def test_a_full_charge_holds_no_array_per_edge(self):
+        """Three n-entry masks: at n = 2**16, k = 64, well under the n*k bytes of a mask over the slots."""
+        g = circulant_graph(2**16, 64, seed=2)
+        vs = np.arange(g.n)
+        tracemalloc.start()
+        try:
+            s = OracleSession(g)
+            s.charge_neighbor_rows(vs)
+            s.charge_coords(vs)
+            assert s.query_count == QueryTally(neighbor=g.num_edges, degree=g.n, coord=g.n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.n
+
 
 class TestEdgeBudget:
     def test_computed_is_average_degree(self):
@@ -647,5 +685,5 @@ class TestEdgeBudget:
 
     def test_computed_rejects_edgeless_graph(self):
         g = graph_from_rows(np.zeros((2, 1)), (np.array([]), np.array([])))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the graph has no edges, so the edge budget d must be given"):
             EdgeBudget.computed(g)
