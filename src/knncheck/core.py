@@ -227,6 +227,9 @@ class GeometricGraph:
     A float64 C-contiguous ``coords`` array is kept, not copied, and set
     read-only: the graph, later graphs over it (``corrupt_edges`` children)
     and the tester's cached index share it. Do not set it writable again.
+    The constructor checks rows with :func:`row_fault`; ``_of_valid_rows``
+    runs every other check on rows valid by construction (generators, the
+    exact graph, the per-line reader's rows once it has checked them).
     """
 
     coords: np.ndarray
@@ -235,6 +238,17 @@ class GeometricGraph:
     k_hint: int | None = None
 
     def __post_init__(self):
+        self._settle(check_rows=True)
+
+    @classmethod
+    def _of_valid_rows(cls, coords, indptr, indices, k_hint=None) -> "GeometricGraph":
+        """The graph of rows valid by construction: every check of the constructor but :func:`row_fault`."""
+        g = cls.__new__(cls)
+        g.__dict__.update(coords=coords, indptr=indptr, indices=indices, k_hint=k_hint)
+        g._settle(check_rows=False)
+        return g
+
+    def _settle(self, check_rows: bool) -> None:
         coords = np.ascontiguousarray(np.asarray(self.coords, dtype=np.float64))
         if coords.ndim != 2 or coords.shape[1] < 1:
             raise ValueError("coords must be 2-d with at least one column")
@@ -253,7 +267,7 @@ class GeometricGraph:
                 f"adjacency indptr must hold n+1 = {n + 1} non-decreasing offsets "
                 f"from 0 to len(indices) = {indices.size}"
             )
-        fault = row_fault(n, indptr, indices)
+        fault = row_fault(n, indptr, indices) if check_rows else None
         if fault is not None:
             raise ValueError(fault[1])
         if self.k_hint is not None and self.k_hint < 1:

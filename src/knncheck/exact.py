@@ -14,7 +14,9 @@ only the leaves whose box bound is within it, so the leaves left hold every
 id inside or at the k-th distance, in every dimension and with no rounding
 margin. Candidates are ranked with the same distance arithmetic
 (:func:`core.sum_squares`) as a scan over all points, so strict inequalities
-and tie-breaking equal those of a brute-force pass bit for bit. A unit of at
+and tie-breaking equal those of a brute-force pass bit for bit: a row's hits,
+found in id order, take (squared distance, id) order from two stable sorts,
+by distance and then by int16 row keys. A unit of at
 most k points bounds nothing, so its rows take every leaf. Each block's
 selection is written straight into the profile's arrays. The ids inside a
 vertex's k-th distance are the first ones of its k nearest, so they are not
@@ -84,15 +86,17 @@ def _select(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int) -> _
     """The one exact selection: ``rows`` against the ascending candidate ids ``cand``.
 
     The result is exact for every row whose vertices at or within the k-th
-    distance are all candidates.
+    distance are all candidates. At most 2**15 ``rows``, to fit int16 sort keys.
     """
     d2 = _masked_d2(coords, rows, cand)
     # a copy, not a view: a view would keep the whole partitioned block alive
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
     r, c = np.nonzero(d2 <= kth[:, None])
     d = d2[r, c]
-    # (row, distance, id) order; cand is ascending, so column order is id order
-    order = np.lexsort((c, d, r))
+    # (row, distance, id) order: nonzero gives (row, id) order, as cand is ascending, and
+    # stable sorts by distance, then by int16 row keys (numpy's radix sort), keep it in ties
+    o = np.argsort(d, kind="stable")
+    order = o[np.argsort(r.astype(np.int16)[o], kind="stable")]
     counts = np.bincount(r, minlength=rows.size)
     first = np.cumsum(counts) - counts
     knn = cand[c[order][first[:, None] + np.arange(k)]]
@@ -132,7 +136,7 @@ def _leaf_pass(coords: np.ndarray, k: int):
         span = slice(c, c + chunk)
         row, leaf = leaf_pairs(unit_lo[:, span], unit_hi[:, span], thr[span], levels)
         for rows, near in zip(units[span], np.split(leaf, np.searchsorted(row, np.arange(1, chunk)))):
-            cand = np.unique(leaves[near])
+            cand = np.sort(leaves[near][first[near]])
             step = _block_size(cand.size)
             for b in range(0, rows.size, step):
                 yield _select(coords, rows[b : b + step], cand, k)
@@ -246,7 +250,7 @@ class NeighborhoodProfile:
     @cached_property
     def graph(self) -> GeometricGraph:
         """The exact k-NN graph: k out-neighbors per vertex by (squared distance, id)."""
-        return GeometricGraph(self.coords, np.arange(self.n + 1) * self.k, self.knn.ravel(), self.k)
+        return GeometricGraph._of_valid_rows(self.coords, np.arange(self.n + 1) * self.k, self.knn.ravel(), self.k)
 
     @np.errstate(over="ignore")
     def report(self, g: GeometricGraph, budget: EdgeBudget | None = None) -> DistanceReport:

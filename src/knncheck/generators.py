@@ -52,7 +52,7 @@ def _gadget_graph(k: int, base: np.ndarray, perm: np.ndarray, delta: int = 1) ->
     others = np.arange(k) + (np.arange(k) >= np.arange(k1)[:, None])  # row o: offsets other than o
     knn = np.empty((n, k), dtype=np.int64)
     knn[slots] = slots[:, others]
-    return GeometricGraph(coords, np.arange(n + 1) * k, knn.ravel(), k_hint=k)
+    return GeometricGraph._of_valid_rows(coords, np.arange(n + 1) * k, knn.ravel(), k_hint=k)
 
 
 def _base_positions(gadget_count: int, k1: int) -> np.ndarray:
@@ -163,7 +163,7 @@ def tight_witness_construction(delta: int, k: int) -> tuple[GeometricGraph, int]
         rows.extend([d] * k)
     coords = np.vstack(rows)
     indptr = np.zeros(coords.shape[0] + 1, dtype=np.int64)
-    return GeometricGraph(coords, indptr, indptr[:0], k_hint=k), 0
+    return GeometricGraph._of_valid_rows(coords, indptr, indptr[:0], k_hint=k), 0
 
 
 _CORRUPT_BLOCK = 1 << 15  # rows plus excluded ids and chosen slots that corrupt_edges serves at once
@@ -232,8 +232,8 @@ def corrupt_edges(
         keys -= np.arange(keys.size)
         at = np.repeat(local, cs)
         indices[slots] = pos + np.searchsorted(keys, at * n - starts[at] + pos, side="right") - starts[at]
-    del chosen, rows, counts  # before the output's row check
-    return GeometricGraph(g.coords, indptr, indices, k_hint=g.k_hint)
+    # each row keeps its other ids and takes distinct ids from its pool, so it stays valid
+    return GeometricGraph._of_valid_rows(g.coords, indptr, indices, k_hint=g.k_hint)
 
 
 # scaled radius of each split cluster and the center displacement; eta must be
@@ -314,7 +314,7 @@ def dimension_lb_instances(k: int, epsilon: float, c: int) -> tuple[GeometricGra
         far_coords[sid] = [float(i + 1) + _LB_ETA, 0.0, 0.0]
     # the split points get no out-edges
     indptr = np.concatenate([base.indptr, np.full(m, base.indptr[-1])])
-    g_far = GeometricGraph(far_coords, indptr, base.indices, k_hint=k)
+    g_far = GeometricGraph._of_valid_rows(far_coords, indptr, base.indices, k_hint=k)
 
     exact_coords = far_coords.copy()
     for sid in split_ids:
@@ -323,5 +323,5 @@ def dimension_lb_instances(k: int, epsilon: float, c: int) -> tuple[GeometricGra
     knn[:n] = base.indices.reshape(n, k)
     moved = center_ids + split_ids
     knn[moved] = NeighborhoodProfile(exact_coords, k).knn[moved]
-    g_exact = GeometricGraph(exact_coords, np.arange(n + m + 1) * k, knn.ravel(), k_hint=k)
+    g_exact = GeometricGraph._of_valid_rows(exact_coords, np.arange(n + m + 1) * k, knn.ravel(), k_hint=k)
     return g_far, g_exact

@@ -328,8 +328,8 @@ def _graph_from_lines(text: str) -> GeometricGraph:
     fault = row_fault(n, indptr, indices) or fault
     if fault is not None:
         raise KnngFormatError(2 + n + fault[0], fault[1])
-
-    return GeometricGraph(coords, indptr, indices, k_hint=k_hint if k_hint > 0 else None)
+    # the rows were just checked, so the graph does not check them again
+    return GeometricGraph._of_valid_rows(coords, indptr, indices, k_hint=k_hint if k_hint > 0 else None)
 
 
 def graph_from_text(text: str) -> GeometricGraph:

@@ -416,6 +416,22 @@ class BruteForceProfile:
         )
 
 
+def reference_select_knn(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest of each of ``rows`` among the ascending ids ``cand``, ranked by ``np.lexsort``.
+
+    The hits at or within a row's k-th distance are taken in (row, id) order
+    and ranked by one lexsort on (row, squared distance, id): the ranking that
+    ``exact._select`` makes with two stable argsorts. A row's own id is no hit.
+    """
+    d2 = dist2_block(coords[rows], coords[cand])
+    d2[cand[None, :] == rows[:, None]] = np.nan
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    r, c = np.nonzero(d2 <= kth[:, None])
+    order = np.lexsort((c, d2[r, c], r))
+    counts = np.bincount(r, minlength=rows.size)
+    return cand[c[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
+
+
 def reference_row_fault(n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple[int, str] | None:
     """``core.row_fault`` over all rows at once: one owner array and one sort of every edge key."""
     owner = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))

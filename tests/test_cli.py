@@ -153,6 +153,25 @@ class TestExitCodes:
             assert code == 65
             assert err.startswith(f"knncheck: line {line}: ")
 
+    @pytest.mark.parametrize("reader", ["bulk", "per-line"])
+    @pytest.mark.parametrize("row, message", [
+        ("1 5", "vertex 2: neighbor id out of range [0, 3)"),
+        ("1 2", "vertex 2: self-loop"),
+        ("2 0 0", "vertex 2: duplicate neighbor"),
+    ])
+    def test_a_faulty_row_is_65_through_either_reader(self, capsys, tmp_path, row, message, reader):
+        # a non-ASCII space after a coordinate sends the file to the per-line reader
+        space = "\u2003" if reader == "per-line" else ""
+        bad = tmp_path / "bad.knng"
+        bad.write_text(f"knng 1 3 1 1\n0.0{space}\n1.0\n2.0\n1 1\n1 0\n{row}\n", encoding="utf-8")
+        out = tmp_path / "out.knng"
+        for argv in (["test", str(bad), "--k", "1", "--epsilon", "0.1"], ["distance", str(bad), "--k", "1"],
+                     ["generate", "corrupt", str(bad), "--fraction", "0.1", "--seed", "1", "-o", str(out)]):
+            assert main(argv) == 65
+            captured = capsys.readouterr()
+            assert captured.err == f"knncheck: line 7: {message}\n" and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", [b"x,y\n0.1,0.2\n0.3,0.4\n0.5,0.6\n",
                                      b"0.1,0.2\n0.3,0.4,0.9\n0.5,0.6\n",
                                      b"0.1,0.2\nnan,0.4\n0.5,0.6\n",
@@ -381,6 +400,32 @@ class TestDeterminism:
                   "--json", str(json_path), "--seed", "3"])
             outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
         capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
+    def test_sweep_under_python_O_writes_the_same_bytes(self, tmp_path):
+        # python -O strips assert statements; no output may rest on one
+        cfg = {
+            "k": 3,
+            "grid": [[0.2, 1.0], [0.5, 5.0]],
+            "datasets": [
+                {"n": 200, "delta": 2, "distribution": "uniform", "fractions": [0.05, 0.3], "seeds": [1]},
+                {"n": 120, "delta": 8, "distribution": "gaussian-mixture", "fractions": [0.2], "seeds": [2]},
+            ],
+            "bucket_bounds": [0.1],
+            "min_bucket": 1,
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        outputs = []
+        for flags in ([], ["-O"]):
+            csv_path, json_path = tmp_path / f"r{len(flags)}.csv", tmp_path / f"r{len(flags)}.json"
+            run = subprocess.run([sys.executable, *flags, "-m", "knncheck", "sweep", "--config", str(cfg_path),
+                                  "-o", str(csv_path), "--json", str(json_path), "--seed", "5"],
+                                 capture_output=True, env=env)
+            assert run.returncode == 0, run.stderr
+            outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_subprocess_rerun_identical(self, knn_graph_file):

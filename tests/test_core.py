@@ -421,6 +421,33 @@ class TestGeometricGraphInvariants:
         with pytest.raises(ValueError, match="^adjacency indptr"):
             GeometricGraph(np.zeros((3, 1)), np.array(indptr), np.array(indices))
 
+    @pytest.mark.parametrize("row, message", [
+        ([5], "vertex 2: neighbor id out of range [0, 3)"),
+        ([2], "vertex 2: self-loop"),
+        ([0, 0], "vertex 2: duplicate neighbor"),
+    ])
+    def test_constructor_checks_rows_and_the_valid_rows_path_does_not(self, row, message):
+        coords, indptr = np.zeros((3, 1)), np.array([0, 1, 2, 2 + len(row)])
+        indices = np.array([1, 0, *row])
+        with pytest.raises(ValueError) as err:
+            GeometricGraph(coords, indptr, indices, k_hint=1)
+        assert str(err.value) == message
+        # rows valid by construction are taken as they are, so a faulty row passes there
+        g = GeometricGraph._of_valid_rows(coords, indptr, indices, k_hint=1)
+        assert np.array_equal(g.indices, indices) and not g.indices.flags.writeable
+        assert g.degrees.tolist() == [1, 1, len(row)]
+
+    def test_the_valid_rows_path_runs_every_other_check(self):
+        for args, message in (
+            ((np.array([[np.nan]]), [0, 0], []), "coordinates must be finite"),
+            ((np.zeros(2), [0, 0, 0], []), "coords must be 2-d"),
+            ((np.zeros((2, 1)), [0, 1], [1]), "adjacency indptr must hold"),
+            ((np.zeros((2, 1)), [0, 1, 2], [1.0, 0.0]), "adjacency indptr and indices"),
+            ((np.zeros((2, 1)), [0, 1, 2], [1, 0], 0), "k_hint must be positive"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                GeometricGraph._of_valid_rows(args[0], np.array(args[1]), np.array(args[2]), *args[3:])
+
     def test_coincident_points_are_legal(self):
         g = graph_from_rows(np.zeros((3, 2)), (np.array([1]), np.array([2]), np.array([0])))
         assert g.n == 3 and g.num_edges == 3

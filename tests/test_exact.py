@@ -16,6 +16,7 @@ from helpers import (
     num_nearer,
     overflow_points,
     random_small_graph,
+    reference_select_knn,
     rows_of,
 )
 from knncheck import exact
@@ -545,3 +546,21 @@ def test_report_equals_the_brute_force_report_for_any_block(data):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(exact, "_REPORT_BLOCK", data.draw(st.integers(1, n * n)))
         assert p.report(g, budget) == BruteForceProfile(coords, k).report(g, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_selection_ranks_hits_as_the_lexsort_reference(data):
+    # few distinct coordinates, some of them huge: most hits tie on their distance,
+    # inf included, and at the k-th distance; up to _UNIT_ROWS rows per selection
+    n = data.draw(st.integers(2, 300))
+    delta = data.draw(st.integers(1, 3))
+    values = data.draw(st.sampled_from([(0.0, 1.0, 2.0), (0.0, 1.0, -1.0, 1e155, -1.7976931348623157e308)]))
+    flat = data.draw(st.lists(st.sampled_from(values), min_size=n * delta, max_size=n * delta))
+    coords = np.array(flat, dtype=np.float64).reshape(n, delta)
+    k = data.draw(st.integers(1, n - 1))
+    cand = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k + 1, max_size=n))))
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=exact._UNIT_ROWS)))
+    with np.errstate(over="ignore"):
+        got = exact._select(coords, rows, cand, k).knn
+        assert np.array_equal(got, reference_select_knn(coords, rows, cand, k))

@@ -5,13 +5,22 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import circulant_graph, graph_from_rows, reference_corrupt_edges, reference_graph_to_text
-from knncheck import generators
+from helpers import (
+    circulant_graph,
+    graph_from_rows,
+    reference_corrupt_edges,
+    reference_graph_to_text,
+    reference_row_fault,
+)
+from knncheck import core, generators
 from knncheck.core import EdgeBudget
 from knncheck.exact import (
     NeighborhoodProfile,
@@ -418,3 +427,68 @@ class TestRoundTripsAndDeterminism:
         for g in graphs:
             assert graph_to_text(g) == reference_graph_to_text(g)
             assert graph_from_text(graph_to_text(g)).equals(g)
+
+
+def _valid_rows_output(data):
+    """The call that builds a generator's output, its input drawn and built beforehand."""
+    kind = data.draw(st.sampled_from(["corrupt", "profile", "d1", "d2", "gadget", "tight", "dimlb"]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if kind == "corrupt":
+        n = data.draw(st.integers(3, 24))
+        k = data.draw(st.integers(1, n - 2))
+        full = data.draw(st.booleans())
+        rng = np.random.default_rng(seed)
+        # rows of degree k and above; with full, every row of degree n - 2
+        rows = [rng.permutation(np.delete(np.arange(n), v))[: n - 2 if full else data.draw(st.integers(k, n - 2))]
+                for v in range(n)]
+        g = graph_from_rows(rng.random((n, 2)), rows, k_hint=k)
+        fraction = data.draw(st.sampled_from([0.0, 1.0 / (n * k), 1.0, float(rng.random())]))
+        return lambda: corrupt_edges(g, fraction, seed)
+    if kind == "profile":
+        n = data.draw(st.integers(2, 60))
+        delta = data.draw(st.integers(1, 3))
+        # lattice points, with every point repeated when duplicated
+        flat = data.draw(st.lists(st.integers(0, 3), min_size=n * delta, max_size=n * delta))
+        coords = np.array(flat, dtype=np.float64).reshape(n, delta)
+        if data.draw(st.booleans()):
+            coords = np.vstack([coords, coords])
+        k = data.draw(st.integers(1, coords.shape[0] - 1))
+        return lambda: NeighborhoodProfile(coords, k).graph
+    k = data.draw(st.integers(1, 4))
+    if kind == "d1":
+        n = (k + 1) * data.draw(st.integers(1, 20))
+        return lambda: sample_d1(n, k, seed)
+    if kind == "d2":
+        m = data.draw(st.integers(2, 20))
+        # ceil(epsilon * n / (k + 1)) relocations, between 1 and m / 2
+        epsilon = (data.draw(st.integers(1, m // 2)) - 0.5) / m
+        return lambda: sample_d2((k + 1) * m, k, epsilon, seed)
+    if kind == "gadget":
+        m = data.draw(st.integers(1, 6))
+        base = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m)))
+        perm, delta = np.random.default_rng(seed).permutation(m * (k + 1)), data.draw(st.integers(1, 3))
+        return lambda: generators._gadget_graph(k, base, perm, delta)
+    if kind == "tight":
+        delta = data.draw(st.sampled_from([1, 3]))
+        return lambda: tight_witness_construction(delta, k)[0]
+    k, c = min(k, 2), data.draw(st.integers(1, 4))
+    # ceil(2 * epsilon * k * c) perturbed clusters, between 1 and c
+    epsilon = (data.draw(st.integers(1, c)) - 0.5) / (2 * k * c)
+    return lambda: dimension_lb_instances(k, epsilon, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_check_free_outputs_have_valid_rows(data):
+    # every generator whose rows are valid by construction builds its graphs
+    # without the row check; each output must pass the one-shot reference check
+    build = _valid_rows_output(data)
+    with mock.patch.object(core, "row_fault", side_effect=AssertionError("rows checked")) as check:
+        try:
+            out = build()
+        except ValueError as err:  # a row of corrupt_edges' input with too few non-neighbors
+            assert "cannot corrupt" in str(err)
+            return
+    assert not check.called
+    for g in out if isinstance(out, tuple) else (out,):
+        assert reference_row_fault(g.n, g.indptr, g.indices) is None

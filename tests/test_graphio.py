@@ -360,6 +360,28 @@ def test_plain_ascii_files_skip_the_per_line_reader(name, monkeypatch):
     assert graph_from_text(text).equals(want)
 
 
+@pytest.mark.parametrize("name", ["arabic-indic id", "arabic-indic coordinate", "non-ASCII space"])
+def test_the_per_line_reader_checks_rows_once(name, tmp_path, monkeypatch):
+    # it checks the rows itself, to report the line, and builds without a second check
+    text = _READER_CORPUS[name]
+    path = tmp_path / "g.knng"
+    path.write_bytes(text.encode("utf-8"))
+    want = reference_graph_from_text(text)
+    passes, row_fault = [], core.row_fault
+
+    def counting(n, indptr, indices):
+        passes.append(n)
+        return row_fault(n, indptr, indices)
+
+    # the readers' own check and the constructor's
+    monkeypatch.setattr(graphio, "row_fault", counting)
+    monkeypatch.setattr(core, "row_fault", counting)
+    for read, arg in ((graph_from_text, text), (read_knng, path)):
+        passes.clear()
+        assert read(arg).equals(want)
+        assert passes == [4]
+
+
 @pytest.mark.parametrize(
     "raw, line",
     [

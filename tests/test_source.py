@@ -5,8 +5,10 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import knncheck
-from knncheck import tester
+from knncheck import exact, tester
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "knncheck"
 
@@ -77,3 +79,20 @@ def test_scan_blocks_fit_int16_row_keys():
     # the scan sorts each block's neighbor distances by int16 row keys, and a
     # block holds at most _PAIR_FLOATS // _LEAF_SIZE rows
     assert tester._PAIR_FLOATS // tester._LEAF_SIZE <= 2**15
+
+
+def test_kernel_selections_fit_int16_row_keys(monkeypatch):
+    # _select sorts each selection's hits by int16 row keys, and the kernel
+    # passes it at most one unit's rows, _UNIT_ROWS of them
+    assert exact._UNIT_ROWS <= 2**15
+    sizes, select = [], exact._select
+
+    def recording(coords, rows, cand, k):
+        sizes.append(rows.size)
+        return select(coords, rows, cand, k)
+
+    monkeypatch.setattr(exact, "_select", recording)
+    rng = np.random.default_rng(32)
+    for n, delta, k in ((9, 1, 8), (3000, 2, 10), (1000, 8, 5)):
+        exact.NeighborhoodProfile(rng.random((n, delta)), k)
+    assert sizes and max(sizes) <= exact._UNIT_ROWS
