@@ -168,6 +168,43 @@ def leaf_pairs(lo: np.ndarray, hi: np.ndarray, r: np.ndarray, levels) -> tuple[n
     return row, node
 
 
+def dist2_filter(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """F = ‖y‖² − 2x·y for rows of ``x`` and ``y`` by one BLAS product, and a margin M per row of x.
+
+    Centred on c = x[0], x̄ = fl(x − c), ȳ = fl(y − c) and F = [−2x̄, 1]·[ȳ, Ŷ]ᵀ,
+    Ŷ = fl(‖ȳ‖²). With X = ‖x̄‖² and D = :func:`sum_squares` (x − y),
+    |F + X − D| ≤ M for every pair, so F only rules pairs out. Proof (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, §2.1, §3.1), with
+    u = 2⁻⁵³, γ_m = mu/(1 − mu), Y = ‖ȳ‖², a = ‖x − y‖², each operation
+    giving (a ∘ b)(1 + ε) + η, |ε| ≤ u, |η| ≤ 2⁻¹⁰⁷⁵: a dot product of length
+    m, in any summation order, with or without FMA, is within γ_m·Σ|aᵢbᵢ|, so
+    |Ŷ − Y| ≤ γ_δ·Y and F is within γ_{δ+1}(X + Y + Ŷ) of Ŷ − 2x̄·ȳ (as
+    2Σ|x̄ᵢȳᵢ| ≤ X + Y). Centring moves each coordinate by at most u/(1 − u)·|x̄ᵢ|,
+    so x − y is within ρ = u/(1 − u)·s of x̄ − ȳ, s = ‖x̄‖ + ‖ȳ‖, and a within
+    ρ(2s + ρ) ≤ 4u(1 + 2u)(X + Y) of X + Y − 2x̄·ȳ. D adds δ non-negative terms
+    of at most δ + 2 roundings each: |D − a| ≤ γ_{δ+2}·a ≤ 2(1 + 2u)γ_{δ+2}(X + Y).
+    Summed, |F + X − D| ≤ ((3δ + 9)X + (5δ + 10)Y)·u·(1 + O(δu)), plus
+    (3δ + 3)·2⁻¹⁰⁷⁴ of underflow. M = 8(δ + 2)·u·(X̂ + max Ŷ) + 2⁻¹⁰⁰⁰, X̂ =
+    fl(‖x̄‖²), holds it with about 3(δ + 2)·u·(X + max Y) to spare, more than
+    the rounding of t + 2M for any F value t of the row. None when a centred
+    squared norm exceeds 2**500 (values could overflow) or all are below
+    2**-500 (subnormal products are slow, and M would keep every pair). A
+    product of m·n·k ≤ 2**18 (n·k ≤ 8192 if m = 1) runs on the calling thread.
+    """
+    m, delta = x.shape
+    a, b = np.ones((m, delta + 1)), np.empty((y.shape[0], delta + 1))
+    xc, yc = np.subtract(x, x[0], out=a[:, :delta]), np.subtract(y, x[0], out=b[:, :delta])
+    xnorms, norms = np.einsum("ij,ij->i", xc, xc), np.einsum("ij,ij->i", yc, yc, out=b[:, delta])
+    if not 2.0**-500 <= max(xnorms.max(), norms.max()) <= 2.0**500:
+        return None
+    xc *= -2.0
+    f = np.empty((m, y.shape[0]))
+    step = max(1, (1 << 18) // (max(m, 32) * (delta + 1)))
+    for s in range(0, y.shape[0], step):
+        np.matmul(a, b[s : s + step].T, out=f[:, s : s + step])
+    return f, 8 * (delta + 2) * 2.0**-53 * (xnorms + norms.max()) + 2.0**-1000
+
+
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, e) over paired bounds; gathers CSR rows."""
     lengths = ends - starts
@@ -229,7 +266,9 @@ class GeometricGraph:
     and the tester's cached index share it. Do not set it writable again.
     The constructor checks rows with :func:`row_fault`; ``_of_valid_rows``
     runs every other check on rows valid by construction (generators, the
-    exact graph, the per-line reader's rows once it has checked them).
+    exact graph, the per-line reader's rows once it has checked them), and
+    ``_with_indices`` checks only the new ids of a graph that shares its
+    parent's checked arrays (``corrupt_edges`` children).
     """
 
     coords: np.ndarray
@@ -246,6 +285,15 @@ class GeometricGraph:
         g = cls.__new__(cls)
         g.__dict__.update(coords=coords, indptr=indptr, indices=indices, k_hint=k_hint)
         g._settle(check_rows=False)
+        return g
+
+    def _with_indices(self, indices: np.ndarray) -> "GeometricGraph":
+        """New valid rows over this graph's checked arrays, shared; only ``indices`` is checked."""
+        if indices.dtype != np.int64 or indices.shape != self.indices.shape:
+            raise ValueError(f"indices must be int64 of shape {self.indices.shape}")
+        g = type(self).__new__(type(self))
+        g.__dict__.update(vars(self), indices=np.ascontiguousarray(indices))
+        g.indices.setflags(write=False)
         return g
 
     def _settle(self, check_rows: bool) -> None:

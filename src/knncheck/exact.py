@@ -12,18 +12,19 @@ of a unit's rows among the unit's own points bounds each row's true k-th
 distance from above, and the index's one query :func:`core.leaf_pairs` keeps
 only the leaves whose box bound is within it, so the leaves left hold every
 id inside or at the k-th distance, in every dimension and with no rounding
-margin. Candidates are ranked with the same distance arithmetic
-(:func:`core.sum_squares`) as a scan over all points, so strict inequalities
-and tie-breaking equal those of a brute-force pass bit for bit: a row's hits,
-found in id order, take (squared distance, id) order from two stable sorts,
-by distance and then by int16 row keys. A unit of at
-most k points bounds nothing, so its rows take every leaf. Each block's
-selection is written straight into the profile's arrays. The ids inside a
-vertex's k-th distance are the first ones of its k nearest, so they are not
-stored but read from ``knn``. :func:`k_nearest_set` selects one row against
-all points with the same :func:`_select`. A report counts hits by comparing
-its edges' squared distances over the profile's points, overflow to inf
-ignored, with ``kth``, one block of rows at a time.
+margin. BLAS values (:func:`core.dist2_filter`) only prune a block's pairs,
+by a proven error bound; every comparison is made on the pairs left with the
+same distance arithmetic (:func:`core.sum_squares`) as a scan over all
+points, so strict inequalities and tie-breaking equal those of a brute-force
+pass bit for bit: a row's hits, found in id order, take (squared distance,
+id) order from two stable sorts, by distance and then by int16 row keys. A
+unit of at most k points bounds nothing, so its rows take every leaf. Each
+block's selection is written straight into the profile's arrays. The ids
+inside a vertex's k-th distance are the first ones of its k nearest, so they
+are not stored but read from ``knn``. :func:`k_nearest_set` selects one row
+against all points with the same :func:`_select`. A report counts hits by
+comparing its edges' squared distances over the profile's points, overflow
+to inf ignored, with ``kth``, one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import EdgeBudget, GeometricGraph, dist2_block, leaf_index, leaf_pairs, row_blocks, sum_squares
+from .core import (EdgeBudget, GeometricGraph, dist2_block, dist2_filter, leaf_index, leaf_pairs, row_blocks,
+                   sum_squares)
 
 __all__ = [
     "WitnessSet",
@@ -46,7 +48,7 @@ __all__ = [
     "max_shared_knn",
 ]
 
-# floats per distance block; a selection holds two such blocks and a byte mask, about 136 MB
+# floats per block of filter values or distances; a selection holds one, a partitioned copy and a byte mask
 _BLOCK_FLOATS = 8_000_000
 # rows plus edges that a report compares at once
 _REPORT_BLOCK = 1 << 15
@@ -60,14 +62,33 @@ def _block_size(n: int) -> int:
     return max(1, min(n, _BLOCK_FLOATS // max(1, n)))
 
 
-def _masked_d2(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Squared distances from ``rows`` to the ascending ids ``cand``; a row's own id gets nan."""
-    d2 = dist2_block(coords.take(rows, axis=0), coords.take(cand, axis=0))
+def _near(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int):
+    """Pairs (r, c, d) of ``rows`` and the ascending ids ``cand`` in (row, id) order, d their squared
+    distances: every pair at or inside a row's k-th distance, at least k per row, no row's own id.
+
+    :func:`core.dist2_filter` keeps the pairs whose F is within 2M of the
+    row's k-th smallest F, t̃: a pair at or inside the k-th distance t has
+    F + X ≤ t + M, and t ≤ t̃ + X + M. A block the filter declines, or where
+    it keeps too many pairs to gather within its memory, takes ``dist2_block``.
+    """
+    x, y = coords.take(rows, axis=0), coords.take(cand, axis=0)
     pos = np.minimum(np.searchsorted(cand, rows), cand.size - 1)
-    own = cand[pos] == rows
-    # no comparison selects nan and partition sorts it last, also past distances that overflow to inf
-    d2[np.flatnonzero(own), pos[own]] = np.nan
-    return d2
+    own = (np.flatnonzero(cand[pos] == rows), pos[cand[pos] == rows])
+    if (filt := dist2_filter(x, y)) is not None:
+        f, margin = filt
+        f[own] = np.inf
+        kept = np.flatnonzero(f <= (np.partition(f, k - 1, axis=1)[:, k - 1] + 2 * margin)[:, None])
+        del f, filt
+        # the kept pairs' ids and differences, 3δ + 3 words each, fit where F and its partitioned copy were
+        if (3 * x.shape[1] + 3) * kept.size <= 2 * rows.size * cand.size:
+            r, c = np.divmod(kept, cand.size)
+            # one contiguous row of differences per coordinate
+            return r, c, sum_squares(np.ascontiguousarray((x.take(r, axis=0) - y.take(c, axis=0)).T))
+    d2 = dist2_block(x, y)
+    # no comparison selects nan, and partition sorts it last, also past distances that overflow to inf
+    d2[own] = np.nan
+    kept = np.flatnonzero(d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1, None])
+    return *np.divmod(kept, cand.size), d2.ravel()[kept]
 
 
 @dataclass(frozen=True)
@@ -88,20 +109,16 @@ def _select(coords: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int) -> _
     The result is exact for every row whose vertices at or within the k-th
     distance are all candidates. At most 2**15 ``rows``, to fit int16 sort keys.
     """
-    d2 = _masked_d2(coords, rows, cand)
-    # a copy, not a view: a view would keep the whole partitioned block alive
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
-    r, c = np.nonzero(d2 <= kth[:, None])
-    d = d2[r, c]
-    # (row, distance, id) order: nonzero gives (row, id) order, as cand is ascending, and
-    # stable sorts by distance, then by int16 row keys (numpy's radix sort), keep it in ties
+    r, c, d = _near(coords, rows, cand, k)
+    # (row, distance, id) order: the pairs come in (row, id) order, and stable sorts
+    # by distance, then by int16 row keys (numpy's radix sort), keep it in ties
     o = np.argsort(d, kind="stable")
     order = o[np.argsort(r.astype(np.int16)[o], kind="stable")]
     counts = np.bincount(r, minlength=rows.size)
-    first = np.cumsum(counts) - counts
-    knn = cand[c[order][first[:, None] + np.arange(k)]]
+    ranked = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    kth, knn = d[ranked[:, -1]], cand[c[ranked]]
     at = d == kth[r]
-    inside = counts - np.bincount(r[at], minlength=rows.size)
+    inside = np.bincount(r[d < kth[r]], minlength=rows.size)
     return _Selection(rows, kth, knn, inside, rows[r[at]], cand[c[at]])
 
 

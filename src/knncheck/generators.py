@@ -43,15 +43,20 @@ def line_gadget(x: float, k: int, delta: int = 1) -> GeometricGraph:
 
 
 def _gadget_graph(k: int, base: np.ndarray, perm: np.ndarray, delta: int = 1) -> GeometricGraph:
-    """Gadget g holds vertices perm[g*k':(g+1)*k'] along its line from base[g], all adjacent."""
+    """Gadget g holds vertices perm[g*k':(g+1)*k'] along its line from base[g], all adjacent;
+    vertex v's coordinates and row are gathered in id order through pos[v] = g*k' + offset."""
     k1 = k + 1
     n = perm.size
-    slots = perm.reshape(base.size, k1)
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(n)
+    offset = pos % k1
     coords = np.zeros((n, delta), dtype=np.float64)
-    coords[slots, 0] = base[:, None] + np.arange(k1)
+    coords[:, 0] = base[pos // k1] + offset
     others = np.arange(k) + (np.arange(k) >= np.arange(k1)[:, None])  # row o: offsets other than o
-    knn = np.empty((n, k), dtype=np.int64)
-    knn[slots] = slots[:, others]
+    knn = others[offset]
+    knn += (pos - offset)[:, None]
+    # in place: a slot's position is read before its id is written; "wrap" is unbuffered, and every position in range
+    np.take(perm, knn, out=knn, mode="wrap")
     return GeometricGraph._of_valid_rows(coords, np.arange(n + 1) * k, knn.ravel(), k_hint=k)
 
 
@@ -233,7 +238,7 @@ def corrupt_edges(
         at = np.repeat(local, cs)
         indices[slots] = pos + np.searchsorted(keys, at * n - starts[at] + pos, side="right") - starts[at]
     # each row keeps its other ids and takes distinct ids from its pool, so it stays valid
-    return GeometricGraph._of_valid_rows(g.coords, indptr, indices, k_hint=g.k_hint)
+    return g._with_indices(indices)
 
 
 # scaled radius of each split cluster and the center displacement; eta must be

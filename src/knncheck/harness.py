@@ -33,7 +33,6 @@ __all__ = [
     "run_sweep",
     "query_budget_ratio",
     "export_report",
-    "report_from_json",
     "sweep_config_from_json",
 ]
 
@@ -280,16 +279,6 @@ def export_report(report: SweepReport, format: str = "csv") -> bytes:
         obj = {"metadata": report.metadata, "rows": rows}
         return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {format!r}")
-
-
-def report_from_json(data: bytes | str) -> SweepReport:
-    obj = json.loads(data)
-    rows = []
-    for r in obj["rows"]:
-        if r["bucket_hi"] is None:
-            r["bucket_hi"] = float("inf")
-        rows.append(SweepRow(**r))
-    return SweepReport(rows=tuple(rows), metadata=obj["metadata"])
 
 
 def sweep_config_from_json(data: bytes | str) -> SweepConfig:

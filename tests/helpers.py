@@ -8,6 +8,7 @@ only run at small sizes.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -16,6 +17,7 @@ import numpy as np
 from knncheck.core import EdgeBudget, GeometricGraph, QueryTally, box_gap2, dist2, dist2_block
 from knncheck.exact import DistanceReport
 from knncheck.graphio import KnngFormatError
+from knncheck.harness import SweepReport, SweepRow
 from knncheck.sampling import rng_from, split_seed
 from knncheck.tester import Evidence, TesterConfig, Verdict, sample_sizes
 
@@ -47,6 +49,18 @@ def reference_corrupt_edges(
             raise ValueError(f"vertex {v} has {p} non-neighbors for {c} replaced slots; cannot corrupt")
         indices[slot] = pool[int(rng.integers(0, pool.size))]
     return GeometricGraph(g.coords, g.indptr, indices, k_hint=g.k_hint)
+
+
+def reference_gadget_graph(k: int, base: np.ndarray, perm: np.ndarray, delta: int = 1) -> GeometricGraph:
+    """``generators._gadget_graph`` by a scatter: gadget g writes its k' rows into the slots perm[g*k':(g+1)*k']."""
+    k1 = k + 1
+    slots = perm.reshape(base.size, k1)
+    coords = np.zeros((perm.size, delta), dtype=np.float64)
+    coords[slots, 0] = base[:, None] + np.arange(k1)
+    others = np.arange(k) + (np.arange(k) >= np.arange(k1)[:, None])  # row o: offsets other than o
+    knn = np.empty((perm.size, k), dtype=np.int64)
+    knn[slots] = slots[:, others]
+    return GeometricGraph(coords, np.arange(perm.size + 1) * k, knn.ravel(), k_hint=k)
 
 
 def corruptible_fraction(n: int, k: int, fraction: float) -> float:
@@ -559,3 +573,14 @@ def reference_graph_from_text(text: str) -> GeometricGraph:
             raise KnngFormatError(lineno, f"vertex {v}: duplicate neighbor")
         rows.append(nbrs)
     return graph_from_rows(np.array(coords, dtype=np.float64), rows, k_hint=k_hint or None)
+
+
+def report_from_json(data: bytes | str) -> SweepReport:
+    """The SweepReport that ``export_report(report, "json")`` wrote; an open bucket's None bound is inf."""
+    obj = json.loads(data)
+    rows = []
+    for r in obj["rows"]:
+        if r["bucket_hi"] is None:
+            r["bucket_hi"] = float("inf")
+        rows.append(SweepRow(**r))
+    return SweepReport(rows=tuple(rows), metadata=obj["metadata"])

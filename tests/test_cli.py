@@ -428,6 +428,30 @@ class TestDeterminism:
             outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_one_blas_thread_writes_the_same_bytes(self, tmp_path):
+        # the exact kernel's BLAS filter values may change with OpenBLAS's threading; no output may
+        rng = np.random.default_rng(6)
+        points = tmp_path / "points.csv"
+        np.savetxt(points, rng.random((3000, 8)), delimiter=",")
+        cfg_path = tmp_path / "sweep.json"
+        dataset = {"n": 1500, "delta": 16, "distribution": "gaussian-mixture", "fractions": [0.2], "seeds": [3]}
+        cfg_path.write_text(json.dumps({"k": 5, "grid": [[0.2, 1.0]], "bucket_bounds": [0.1], "min_bucket": 1,
+                                        "datasets": [dataset]}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        outputs = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            out = tmp_path / f"r{len(threads)}"
+            for argv in (["build-knn", str(points), "--k", "10", "-o", f"{out}.knng"],
+                         ["sweep", "--config", str(cfg_path), "-o", f"{out}.csv", "--json", f"{out}.json",
+                          "--seed", "4"]):
+                run = subprocess.run([sys.executable, "-m", "knncheck", *argv], capture_output=True,
+                                     env={**env, **threads})
+                assert run.returncode == 0, run.stderr
+            outputs.append([Path(f"{out}.{ext}").read_bytes() for ext in ("knng", "csv", "json")])
+        assert outputs[0] == outputs[1]
+
     def test_subprocess_rerun_identical(self, knn_graph_file):
         argv = [sys.executable, "-m", "knncheck", "test", str(knn_graph_file),
                 "--k", "3", "--epsilon", "0.2", "--seed", "12", "--json"]

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from knncheck.core import (
     box_gap2,
     dist2,
     dist2_block,
+    dist2_filter,
     dist2_row,
     leaf_index,
     leaf_pairs,
@@ -448,6 +450,16 @@ class TestGeometricGraphInvariants:
             with pytest.raises(ValueError, match=message):
                 GeometricGraph._of_valid_rows(args[0], np.array(args[1]), np.array(args[2]), *args[3:])
 
+    def test_indices_path_shares_the_parent_arrays_and_checks_only_the_ids(self):
+        g = graph_from_rows(np.zeros((3, 1)), (np.array([1]), np.array([2, 0]), np.array([0])), k_hint=1)
+        child = g._with_indices(np.array([2, 2, 0, 1]))
+        assert child.coords is g.coords and child.indptr is g.indptr and child.degrees is g.degrees
+        assert child.equals(GeometricGraph(g.coords, g.indptr, np.array([2, 2, 0, 1]), k_hint=1))
+        assert not child.indices.flags.writeable
+        for bad in (np.array([2, 0, 1]), np.array([2.0, 0.0, 1.0, 1.0]), np.array([2, 0, 1, 1], dtype=np.int32)):
+            with pytest.raises(ValueError, match="^indices must be int64 of shape"):
+                g._with_indices(bad)
+
     def test_coincident_points_are_legal(self):
         g = graph_from_rows(np.zeros((3, 2)), (np.array([1]), np.array([2]), np.array([0])))
         assert g.n == 3 and g.num_edges == 3
@@ -714,3 +726,79 @@ class TestEdgeBudget:
         g = graph_from_rows(np.zeros((2, 1)), (np.array([]), np.array([])))
         with pytest.raises(ValueError, match="the graph has no edges, so the edge budget d must be given"):
             EdgeBudget.computed(g)
+
+
+def _exact_filter_error(x, y, f, margin):
+    """Per pair, |F + X - D| - M in exact rationals, X the exact squared norm of fl(x - x[0])."""
+    xc = x - x[0]
+    xnorms = [sum(Fraction(float(v)) ** 2 for v in row) for row in xc]
+    d = dist2_block(x, y)
+    return [[abs(Fraction(float(f[i, j])) + xnorms[i] - Fraction(float(d[i, j]))) - Fraction(float(margin[i]))
+             for j in range(y.shape[0])] for i in range(x.shape[0])]
+
+
+_FILTER_SCALES = (1.0, 1e-3, 1e3, 1e-100, 1e100, 2.0**-240, 2.0**240)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_filter_and_its_recheck_decide_every_pair_as_sum_squares(data):
+    # a random centre and scale, on floats or on a few lattice values (ties, repeats)
+    m, n, delta = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8)), data.draw(st.integers(1, 9))
+    centre = data.draw(st.sampled_from((0.0, 1.0, -3.5, 1e8, -1e12, 2.0**200, 1e-200)))
+    scale = data.draw(st.sampled_from(_FILTER_SCALES))
+    unit = st.floats(-1, 1) if data.draw(st.booleans()) else st.sampled_from((-1.0, 0.0, 0.5, 1.0))
+    pts = np.array(data.draw(st.lists(unit, min_size=(m + n) * delta, max_size=(m + n) * delta)))
+    pts = pts.reshape(m + n, delta) * scale + centre
+    x, y = pts[:m], pts[m:]
+    out = dist2_filter(x, y)
+    if out is None:
+        top = max(np.sum((x - x[0]) ** 2, axis=1).max(), np.sum((y - x[0]) ** 2, axis=1).max())
+        assert not 2.0**-500 <= top <= 2.0**500
+        return
+    f, margin = out
+    assert f.shape == (m, n) and margin.shape == (m,)
+    error = _exact_filter_error(x, y, f, margin)
+    assert all(e <= 0 for row in error for e in row)
+    # a threshold per row at one of its distances, maybe one step off: the filter
+    # decides the pairs its margin clears, and sum_squares re-checks the others
+    d = dist2_block(x, y)
+    xnorms = [sum(Fraction(float(v)) ** 2 for v in row) for row in x - x[0]]
+    for i in range(m):
+        t = np.nextafter(d[i, data.draw(st.integers(0, n - 1))], data.draw(st.sampled_from((-np.inf, 0.0, np.inf))))
+        for j in range(n):
+            value, bound = Fraction(float(f[i, j])) + xnorms[i], Fraction(float(margin[i]))
+            inside = (True if value + bound <= Fraction(float(t)) else False if value - bound > Fraction(float(t))
+                      else bool(d[i, j] <= t))
+            assert inside == bool(d[i, j] <= t)
+
+
+def test_filter_margin_covers_underflow():
+    # rows and columns near 2**-530 beside one far row: their products and squares are
+    # subnormal, so F + X and D differ by a few 2**-1074 where the relative margin is 0
+    rng = np.random.default_rng(3)
+    x = np.vstack([np.zeros((1, 3)), np.ones((1, 3)), rng.random((6, 3)) * 2.0**-530])
+    y = rng.random((8, 3)) * 2.0**-530
+    f, margin = dist2_filter(x, y)
+    error = _exact_filter_error(x, y, f, margin)
+    assert all(e <= 0 for row in error for e in row)
+    assert any(e + Fraction(float(margin[i])) > 0 for i, row in enumerate(error[2:], 2) for e in row)
+
+
+@pytest.mark.parametrize("m, delta", [(1, 1), (1, 8), (5, 3), (32, 8), (128, 8), (128, 40)])
+def test_filter_products_stay_below_openblas_thread_thresholds(monkeypatch, m, delta):
+    # OpenBLAS runs gemm on the calling thread up to m*n*k = 2**18, and gemv (one row) below 9216
+    shapes, matmul = [], np.matmul
+
+    def recording(a, b, out):
+        shapes.append((a.shape[0], b.shape[1], a.shape[1]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(core.np, "matmul", recording)
+    rng = np.random.default_rng(m + delta)
+    x, y = rng.random((m, delta)), rng.random((3000, delta))
+    f, _ = dist2_filter(x, y)
+    monkeypatch.undo()
+    assert sum(cols for _, cols, _ in shapes) == 3000
+    assert all(rows * cols * k <= 2**18 and (rows > 1 or cols * k < 9216) for rows, cols, k in shapes)
+    assert np.allclose(f + ((x - x[0]) ** 2).sum(axis=1)[:, None], dist2_block(x, y), atol=1e-12)

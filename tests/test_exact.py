@@ -409,6 +409,40 @@ class TestKernelMatchesBruteForce:
             assert p.report(p.graph).min_edits == 0
         assert 600 in {c for _, c in calls}
 
+    def test_clusters_offset_by_1e8_with_unit_spread(self):
+        # the filter centres each block, so its margin scales with the spread, not the offset
+        rng = np.random.default_rng(20)
+        centres = rng.integers(-3, 4, size=(4, 4)) * 1e8
+        _assert_matches_brute_force(centres[rng.integers(0, 4, size=1500)] + rng.normal(size=(1500, 4)), 8)
+
+    @pytest.mark.parametrize("delta", [3, 8])
+    def test_integer_lattice_with_duplicated_points_above_two_dimensions(self, delta):
+        # exact ties at most k-th distances, which the filter leaves to sum_squares
+        rng = np.random.default_rng(21 + delta)
+        pts = rng.integers(0, 4, size=(1200, delta)).astype(np.float64)
+        _assert_matches_brute_force(np.vstack([pts, pts[:300]]), 6)
+
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_coincident_points_beside_spread_points(self, k):
+        # blocks where most pairs tie at distance 0 next to blocks the filter prunes
+        rng = np.random.default_rng(23)
+        _assert_matches_brute_force(np.vstack([np.full((300, 8), 0.5), rng.random((700, 8))]), k)
+
+    @pytest.mark.parametrize("scale", [1e-160, 5e-324, 2.0**-1000])
+    def test_subnormal_and_tiny_points(self, scale):
+        # squared distances underflow to subnormals or to 0, so many of them tie
+        rng = np.random.default_rng(24)
+        pts = rng.integers(0, 50, size=(1000, 3)) * scale if scale < 1e-300 else rng.random((1000, 3)) * scale
+        _assert_matches_brute_force(np.vstack([pts, rng.random((200, 3))]), 5)
+
+    @pytest.mark.parametrize("delta", [2, 16])
+    def test_overflow_points_beside_huge_finite_points(self, delta):
+        # coordinates on either side of the filter's 2**250 range, and distances that overflow
+        rng = np.random.default_rng(25 + delta)
+        huge = rng.random((400, delta)) * 2.0 ** rng.choice([240, 260], size=(400, 1))
+        with np.errstate(over="ignore"):
+            _assert_matches_brute_force(np.vstack([overflow_points(rng, 200, delta, True), huge]), 5)
+
     def test_leaf_pass_settles_every_uniform_vertex(self, monkeypatch):
         calls = self._kernel_paths(monkeypatch)
         NeighborhoodProfile(np.random.default_rng(11).random((4096, 2)), 10)
@@ -564,3 +598,34 @@ def test_selection_ranks_hits_as_the_lexsort_reference(data):
     with np.errstate(over="ignore"):
         got = exact._select(coords, rows, cand, k).knn
         assert np.array_equal(got, reference_select_knn(coords, rows, cand, k))
+
+
+@pytest.mark.parametrize("name", ["lattice", "gaussian mixture", "offset clusters", "uniform delta=16"])
+def test_filter_values_moved_by_their_margin_change_no_profile(monkeypatch, name):
+    # each filter value moves to one end of its margin M, at random, and reports 2M, which
+    # still bounds it; a selection that leaned on the values' accuracy and not on the
+    # margin would lose ties and near ties here
+    rng = np.random.default_rng(30)
+    pts = {
+        "lattice": lambda: rng.integers(0, 5, size=(1500, 3)).astype(np.float64),
+        "gaussian mixture": lambda: rng.random((6, 8))[rng.integers(0, 6, 1500)] + rng.normal(0, 0.05, (1500, 8)),
+        "offset clusters": lambda: 1e8 + rng.integers(0, 3, size=(1500, 1)) * 10.0 + rng.normal(size=(1500, 4)),
+        "uniform delta=16": lambda: rng.random((1500, 16)),
+    }[name]()
+    want = NeighborhoodProfile(pts, 7)
+    filt, moved = exact.dist2_filter, []
+
+    def moved_filter(x, y):
+        out = filt(x, y)
+        if out is not None:
+            f, margin = out
+            f += margin[:, None] * rng.choice([-1.0, 1.0], size=f.shape)
+            moved.append(f.size)
+            out = f, 2 * margin
+        return out
+
+    monkeypatch.setattr(exact, "dist2_filter", moved_filter)
+    got = NeighborhoodProfile(pts, 7)
+    assert moved
+    for a in ("kth", "knn", "inside_indptr", "inside_indices", "at_indptr", "at_indices"):
+        assert np.array_equal(getattr(got, a), getattr(want, a)), a

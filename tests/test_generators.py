@@ -17,6 +17,7 @@ from helpers import (
     circulant_graph,
     graph_from_rows,
     reference_corrupt_edges,
+    reference_gadget_graph,
     reference_graph_to_text,
     reference_row_fault,
 )
@@ -39,6 +40,7 @@ from knncheck.generators import (
     tight_witness_construction,
 )
 from knncheck.graphio import graph_from_text, graph_to_text
+from knncheck.sampling import rng_from, split_seed
 from knncheck.tester import kissing_number
 
 
@@ -85,6 +87,28 @@ class TestSampleD1:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             sample_d1(13, 3, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gadget_rows_are_gathered_as_the_scatter_writes_them(data):
+    k, gadgets, delta = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+    perm = np.array(data.draw(st.permutations(range(gadgets * (k + 1)))), dtype=np.int64)
+    # bases may repeat, as sample_d2's relocated gadgets do
+    base = np.array(data.draw(st.lists(st.sampled_from([-7.5, 0.0, 3.0, 1e6]), min_size=gadgets, max_size=gadgets)))
+    assert generators._gadget_graph(k, base, perm, delta).equals(reference_gadget_graph(k, base, perm, delta))
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_gadget_samplers_equal_the_scatter(k):
+    n, k1 = 60 * (k + 1), k + 1
+    d1 = reference_gadget_graph(k, generators._base_positions(n // k1, k1), rng_from(4).permutation(n))
+    assert sample_d1(n, k, seed=4).equals(d1)
+    g = sample_d2(n, k, 0.2, seed=5)
+    perm = rng_from(split_seed(5, 2)[1]).permutation(n)
+    # sample_d2's own base, relocated gadgets on others' bases: each gadget's offset-0 coordinate
+    assert g.equals(reference_gadget_graph(k, g.coords[perm[::k1], 0], perm))
+    assert line_gadget(2.5, k, delta=3).equals(reference_gadget_graph(k, np.array([2.5]), np.arange(k1), 3))
 
 
 class TestSampleD2:
@@ -294,6 +318,14 @@ class TestCorruptEdges:
                                         r"cannot corrupt", want)
         # K4 raises for every seed; the mixed graph for some seeds only
         assert 40 < raised < 80
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.5])
+    def test_child_shares_its_parent_arrays_and_equals_the_checked_build(self, fraction):
+        g = build_exact_knn_graph(np.random.default_rng(5).random((300, 2)), 5)
+        c = corrupt_edges(g, fraction, seed=7)
+        assert c.coords is g.coords and c.indptr is g.indptr and c.degrees is g.degrees
+        assert c.equals(reference_corrupt_edges(g, fraction, seed=7))
+        assert c.equals(core.GeometricGraph(g.coords, g.indptr, c.indices, k_hint=g.k_hint))
 
     def test_holds_its_output_and_one_block_and_equals_the_loop_at_scale(self):
         # at n = 2**16, k = 10 one int64 per slot takes 5 MB, more than the bound

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import report_from_json
 from knncheck import harness, tester
 from knncheck.core import OracleSession
 from knncheck.exact import build_exact_knn_graph
@@ -18,7 +19,6 @@ from knncheck.harness import (
     SweepRow,
     export_report,
     query_budget_ratio,
-    report_from_json,
     run_sweep,
     sweep_config_from_json,
 )
