@@ -266,7 +266,7 @@ class GeometricGraph:
     and the tester's cached index share it. Do not set it writable again.
     The constructor checks rows with :func:`row_fault`; ``_of_valid_rows``
     runs every other check on rows valid by construction (generators, the
-    exact graph, the per-line reader's rows once it has checked them), and
+    exact graph, the .knng reader's rows once it has checked them), and
     ``_with_indices`` checks only the new ids of a graph that shares its
     parent's checked arrays (``corrupt_edges`` children).
     """

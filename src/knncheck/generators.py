@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import GeometricGraph, concat_ranges, row_blocks
-from .exact import NeighborhoodProfile, build_exact_knn_graph
+from .exact import build_exact_knn_graph
 from .sampling import rng_from, sample_without_replacement, split_seed
 
 __all__ = [
@@ -285,9 +285,9 @@ def dimension_lb_instances(k: int, epsilon: float, c: int) -> tuple[GeometricGra
     acquire the new point as k-th nearest neighbor.
 
     The first returned graph keeps the stale adjacency (far from the
-    property). The second relocates the new points to (-1, 0, 0) and
-    recomputes adjacency for all moved points, which restores the property
-    exactly. Both claims are verified by the ground-truth oracle in tests.
+    property). The second relocates the new points to (-1, 0, 0) and is the
+    exact k-NN graph of the result, so it has the property. Both claims are
+    verified by the ground-truth oracle in tests.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -322,11 +322,5 @@ def dimension_lb_instances(k: int, epsilon: float, c: int) -> tuple[GeometricGra
     g_far = GeometricGraph._of_valid_rows(far_coords, indptr, base.indices, k_hint=k)
 
     exact_coords = far_coords.copy()
-    for sid in split_ids:
-        exact_coords[sid] = [-1.0, 0.0, 0.0]
-    knn = np.empty((n + m, k), dtype=np.int64)
-    knn[:n] = base.indices.reshape(n, k)
-    moved = center_ids + split_ids
-    knn[moved] = NeighborhoodProfile(exact_coords, k).knn[moved]
-    g_exact = GeometricGraph._of_valid_rows(exact_coords, np.arange(n + m + 1) * k, knn.ravel(), k_hint=k)
-    return g_far, g_exact
+    exact_coords[split_ids] = [-1.0, 0.0, 0.0]
+    return g_far, build_exact_knn_graph(exact_coords, k)

@@ -13,24 +13,19 @@ text: coordinates by a Schubfach kernel, subnormals included, and degrees
 and ids through a digit table whose size does not depend on n, both
 cross-checked against references in tests/helpers.py.
 
-Reading takes one of two paths with the same result, a graph or an error.
-Both read the header line with ``_header``. The bulk path checks and
-converts the body a block of whole lines (about 256 KB) at a time into
-arrays allocated once, so it holds the text, the graph and one block:
-coordinates by Python's float, as in the per-line reader, and adjacency
-ids by integer conversion once a first pass has counted each row's ids. It
-takes ASCII text that ends in a newline, has 2n+1 lines and no control
-byte but tab, CR and LF after the header, and whose adjacency tokens are
-runs of at most 18 decimal digits. Any other text, and any text with a
-fault, goes to the per-line reader, whose memory no block bounds. It reads
-signs, "_", non-ASCII digits and other whitespace ("\\x0b", "\\x1c", ...)
-as Python's int, float and str.split do, and it alone reports faults in
-the body, with their line numbers. ``read_knng`` decodes UTF-8 and reads
-line ends as text mode does: CRLF and a lone CR become LF.
+The reader holds the text, the graph and one block of whole lines (about
+256 KB) whatever the file: coordinates by Python's float on a block's
+tokens, and ids, once a first pass has counted each row's, by numpy where
+they are runs of at most 18 digits. Other blocks, split first around odd
+bytes, are read line by line as Python's int, float and str.split read
+them, and the first faulty line is reported. ``read_knng`` checks UTF-8
+first and reads CRLF and a lone CR as LF.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import shutil
 import uuid
@@ -45,7 +40,9 @@ __all__ = ["KnngFormatError", "graph_to_text", "graph_from_text", "write_knng", 
 MAGIC = "knng"
 FORMAT_VERSION = 1
 _MAX_DIGITS = 18  # every run of this many decimal digits fits in int64
-_BLOCK_BYTES = 1 << 18  # bytes of whole lines the bulk reader checks and converts at once
+_BLOCK_BYTES = 1 << 18  # bytes of whole lines the reader checks and converts at once
+# the bytes of a block of coordinates, and of ids, that numpy reads
+_COORDINATE_BYTES, _ADJACENCY_BYTES = bytes(range(32, 128)) + b"\t\n\r", b"0123456789 \t\n\r"
 _WRITE_BLOCK = 1 << 14  # rows plus numbers per piece of written text
 
 
@@ -208,133 +205,117 @@ def _header(line: str) -> tuple[int, int, int]:
     return n, delta, k_hint
 
 
-def _line_blocks(raw: bytes, pos: int, lines: int):
-    """Runs of about _BLOCK_BYTES, or of one line, over the next ``lines`` lines from offset ``pos``.
-
-    Yields (first line, start, stop, tokens per line, longest token); the
-    tokens per line are None if the run holds a control byte but tab, LF, CR.
-    """
-    first = 0
+def _line_blocks(raw: bytes, pos: int, lines: int, allowed: bytes, size: int | None = None):
+    """Runs of about ``size`` bytes (_BLOCK_BYTES), or of one line, over the next ``lines`` lines from ``pos``,
+    as (first line, start, stop, tokens per line, longest token). A run with a byte not in ``allowed`` is
+    split into runs of an eighth of its size, down to _BLOCK_BYTES / 64, where its tokens per line are None."""
+    first, size = 0, _BLOCK_BYTES if size is None else size
     while first < lines:
-        stop = raw.rfind(b"\n", pos, pos + _BLOCK_BYTES) + 1 or raw.find(b"\n", pos + _BLOCK_BYTES) + 1
+        stop = raw.rfind(b"\n", pos, pos + size) + 1 or raw.find(b"\n", pos + size) + 1
         block = np.frombuffer(raw, np.uint8, stop - pos, pos)
         newlines = np.flatnonzero(block == ord("\n"))[: lines - first]
         block = block[: newlines[-1] + 1]
-        # tokens start and end where the run switches between separators and
-        # other bytes; a newline comes before it and ends it, so the switches
-        # alternate. Below the space, only tab, LF and CR may occur: then the
-        # separators are the bytes up to the space, exactly those str.split() finds
-        edges = np.flatnonzero(np.diff(block <= ord(" "), prepend=True))
-        per_line = np.diff(np.searchsorted(edges[0::2], newlines), prepend=0)
-        if not np.isin(block[block < ord(" ")], list(b"\t\n\r")).all():
-            per_line = None
-        yield first, pos, pos + block.size, per_line, np.diff(edges)[::2].max(initial=0)
+        plain = not raw[pos : pos + block.size].translate(None, allowed)
+        if plain or size <= _BLOCK_BYTES >> 6:
+            # tokens start and end where the run switches between separators and other bytes; a newline
+            # comes before it and ends it, so the switches alternate. Below the space, only tab, LF and CR
+            # may be allowed: then the separators are the bytes up to the space, those str.split() finds
+            edges = np.flatnonzero(np.diff(block <= ord(" "), prepend=True))
+            per_line = np.diff(np.searchsorted(edges[0::2], newlines), prepend=0)
+            yield first, pos, pos + block.size, per_line if plain else None, np.diff(edges)[::2].max(initial=0)
+        else:
+            for v, *run in _line_blocks(raw, pos, newlines.size, allowed, size // 8):
+                yield first + v, *run
         first, pos = first + newlines.size, pos + block.size
 
 
-def _bulk_graph(raw: bytes) -> GeometricGraph | None:
-    """The graph in ``raw``, or None where the per-line reader must decide."""
-    if not raw.endswith(b"\n") or not raw.isascii():
-        return None
-    head_end = raw.find(b"\n")
-    n, delta, k_hint = _header(raw[:head_end].decode("ascii"))
-    # a coordinate takes at least two bytes, so a header that lies allocates nothing
-    if raw.count(b"\n") != 1 + 2 * n or 2 * n * delta > len(raw):
-        return None
-    coords = np.empty((n, delta))
-    for v, start, end, per_line, _ in _line_blocks(raw, head_end + 1, n):
-        if per_line is None or (per_line != delta).any():
-            return None
-        try:
-            coords[v : v + per_line.size].flat = np.fromiter(map(float, raw[start:end].split()), np.float64)
-        except ValueError:
-            return None
-    # the adjacency section: tokens of at most _MAX_DIGITS digits, a degree
-    # first; one pass checks them and counts each row's ids, a second converts
-    blocks, indptr = [], np.zeros(n + 1, dtype=np.int64)
-    for v, start, stop, per_line, longest in _line_blocks(raw, end, n):
-        block = np.frombuffer(raw, np.uint8, stop - start, start)
-        if (per_line is None or per_line.min() < 1 or longest > _MAX_DIGITS
-                or not ((block >= ord("0")) & (block <= ord("9")) | (block <= ord(" "))).all()):
-            return None
-        indptr[1 + v : 1 + v + per_line.size] = per_line - 1
-        blocks.append((start, stop, v, v + per_line.size))
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for start, stop, a, b in blocks:
-        values = np.fromstring(raw[start:stop], dtype=np.int64, sep=" ")
-        deg_pos = indptr[a:b] - indptr[a] + np.arange(b - a)
-        if not (values[deg_pos] == np.diff(indptr[a : b + 1])).all():
-            return None
-        indices[indptr[a] : indptr[b]] = np.delete(values, deg_pos)
-    try:
-        return GeometricGraph(coords, indptr, indices, k_hint=k_hint if k_hint > 0 else None)
-    except ValueError:  # a non-finite coordinate or a faulty row
-        return None
+def _lines(chunk: bytes) -> list[str]:
+    return chunk.decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
-def _graph_from_lines(text: str) -> GeometricGraph:
-    """The per-line reader: every file, every error with its line number."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise KnngFormatError(1, "empty file")
-    n, delta, k_hint = _header(lines[0])
-    if len(lines) != 1 + 2 * n:
-        raise KnngFormatError(len(lines), f"expected {1 + 2 * n} lines for n={n}, found {len(lines)}")
-
-    # collected, not preallocated: a huge delta in the header must fail on line 2
+def _coordinate_lines(chunk: bytes, lineno: int, delta: int) -> list[list[float]]:
+    """The coordinate rows of ``chunk``'s lines, the first at ``lineno``, read as Python reads them."""
     rows = []
-    for v in range(n):
-        lineno = 2 + v
-        toks = lines[1 + v].split()
+    for lineno, line in enumerate(_lines(chunk), lineno):
+        toks = line.split()
         if len(toks) != delta:
             raise KnngFormatError(lineno, f"expected {delta} coordinates, found {len(toks)}")
         try:
-            row = [float(t) for t in toks]
+            rows.append([float(t) for t in toks])
         except ValueError:
             raise KnngFormatError(lineno, "coordinates must be decimal floats") from None
-        if not all(np.isfinite(row)):
+        if not all(map(math.isfinite, rows[-1])):
             raise KnngFormatError(lineno, "coordinates must be finite")
-        rows.append(row)
-    coords = np.array(rows, dtype=np.float64)
+    return rows
 
-    # one pass checks each line's syntax and declared degree; core's row check
-    # runs on the rows before the first such fault, so the earlier line wins
-    ids: list[int] = []
-    ends = [0]
-    fault = None
-    for v, line in enumerate(lines[1 + n :]):
+
+def _adjacency_lines(chunk: bytes, v: int, n: int) -> tuple[list[int], tuple[int, str] | None]:
+    """The ids of ``chunk``'s adjacency lines, the first row ``v``'s, as Python reads them, up to the first syntax
+    fault, and that fault as (row, message) or None; a row with an id beyond int64 is clipped to [-1, n]."""
+    ids = []
+    for v, line in enumerate(_lines(chunk), v):
         toks = line.split()
-        if not toks:
-            fault = (v, "missing degree field")
-            break
         try:
             deg, *nbrs = map(int, toks)
         except ValueError:
-            fault = (v, "adjacency entries must be integers")
-            break
+            return ids, (v, "adjacency entries must be integers" if toks else "missing degree field")
         if deg < 0 or len(nbrs) != deg:
-            fault = (v, f"declared degree {deg} but found {len(nbrs)} ids")
+            return ids, (v, f"declared degree {deg} but found {len(nbrs)} ids")
+        ids += nbrs if max(map(abs, nbrs), default=0) >> 63 == 0 else [min(max(u, -1), n) for u in nbrs]
+    return ids, None
+
+
+def _graph(raw: bytes) -> GeometricGraph:
+    """The graph in ``raw``, UTF-8 lines that each end in a newline; the first faulty line raises."""
+    if not raw:
+        raise KnngFormatError(1, "empty file")
+    head_end = raw.find(b"\n")
+    n, delta, k_hint = _header(raw[:head_end].decode("utf-8", "surrogatepass"))
+    lines = raw.count(b"\n")
+    if lines != 1 + 2 * n:
+        raise KnngFormatError(lines, f"expected {1 + 2 * n} lines for n={n}, found {lines}")
+
+    # n lines of delta coordinates take 2 n delta bytes or more: a header that lies allocates nothing
+    coords = np.empty((n, delta)) if 2 * n * delta <= len(raw) else None
+    for v, start, end, per_line, _ in _line_blocks(raw, head_end + 1, n, _COORDINATE_BYTES):
+        rows = None
+        if per_line is not None and (per_line == delta).all():
+            with contextlib.suppress(ValueError):
+                rows = np.fromiter(map(float, raw[start:end].split()), np.float64).reshape(-1, delta)
+        if rows is None or not np.isfinite(rows).all():
+            rows = _coordinate_lines(raw[start:end], 2 + v, delta)
+        if coords is not None:
+            coords[v : v + len(rows)] = rows
+
+    # the adjacency section: one pass counts each row's ids, a second converts
+    # and checks them; a block of at most _MAX_DIGITS-digit tokens goes to numpy
+    spans, indptr = [], np.zeros(n + 1, dtype=np.int64)
+    for v, start, stop, per_line, longest in _line_blocks(raw, end, n, _ADJACENCY_BYTES):
+        plain = per_line is not None and per_line.min() >= 1 and longest <= _MAX_DIGITS
+        counts = per_line - 1 if plain else [max(len(line.split()) - 1, 0) for line in _lines(raw[start:stop])]
+        indptr[1 + v : 1 + v + len(counts)] = counts
+        spans.append((start, stop, v, v + len(counts), plain))
+    np.cumsum(indptr, out=indptr)
+    indices, fault = np.empty(indptr[-1], dtype=np.int64), None
+    for start, stop, a, b, plain in spans:
+        values = np.fromstring(raw[start:stop], dtype=np.int64, sep=" ") if plain else None
+        deg_pos = indptr[a:b] - indptr[a] + np.arange(b - a)
+        if plain and (values[deg_pos] == np.diff(indptr[a : b + 1])).all():
+            indices[indptr[a] : indptr[b]] = np.delete(values, deg_pos)
+            continue
+        ids, fault = _adjacency_lines(raw[start:stop], a, n)  # a fault, or ids numpy cannot read
+        indices[indptr[a] : indptr[a] + len(ids)] = ids
+        if fault is not None:
             break
-        ids += nbrs
-        ends.append(len(ids))
-    indptr = np.array(ends, dtype=np.int64)
-    try:
-        indices = np.array(ids, dtype=np.int64)
-    except OverflowError:  # such an id is out of range, and so is its clipped value
-        indices = np.clip(np.array(ids, dtype=object), -1, n).astype(np.int64)
-    fault = row_fault(n, indptr, indices) or fault
+    # a row fault before the first syntax fault comes first
+    fault = row_fault(n, indptr[: 1 + (n if fault is None else fault[0])], indices) or fault
     if fault is not None:
         raise KnngFormatError(2 + n + fault[0], fault[1])
-    # the rows were just checked, so the graph does not check them again
     return GeometricGraph._of_valid_rows(coords, indptr, indices, k_hint=k_hint if k_hint > 0 else None)
 
 
 def graph_from_text(text: str) -> GeometricGraph:
-    graph = _bulk_graph(text.encode("ascii")) if text.isascii() else None
-    return graph if graph is not None else _graph_from_lines(text)
+    return _graph((text + "\n" if text and text[-1] != "\n" else text).encode("utf-8", "surrogatepass"))
 
 
 def write_knng(graph: GeometricGraph, path) -> None:
@@ -359,13 +340,17 @@ def write_knng(graph: GeometricGraph, path) -> None:
 
 def read_knng(path) -> GeometricGraph:
     raw = Path(path).read_bytes()
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    graph = _bulk_graph(raw)
-    if graph is not None:
-        return graph
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise KnngFormatError(raw.count(b"\n", 0, exc.start) + 1, f"invalid UTF-8: {exc.reason}") from None
-    return _graph_from_lines(text)
+    if b"\r" in raw:  # in two steps, so at most two copies of the text are alive
+        raw = raw.replace(b"\r\n", b"\n")
+        raw = raw.replace(b"\r", b"\n")
+    pos = 0 if not raw.isascii() else len(raw)  # UTF-8 is checked first, a block of whole lines at a time
+    while pos < len(raw):
+        stop = raw.find(b"\n", pos + _BLOCK_BYTES) + 1 or len(raw)
+        try:
+            raw[pos:stop].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise KnngFormatError(raw.count(b"\n", 0, pos + exc.start) + 1, f"invalid UTF-8: {exc.reason}") from None
+        pos = stop
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"  # here, so the text it copies is freed before the graph's arrays exist
+    return _graph(raw)

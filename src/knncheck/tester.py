@@ -79,7 +79,7 @@ def kissing_number(delta: int) -> int:
 
     Dimensions above 8 fall back to ceil(2^(0.401 * delta * 1.2)). That is
     no upper bound on psi_delta for delta = 9..16: it gives 21 at delta=9,
-    though psi is non-decreasing, so psi_9 >= psi_8 = 240 (ROADMAP item 3).
+    though psi is non-decreasing, so psi_9 >= psi_8 = 240.
     The value only affects sample sizes, never the one-sidedness of the
     tester.
     """

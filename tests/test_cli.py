@@ -160,10 +160,10 @@ class TestExitCodes:
         ("2 0 0", "vertex 2: duplicate neighbor"),
     ])
     def test_a_faulty_row_is_65_through_either_reader(self, capsys, tmp_path, row, message, reader):
-        # a non-ASCII space after a coordinate sends the file to the per-line reader
+        # a non-ASCII space after a coordinate and after the row sends their lines through the per-line reader
         space = "\u2003" if reader == "per-line" else ""
         bad = tmp_path / "bad.knng"
-        bad.write_text(f"knng 1 3 1 1\n0.0{space}\n1.0\n2.0\n1 1\n1 0\n{row}\n", encoding="utf-8")
+        bad.write_text(f"knng 1 3 1 1\n0.0{space}\n1.0\n2.0\n1 1\n1 0\n{row}{space}\n", encoding="utf-8")
         out = tmp_path / "out.knng"
         for argv in (["test", str(bad), "--k", "1", "--epsilon", "0.1"], ["distance", str(bad), "--k", "1"],
                      ["generate", "corrupt", str(bad), "--fraction", "0.1", "--seed", "1", "-o", str(out)]):

@@ -353,16 +353,17 @@ def test_plain_ascii_files_skip_the_per_line_reader(name, monkeypatch):
     text = _READER_CORPUS[name]
     want = reference_graph_from_text(text)
 
-    def per_line(_text):
-        raise AssertionError("the bulk path declined")
+    def per_line(_chunk):
+        raise AssertionError("a block was read line by line")
 
-    monkeypatch.setattr(graphio, "_graph_from_lines", per_line)
+    monkeypatch.setattr(graphio, "_lines", per_line)
     assert graph_from_text(text).equals(want)
 
 
-@pytest.mark.parametrize("name", ["arabic-indic id", "arabic-indic coordinate", "non-ASCII space"])
+@pytest.mark.parametrize("name", ["arabic-indic id", "arabic-indic coordinate", "non-ASCII space", "base", "plus id"])
 def test_the_per_line_reader_checks_rows_once(name, tmp_path, monkeypatch):
-    # it checks the rows itself, to report the line, and builds without a second check
+    # the reader checks the rows itself, to report the line, and builds without a second check,
+    # whether its blocks are read by numpy or line by line
     text = _READER_CORPUS[name]
     path = tmp_path / "g.knng"
     path.write_bytes(text.encode("utf-8"))
@@ -394,6 +395,65 @@ def test_invalid_utf8_reports_the_line_of_the_first_bad_byte(raw, line, tmp_path
     path = tmp_path / "g.knng"
     path.write_bytes(raw)
     with pytest.raises(KnngFormatError, match=f"^line {line}: invalid UTF-8"):
+        read_knng(path)
+
+
+# tokens from the corpus that Python reads but numpy does not, or that no reader takes
+_ODD_TOKENS = ["+1", "-1", "0_1", "1_0.5", "\u0663", "\x0b", "\x0c", "\x1c", "\x00", "\xa0", "\u2003", "\r",
+               "nan", "-inf", "1e999", "0x1p3", "2.0", "x", "00000000000000000001", "99999999999999999999", ""]
+
+
+def _utf8_fault(raw: bytes) -> str | None:
+    """The line of the first byte that is not UTF-8, read line by line, and the whole text's reason, or None."""
+    for lineno, line in enumerate(raw.split(b"\n"), 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"line {lineno}: invalid UTF-8: {exc.reason}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_edited_files_read_as_the_per_line_reference_reads_them(tmp_path_factory, data):
+    """A random graph's text with one byte deleted, inserted or flipped, or an odd token put in or for a token."""
+    raw = graph_to_text(_random_graph(data.draw(st.integers(0, 2**32 - 1)))).encode("ascii")
+    at = data.draw(st.integers(0, len(raw)))
+    edit = data.draw(st.sampled_from(["delete", "insert", "flip", "put in", "put for"]))
+    odd = data.draw(st.sampled_from(_ODD_TOKENS)).encode("utf-8")
+    if edit == "delete":
+        raw = raw[:at] + raw[at + 1 :]
+    elif edit in ("insert", "flip"):
+        byte = data.draw(st.integers(0, 255)).to_bytes(1, "big")
+        raw = raw[:at] + byte + raw[at + (edit == "flip") :]
+    elif edit == "put in":
+        raw = raw[:at] + odd + raw[at:]
+    else:
+        start = max(raw.rfind(b" ", 0, at), raw.rfind(b"\n", 0, at)) + 1
+        stop = min(i for i in (raw.find(b" ", at), raw.find(b"\n", at), len(raw)) if i >= 0)
+        raw = raw[:start] + odd + raw[stop:]
+    path = tmp_path_factory.mktemp("edited") / "g.knng"
+    path.write_bytes(raw)
+    text = raw.decode("utf-8", "surrogateescape")  # a byte that is not UTF-8 becomes a lone surrogate
+    utf8_fault = _utf8_fault(raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+    for block in (graphio._BLOCK_BYTES, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphio, "_BLOCK_BYTES", block)
+            _assert_same_outcome(_outcome(graph_from_text, text), _outcome(reference_graph_from_text, text))
+            if utf8_fault is None:
+                want = _outcome(reference_graph_from_text, path.read_text(encoding="utf-8"))
+                _assert_same_outcome(_outcome(read_knng, path), want)
+            else:
+                assert _outcome(read_knng, path) == utf8_fault
+
+
+def test_a_cut_character_ends_an_unterminated_file_as_it_ends_the_text(tmp_path):
+    path = tmp_path / "g.knng"
+    path.write_bytes(b"knng 1 2 1 1\n0.5\n1.5\n1 1\n1 0\xe2\x82")
+    with pytest.raises(KnngFormatError, match="^line 5: invalid UTF-8: unexpected end of data$"):
         read_knng(path)
 
 
@@ -509,4 +569,25 @@ class TestWorkingMemory:
         g, peak = _traced_peak(read_knng, path)
         assert g.equals(graph)
         outputs = sum(a.nbytes for a in (g.coords, g.indptr, g.indices, g.degrees))
+        assert peak < path.stat().st_size + outputs + 4 * 2**20
+
+    @pytest.mark.parametrize("edit", ["a syntax fault on the last line", "one id with a plus sign", "no last newline",
+                                      "CRLF and one lone CR"])
+    def test_a_faulty_or_odd_file_reads_within_the_same_bound(self, graph, tmp_path, edit):
+        lines = graph_to_text(graph).encode("ascii").split(b"\n")
+        want = graph
+        if edit == "one id with a plus sign":
+            v = 1 + graph.n + graph.n // 2
+            lines[v] = lines[v].replace(b" ", b" +", 1)
+        elif edit == "no last newline":
+            lines.pop()
+        elif edit == "a syntax fault on the last line":
+            lines[-2] += b"x"
+            want = f"line {2 * graph.n + 1}: adjacency entries must be integers"
+        path = tmp_path / "g.knng"
+        text = b"\n".join(lines)
+        path.write_bytes(text.replace(b"\n", b"\r\n").replace(b"\r\n", b"\r", 1) if edit.startswith("CRLF") else text)
+        got, peak = _traced_peak(_outcome, read_knng, path)
+        _assert_same_outcome(got, want)
+        outputs = sum(a.nbytes for a in (graph.coords, graph.indptr, graph.indices, graph.degrees))
         assert peak < path.stat().st_size + outputs + 4 * 2**20
