@@ -168,8 +168,8 @@ def leaf_pairs(lo: np.ndarray, hi: np.ndarray, r: np.ndarray, levels) -> tuple[n
     return row, node
 
 
-def dist2_filter(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """F = ‖y‖² − 2x·y for rows of ``x`` and ``y`` by one BLAS product, and a margin M per row of x.
+def dist2_filter(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(F, X̂, M): F = ‖y‖² − 2x·y for rows of ``x`` and ``y`` by one BLAS product, X̂ and M per row of x.
 
     Centred on c = x[0], x̄ = fl(x − c), ȳ = fl(y − c) and F = [−2x̄, 1]·[ȳ, Ŷ]ᵀ,
     Ŷ = fl(‖ȳ‖²). With X = ‖x̄‖² and D = :func:`sum_squares` (x − y),
@@ -186,10 +186,16 @@ def dist2_filter(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     Summed, |F + X − D| ≤ ((3δ + 9)X + (5δ + 10)Y)·u·(1 + O(δu)), plus
     (3δ + 3)·2⁻¹⁰⁷⁴ of underflow. M = 8(δ + 2)·u·(X̂ + max Ŷ) + 2⁻¹⁰⁰⁰, X̂ =
     fl(‖x̄‖²), holds it with about 3(δ + 2)·u·(X + max Y) to spare, more than
-    the rounding of t + 2M for any F value t of the row. None when a centred
-    squared norm exceeds 2**500 (values could overflow) or all are below
-    2**-500 (subnormal products are slow, and M would keep every pair). A
-    product of m·n·k ≤ 2**18 (n·k ≤ 8192 if m = 1) runs on the calling thread.
+    the rounding of t + 2M for any F value t of the row. A bound b on D rules
+    out a pair with F > fl(fl(b − X̂) + M), and no pair with D ≤ b: F ≤ b − X
+    + M − spare, |X̂ − X| ≤ γ_δ·X, and for b up to the row's largest D, |b −
+    X̂| ≤ 2(1 + O(δu))(X + max Y), so the two roundings move b − X̂ + M by at
+    most 4u(1 + O(δu))(X + max Y) + uM; γ_δ·X plus that is within the spare.
+    A larger b gives a right-hand side no smaller, as rounding is monotone.
+    None when a centred squared norm exceeds 2**500 (values could overflow)
+    or all are below 2**-500 (subnormal products are slow, and M would keep
+    every pair). A product of m·n·k ≤ 2**18 (n·k ≤ 8192 if m = 1) runs on
+    the calling thread.
     """
     m, delta = x.shape
     a, b = np.ones((m, delta + 1)), np.empty((y.shape[0], delta + 1))
@@ -202,7 +208,7 @@ def dist2_filter(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     step = max(1, (1 << 18) // (max(m, 32) * (delta + 1)))
     for s in range(0, y.shape[0], step):
         np.matmul(a, b[s : s + step].T, out=f[:, s : s + step])
-    return f, 8 * (delta + 2) * 2.0**-53 * (xnorms + norms.max()) + 2.0**-1000
+    return f, xnorms, 8 * (delta + 2) * 2.0**-53 * (xnorms + norms.max()) + 2.0**-1000
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -214,10 +220,10 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 def row_blocks(indptr: np.ndarray, budget: int) -> list[tuple[int, int]]:
     """Ranges [a, b) of consecutive CSR rows with at most ``budget`` rows plus edges, a longer row alone."""
-    blocks, n, a = [], indptr.size - 1, 0
+    # rows a..b-1 hold span[b] - span[a] rows plus edges, span strictly increasing
+    blocks, n, a, span = [], indptr.size - 1, 0, indptr + np.arange(indptr.size)
     while a < n:
-        span = indptr[a : a + budget + 1] - indptr[a] + np.arange(min(budget + 1, n + 1 - a))
-        blocks.append((a, a + max(1, int(np.searchsorted(span, budget, side="right")) - 1)))
+        blocks.append((a, max(a + 1, int(np.searchsorted(span, span[a] + budget, side="right")) - 1)))
         a = blocks[-1][1]
     return blocks
 

@@ -93,7 +93,10 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     down = u & ~w | (vb < 4 * s + 2 + (s & 1 == 0)) & (u == w)  # s, not s + 1: below s + 1/2, or on it with s even
     f = (s + ~down).view(np.int64)
     np.copyto(f, s10.view(np.int64) + 10 * wp, where=up != wp)
-    digits = np.searchsorted(_POW10, f, side="right")
+    # a normal x has 16 or 17 digits here; a subnormal's are counted
+    digits = 16 + (f >= 10**16)
+    sub = np.flatnonzero(bits < 1 << 52)
+    digits[sub] = np.searchsorted(_POW10, f[sub], side="right")
     point = k + digits
     for p in 16, 8, 4, 2, 1:  # drop the trailing zeros
         r = f // 10**p
@@ -205,28 +208,46 @@ def _header(line: str) -> tuple[int, int, int]:
     return n, delta, k_hint
 
 
-def _line_blocks(raw: bytes, pos: int, lines: int, allowed: bytes, size: int | None = None):
-    """Runs of about ``size`` bytes (_BLOCK_BYTES), or of one line, over the next ``lines`` lines from ``pos``,
-    as (first line, start, stop, tokens per line, longest token). A run with a byte not in ``allowed`` is
-    split into runs of an eighth of its size, down to _BLOCK_BYTES / 64, where its tokens per line are None."""
-    first, size = 0, _BLOCK_BYTES if size is None else size
+def _runs(raw: bytes, pos: int, lines: int, allowed: bytes, size: int):
+    """(first line, start, bytes, newline offsets, odd) of runs of about ``size`` bytes, or of one line, over the
+    next ``lines`` lines from ``pos``; odd where a run has a byte not in ``allowed``."""
+    first = 0
     while first < lines:
         stop = raw.rfind(b"\n", pos, pos + size) + 1 or raw.find(b"\n", pos + size) + 1
         block = np.frombuffer(raw, np.uint8, stop - pos, pos)
         newlines = np.flatnonzero(block == ord("\n"))[: lines - first]
         block = block[: newlines[-1] + 1]
-        plain = not raw[pos : pos + block.size].translate(None, allowed)
-        if plain or size <= _BLOCK_BYTES >> 6:
-            # tokens start and end where the run switches between separators and other bytes; a newline
-            # comes before it and ends it, so the switches alternate. Below the space, only tab, LF and CR
-            # may be allowed: then the separators are the bytes up to the space, those str.split() finds
-            edges = np.flatnonzero(np.diff(block <= ord(" "), prepend=True))
-            per_line = np.diff(np.searchsorted(edges[0::2], newlines), prepend=0)
-            yield first, pos, pos + block.size, per_line if plain else None, np.diff(edges)[::2].max(initial=0)
-        else:
-            for v, *run in _line_blocks(raw, pos, newlines.size, allowed, size // 8):
-                yield first + v, *run
+        yield first, pos, block, newlines, bool(raw[pos : pos + block.size].translate(None, allowed))
         first, pos = first + newlines.size, pos + block.size
+
+
+def _line_blocks(raw: bytes, pos: int, lines: int, allowed: bytes):
+    """Runs of about _BLOCK_BYTES bytes, or of one line, over the next ``lines`` lines from ``pos``, as
+    (first line, start, stop, tokens per line, longest token). A run with a byte not in ``allowed`` is split
+    into runs of an eighth of its size, down to _BLOCK_BYTES / 64, or no further once every eighth has such a
+    byte too; a run left with one has None tokens per line."""
+    for run in _runs(raw, pos, lines, allowed, _BLOCK_BYTES):
+        yield from _pieces(raw, *run, allowed, _BLOCK_BYTES)
+
+
+def _pieces(raw: bytes, first: int, start: int, block: np.ndarray, newlines: np.ndarray, odd: bool, allowed: bytes,
+            size: int):
+    """What :func:`_line_blocks` yields for one run of about ``size`` bytes."""
+    if not odd:
+        # tokens start and end where the run switches between separators and other bytes; a newline
+        # comes before it and ends it, so the switches alternate. Below the space, only tab, LF and CR
+        # may be allowed: then the separators are the bytes up to the space, those str.split() finds
+        edges = np.flatnonzero(np.diff(block <= ord(" "), prepend=True))
+        per_line = np.diff(np.searchsorted(edges[0::2], newlines), prepend=0)
+        yield first, start, start + block.size, per_line, np.diff(edges)[::2].max(initial=0)
+        return
+    parts = list(_runs(raw, start, newlines.size, allowed, size // 8)) if size > _BLOCK_BYTES >> 6 else []
+    if not parts:
+        yield first, start, start + block.size, None, 0
+    # eighths that are all odd are split no further
+    size = 0 if all(part[-1] for part in parts) else size // 8
+    for v, *part in parts:
+        yield from _pieces(raw, first + v, *part, allowed, size)
 
 
 def _lines(chunk: bytes) -> list[str]:
@@ -249,20 +270,22 @@ def _coordinate_lines(chunk: bytes, lineno: int, delta: int) -> list[list[float]
     return rows
 
 
-def _adjacency_lines(chunk: bytes, v: int, n: int) -> tuple[list[int], tuple[int, str] | None]:
+def _adjacency_lines(chunk: bytes, v: int, n: int) -> tuple[list[int], list[int], tuple[int, str] | None]:
     """The ids of ``chunk``'s adjacency lines, the first row ``v``'s, as Python reads them, up to the first syntax
-    fault, and that fault as (row, message) or None; a row with an id beyond int64 is clipped to [-1, n]."""
-    ids = []
+    fault, their count per line, and that fault as (row, message) or None; a row with an id beyond int64 is
+    clipped to [-1, n]."""
+    ids, counts = [], []
     for v, line in enumerate(_lines(chunk), v):
         toks = line.split()
         try:
             deg, *nbrs = map(int, toks)
         except ValueError:
-            return ids, (v, "adjacency entries must be integers" if toks else "missing degree field")
+            return ids, counts, (v, "adjacency entries must be integers" if toks else "missing degree field")
         if deg < 0 or len(nbrs) != deg:
-            return ids, (v, f"declared degree {deg} but found {len(nbrs)} ids")
+            return ids, counts, (v, f"declared degree {deg} but found {len(nbrs)} ids")
         ids += nbrs if max(map(abs, nbrs), default=0) >> 63 == 0 else [min(max(u, -1), n) for u in nbrs]
-    return ids, None
+        counts.append(deg)
+    return ids, counts, None
 
 
 def _graph(raw: bytes) -> GeometricGraph:
@@ -287,23 +310,32 @@ def _graph(raw: bytes) -> GeometricGraph:
         if coords is not None:
             coords[v : v + len(rows)] = rows
 
-    # the adjacency section: one pass counts each row's ids, a second converts
-    # and checks them; a block of at most _MAX_DIGITS-digit tokens goes to numpy
+    # the adjacency section: one pass counts each row's ids, reading the runs numpy cannot read up to
+    # the first syntax fault in them, and a second converts and checks the others; a run of at most
+    # _MAX_DIGITS-digit tokens goes to numpy
     spans, indptr = [], np.zeros(n + 1, dtype=np.int64)
     for v, start, stop, per_line, longest in _line_blocks(raw, end, n, _ADJACENCY_BYTES):
-        plain = per_line is not None and per_line.min() >= 1 and longest <= _MAX_DIGITS
-        counts = per_line - 1 if plain else [max(len(line.split()) - 1, 0) for line in _lines(raw[start:stop])]
+        if per_line is not None and per_line.min() >= 1 and longest <= _MAX_DIGITS:
+            ids, counts, fault = None, per_line - 1, None
+        else:
+            ids, counts, fault = _adjacency_lines(raw[start:stop], v, n)
+            ids = np.array(ids, dtype=np.int64)
+            if ids.size and -(2**31) <= ids.min() and ids.max() < 2**31:
+                ids = ids.astype(np.int32)  # half the memory until the second pass writes them
         indptr[1 + v : 1 + v + len(counts)] = counts
-        spans.append((start, stop, v, v + len(counts), plain))
+        spans.append((start, stop, v, v + len(counts), ids, fault))
+        if fault is not None:
+            break
     np.cumsum(indptr, out=indptr)
-    indices, fault = np.empty(indptr[-1], dtype=np.int64), None
-    for start, stop, a, b, plain in spans:
-        values = np.fromstring(raw[start:stop], dtype=np.int64, sep=" ") if plain else None
-        deg_pos = indptr[a:b] - indptr[a] + np.arange(b - a)
-        if plain and (values[deg_pos] == np.diff(indptr[a : b + 1])).all():
-            indices[indptr[a] : indptr[b]] = np.delete(values, deg_pos)
-            continue
-        ids, fault = _adjacency_lines(raw[start:stop], a, n)  # a fault, or ids numpy cannot read
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for start, stop, a, b, ids, fault in spans:
+        if ids is None:
+            values = np.fromstring(raw[start:stop], dtype=np.int64, sep=" ")
+            deg_pos = indptr[a:b] - indptr[a] + np.arange(b - a)
+            if (values[deg_pos] == np.diff(indptr[a : b + 1])).all():
+                indices[indptr[a] : indptr[b]] = np.delete(values, deg_pos)
+                continue
+            ids, _, fault = _adjacency_lines(raw[start:stop], a, n)  # a fault, or ids numpy cannot read
         indices[indptr[a] : indptr[a] + len(ids)] = ids
         if fault is not None:
             break

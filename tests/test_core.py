@@ -756,8 +756,8 @@ def test_filter_and_its_recheck_decide_every_pair_as_sum_squares(data):
         top = max(np.sum((x - x[0]) ** 2, axis=1).max(), np.sum((y - x[0]) ** 2, axis=1).max())
         assert not 2.0**-500 <= top <= 2.0**500
         return
-    f, margin = out
-    assert f.shape == (m, n) and margin.shape == (m,)
+    f, xnorm, margin = out
+    assert f.shape == (m, n) and xnorm.shape == margin.shape == (m,)
     error = _exact_filter_error(x, y, f, margin)
     assert all(e <= 0 for row in error for e in row)
     # a threshold per row at one of its distances, maybe one step off: the filter
@@ -771,6 +771,8 @@ def test_filter_and_its_recheck_decide_every_pair_as_sum_squares(data):
             inside = (True if value + bound <= Fraction(float(t)) else False if value - bound > Fraction(float(t))
                       else bool(d[i, j] <= t))
             assert inside == bool(d[i, j] <= t)
+        # t as a row's bound: the filter's right-hand side, rounded, rules out no pair within it
+        assert np.all(f[i][d[i] <= t] <= t - xnorm[i] + margin[i])
 
 
 def test_filter_margin_covers_underflow():
@@ -779,7 +781,7 @@ def test_filter_margin_covers_underflow():
     rng = np.random.default_rng(3)
     x = np.vstack([np.zeros((1, 3)), np.ones((1, 3)), rng.random((6, 3)) * 2.0**-530])
     y = rng.random((8, 3)) * 2.0**-530
-    f, margin = dist2_filter(x, y)
+    f, _, margin = dist2_filter(x, y)
     error = _exact_filter_error(x, y, f, margin)
     assert all(e <= 0 for row in error for e in row)
     assert any(e + Fraction(float(margin[i])) > 0 for i, row in enumerate(error[2:], 2) for e in row)
@@ -797,7 +799,7 @@ def test_filter_products_stay_below_openblas_thread_thresholds(monkeypatch, m, d
     monkeypatch.setattr(core.np, "matmul", recording)
     rng = np.random.default_rng(m + delta)
     x, y = rng.random((m, delta)), rng.random((3000, delta))
-    f, _ = dist2_filter(x, y)
+    f, _, _ = dist2_filter(x, y)
     monkeypatch.undo()
     assert sum(cols for _, cols, _ in shapes) == 3000
     assert all(rows * cols * k <= 2**18 and (rows > 1 or cols * k < 9216) for rows, cols, k in shapes)

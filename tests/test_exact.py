@@ -20,7 +20,7 @@ from helpers import (
     rows_of,
 )
 from knncheck import exact
-from knncheck.core import EdgeBudget, GeometricGraph
+from knncheck.core import EdgeBudget, GeometricGraph, dist2_block
 from knncheck.exact import (
     NeighborhoodProfile,
     build_exact_knn_graph,
@@ -319,6 +319,18 @@ def _report_graphs(ref, graphs=()):
     return checked
 
 
+def _bounds_pay_spy(monkeypatch):
+    """Each _bounds_pay verdict, in call order."""
+    pays, bounds_pay = [], exact._bounds_pay
+
+    def spy(f, lim, delta):
+        pays.append(bounds_pay(f, lim, delta))
+        return pays[-1]
+
+    monkeypatch.setattr(exact, "_bounds_pay", spy)
+    return pays
+
+
 def _budgets(g, k):
     # a computed budget needs at least one edge
     return ([None] if g.num_edges else []) + [EdgeBudget.provided(float(k))]
@@ -333,9 +345,9 @@ class TestKernelMatchesBruteForce:
         calls = []
         select = exact._select
 
-        def select_spy(coords, rows, cand, k):
+        def select_spy(coords, rows, cand, k, bound):
             calls.append((rows, cand.size))
-            return select(coords, rows, cand, k)
+            return select(coords, rows, cand, k, bound)
 
         monkeypatch.setattr(exact, "_select", select_spy)
         return calls
@@ -442,6 +454,13 @@ class TestKernelMatchesBruteForce:
         huge = rng.random((400, delta)) * 2.0 ** rng.choice([240, 260], size=(400, 1))
         with np.errstate(over="ignore"):
             _assert_matches_brute_force(np.vstack([overflow_points(rng, 200, delta, True), huge]), 5)
+
+    def test_uniform_delta32_where_the_bounds_keep_too_many_pairs(self, monkeypatch):
+        # an own-unit bound keeps several percent of the candidates here, so
+        # blocks fall back to each row's k-th smallest filter value
+        pays = _bounds_pay_spy(monkeypatch)
+        _assert_matches_brute_force(np.random.default_rng(31).random((2000, 32)), 10)
+        assert pays and not all(pays)
 
     def test_leaf_pass_settles_every_uniform_vertex(self, monkeypatch):
         calls = self._kernel_paths(monkeypatch)
@@ -582,6 +601,57 @@ def test_report_equals_the_brute_force_report_for_any_block(data):
         assert p.report(g, budget) == BruteForceProfile(coords, k).report(g, budget)
 
 
+def _edited_rows(data, knn, n):
+    """Rows of the exact graph ``knn`` with drawn edits: slots replaced, rows permuted, ids dropped
+    or appended (degree other than k) and ids swapped between rows, each row kept valid."""
+    rows = [list(r) for r in knn.tolist()]
+    for _ in range(data.draw(st.integers(0, 6))):
+        edit = data.draw(st.sampled_from(["replace", "permute", "drop", "append", "swap"]))
+        v = data.draw(st.integers(0, n - 1))
+        free = [u for u in range(n) if u != v and u not in rows[v]]
+        if edit == "replace" and rows[v] and free:
+            rows[v][data.draw(st.integers(0, len(rows[v]) - 1))] = data.draw(st.sampled_from(free))
+        elif edit == "permute":
+            rows[v] = data.draw(st.permutations(rows[v]))
+        elif edit == "drop" and rows[v]:
+            rows[v].pop(data.draw(st.integers(0, len(rows[v]) - 1)))
+        elif edit == "append" and free:
+            rows[v].append(data.draw(st.sampled_from(free)))
+        elif edit == "swap":
+            w = data.draw(st.integers(0, n - 1))
+            if rows[v] and rows[w]:
+                i, j = data.draw(st.integers(0, len(rows[v]) - 1)), data.draw(st.integers(0, len(rows[w]) - 1))
+                a, b = rows[v][i], rows[w][j]
+                if b != v and a != w and b not in rows[v] and a not in rows[w]:
+                    rows[v][i], rows[w][j] = b, a
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_slot_matched_report_equals_the_brute_force_report(data):
+    # graphs that differ from the exact graph in a few slots, over points whose
+    # k-th distances tie, coincide or overflow to inf, for any row block
+    n, delta = data.draw(st.integers(3, 40)), data.draw(st.integers(1, 3))
+    corpus = data.draw(st.sampled_from(["lattice", "coincident", "overflow"]))
+    if corpus == "overflow":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        coords = overflow_points(rng, n, delta, data.draw(st.booleans()))
+        n *= 2
+    else:
+        values = (-2, -1, 0, 1, 2) if corpus == "lattice" else (0, 1)
+        coords = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * delta, max_size=n * delta)),
+                          dtype=np.float64).reshape(n, delta)
+    k = data.draw(st.integers(1, min(n - 1, 12)))
+    budget = EdgeBudget.provided(float(k))
+    with np.errstate(over="ignore"):
+        p = NeighborhoodProfile(coords, k)
+        g = graph_from_rows(coords, _edited_rows(data, p.knn, n))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(exact, "_REPORT_BLOCK", data.draw(st.integers(1, n * (k + 2))))
+            assert p.report(g, budget) == BruteForceProfile(coords, k).report(g, budget)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_selection_ranks_hits_as_the_lexsort_reference(data):
@@ -596,7 +666,19 @@ def test_selection_ranks_hits_as_the_lexsort_reference(data):
     cand = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=k + 1, max_size=n))))
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=exact._UNIT_ROWS)))
     with np.errstate(over="ignore"):
-        got = exact._select(coords, rows, cand, k).knn
+        # per-row bounds from the k-th distance among the candidates up to inf: itself, the
+        # next float, a candidate's distance beyond it, twice it, or inf
+        d2 = dist2_block(coords[rows], coords[cand])
+        d2[cand[None, :] == rows[:, None]] = np.nan
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        column = data.draw(st.integers(0, cand.size - 1))
+        beyond = np.where(d2[:, column] >= kth, d2[:, column], np.nan)
+        choice = np.array(data.draw(st.lists(st.integers(0, 4), min_size=rows.size, max_size=rows.size)))
+        bound = np.choose(choice, [kth, np.nextafter(kth, np.inf), np.where(np.isnan(beyond), kth, beyond), 2 * kth,
+                                   np.full(rows.size, np.inf)])
+        if data.draw(st.booleans()):
+            bound = np.full(rows.size, np.inf)  # every row takes the partition
+        got = exact._select(coords, rows, cand, k, bound).knn
         assert np.array_equal(got, reference_select_knn(coords, rows, cand, k))
 
 
@@ -618,14 +700,16 @@ def test_filter_values_moved_by_their_margin_change_no_profile(monkeypatch, name
     def moved_filter(x, y):
         out = filt(x, y)
         if out is not None:
-            f, margin = out
+            f, xnorms, margin = out
             f += margin[:, None] * rng.choice([-1.0, 1.0], size=f.shape)
             moved.append(f.size)
-            out = f, 2 * margin
+            out = f, xnorms, 2 * margin
         return out
 
     monkeypatch.setattr(exact, "dist2_filter", moved_filter)
+    pays = _bounds_pay_spy(monkeypatch)
     got = NeighborhoodProfile(pts, 7)
-    assert moved
+    # the moved values go through the per-row bounds
+    assert moved and any(pays)
     for a in ("kth", "knn", "inside_indptr", "inside_indices", "at_indptr", "at_indices"):
         assert np.array_equal(getattr(got, a), getattr(want, a)), a

@@ -136,6 +136,18 @@ def test_the_kernel_writes_subnormals_as_repr_writes_them():
     assert graph_to_text(g) == reference_graph_to_text(g)
 
 
+def test_the_digit_count_of_normal_subnormal_zero_and_huge_floats():
+    # a normal float's digits are counted as 16 or 17, a subnormal's by its value; the
+    # smallest and largest of each, powers of ten and the values next to them, both zeros
+    edges = [5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-308, 1e-16, 1e16, 1e17,
+             9007199254740993.0, 1.7976931348623157e308, 8.98846567431158e307, 1e308, 0.0, -0.0]
+    tens = 10.0 ** np.arange(-323, 309)
+    values = np.concatenate([edges, tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+    values = np.concatenate([values, -values, np.random.default_rng(4).integers(1, 1 << 20, 2000).view(np.float64)])
+    g = _coordinate_graph(values[: values.size // 2 * 2].reshape(-1, 2))
+    assert graph_to_text(g) == reference_graph_to_text(g)
+
+
 def test_file_round_trip(tmp_path):
     g = _random_graph(7)
     path = tmp_path / "g.knng"
@@ -457,6 +469,38 @@ def test_a_cut_character_ends_an_unterminated_file_as_it_ends_the_text(tmp_path)
         read_knng(path)
 
 
+def test_a_run_odd_at_every_eighth_is_split_no_further(monkeypatch):
+    # every line holds a byte numpy does not read, so the eighths of each run are odd
+    # too and are read as they are; one odd line among plain ones is split down to
+    # _BLOCK_BYTES / 64 around it
+    monkeypatch.setattr(graphio, "_BLOCK_BYTES", 1 << 12)
+    odd = b"".join(b"2 +%d +%d\n" % (v, v + 1) for v in range(2000))
+    pieces = list(graphio._line_blocks(odd, 0, 2000, graphio._ADJACENCY_BYTES))
+    assert all(per_line is None for *_, per_line, _ in pieces)
+    # about eight pieces per run, where a split down to 64 bytes would give about 64
+    assert len(pieces) <= 9 * -(-len(odd) // (1 << 12))
+    line = b"2 +7 +8\n"
+    mixed = odd.replace(b"+", b"")[:4000] + line + odd.replace(b"+", b"")[4000:]
+    pieces = list(graphio._line_blocks(mixed, 0, 2001, graphio._ADJACENCY_BYTES))
+    starts, stops = [start for _, start, *_ in pieces], [stop for _, _, stop, *_ in pieces]
+    assert starts == [0] + stops[:-1] and stops[-1] == len(mixed)
+    [(start, stop)] = [(start, stop) for _, start, stop, per_line, _ in pieces if per_line is None]
+    assert line in mixed[start:stop] and stop - start <= 1 << 12 >> 6
+
+
+def test_the_first_adjacency_pass_reads_odd_runs_once(tmp_path, monkeypatch):
+    # every id carries a plus sign: each run is decoded line by line once, as it is counted
+    g = circulant_graph(3000, 4, seed=2)
+    lines = graph_to_text(g).split("\n")
+    lines[1 + g.n :] = [line.replace(" ", " +") for line in lines[1 + g.n :]]
+    path = tmp_path / "g.knng"
+    path.write_text("\n".join(lines), encoding="ascii")
+    decoded, read_lines = [], graphio._lines
+    monkeypatch.setattr(graphio, "_lines", lambda chunk: decoded.append(len(chunk)) or read_lines(chunk))
+    assert read_knng(path).equals(g)
+    assert sum(decoded) == len("\n".join(lines[1 + g.n :]))
+
+
 @pytest.fixture(params=[1, 7, 64])
 def small_blocks(request, monkeypatch):
     """Blocks of ``param`` bytes, rows plus numbers, floats or rows plus edges: at 1, one line or row each."""
@@ -572,13 +616,15 @@ class TestWorkingMemory:
         assert peak < path.stat().st_size + outputs + 4 * 2**20
 
     @pytest.mark.parametrize("edit", ["a syntax fault on the last line", "one id with a plus sign", "no last newline",
-                                      "CRLF and one lone CR"])
+                                      "CRLF and one lone CR", "every id with a plus sign"])
     def test_a_faulty_or_odd_file_reads_within_the_same_bound(self, graph, tmp_path, edit):
         lines = graph_to_text(graph).encode("ascii").split(b"\n")
         want = graph
         if edit == "one id with a plus sign":
             v = 1 + graph.n + graph.n // 2
             lines[v] = lines[v].replace(b" ", b" +", 1)
+        elif edit == "every id with a plus sign":  # read line by line, its ids held from the first pass
+            lines[1 + graph.n :] = [line.replace(b" ", b" +") for line in lines[1 + graph.n :]]
         elif edit == "no last newline":
             lines.pop()
         elif edit == "a syntax fault on the last line":

@@ -81,15 +81,14 @@ def test_scan_blocks_fit_int16_row_keys():
     assert tester._PAIR_FLOATS // tester._LEAF_SIZE <= 2**15
 
 
-def test_kernel_selections_fit_int16_row_keys(monkeypatch):
-    # _select sorts each selection's hits by int16 row keys, and the kernel
-    # passes it at most one unit's rows, _UNIT_ROWS of them
-    assert exact._UNIT_ROWS <= 2**15
+def test_kernel_selections_hold_at_most_one_unit_of_rows(monkeypatch):
+    # _select ranks each selection's hits in one padded row per row, and the
+    # kernel passes it at most one unit's rows, _UNIT_ROWS of them
     sizes, select = [], exact._select
 
-    def recording(coords, rows, cand, k):
+    def recording(coords, rows, cand, k, bound):
         sizes.append(rows.size)
-        return select(coords, rows, cand, k)
+        return select(coords, rows, cand, k, bound)
 
     monkeypatch.setattr(exact, "_select", recording)
     rng = np.random.default_rng(32)
