@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _ROW_BLOCK = 1 << 15  # rows plus edges that row_fault checks at once
+_FLAT_PAIRS = 1 << 11  # (row, node) pairs within which leaf_pairs bounds the leaves at once, or steps down more than a level
 
 
 def dist2(p, q) -> float:
@@ -143,23 +144,31 @@ def leaf_pairs(lo: np.ndarray, hi: np.ndarray, r: np.ndarray, levels) -> tuple[n
     """The (row, leaf) pairs whose :func:`box_gap2` is at most r[row], row-major, leaves ascending.
 
     Row i is the box [lo[:, i], hi[:, i]] (a point when lo == hi); ``levels``
-    comes from :func:`leaf_index`. The bound runs flat over level 4 (or the
-    leaves, if there are fewer levels), and each kept node is then expanded
-    into its two children one level at a time (Friedman, Bentley & Finkel
-    1977), gathering rows and boxes by ``np.take`` along their second axis,
-    fastest when they are C-contiguous (coordinate, row) arrays; point rows
-    (``hi is lo``) are gathered once per level. A node's box contains its
-    leaves' boxes and rounding is monotone, so a node's bound is at most each
-    of its leaves' bounds, and the pairs are exactly those of a flat pass
-    over the leaves. When level 4 keeps more than a quarter of its pairs, its
-    boxes prune too little for the descent to pay, and each kept level-4 node
-    goes straight to its leaves in one step.
+    comes from :func:`leaf_index`. The bound runs flat over the leaves when
+    the query's (row, leaf) pairs fit _FLAT_PAIRS, and over level 4 otherwise
+    (or the leaves, if there are fewer levels). Each kept node is then
+    expanded into its descendants some levels down (Friedman, Bentley &
+    Finkel 1977): as many levels as keep the expanded pairs within
+    _FLAT_PAIRS, one at least, so a query that keeps few nodes skips most of
+    the descent. Rows and boxes are gathered by ``np.take`` along their
+    second axis, fastest when they are C-contiguous (coordinate, row) arrays;
+    point rows (``hi is lo``) are gathered once per step. A node's box
+    contains its leaves' boxes and rounding is monotone, so a node's bound is
+    at most each of its leaves' bounds, and the pairs are exactly those of a
+    flat pass over the leaves. When the flat level keeps more than a quarter
+    of its pairs, its boxes prune too little for the descent to pay, and
+    each kept node goes straight to its leaves in one step; a flat level
+    between level 4 and the leaves would then be bounded for nothing, which
+    at δ=32 costs more than the steps it saves.
     """
     last = len(levels) - 1
-    top = min(4, last)
-    row, node = np.nonzero(box_gap2(lo[:, :, None], hi[:, :, None], *levels[top]) <= r[:, None])
-    step = last - top if top < last and 4 * row.size > r.size << top else 1
-    for box_lo, box_hi in levels[top + step :: step]:
+    level = last if r.size << last <= _FLAT_PAIRS else min(4, last)
+    row, node = np.nonzero(box_gap2(lo[:, :, None], hi[:, :, None], *levels[level]) <= r[:, None])
+    wide = 4 * row.size > r.size << level
+    while level < last:
+        step = last - level if wide else min(last - level, max(1, (_FLAT_PAIRS // max(1, row.size)).bit_length() - 1))
+        level += step
+        box_lo, box_hi = levels[level]
         row, node = np.repeat(row, 1 << step), ((node[:, None] << step) + np.arange(1 << step)).ravel()
         row_lo = np.take(lo, row, axis=1)
         keep = box_gap2(row_lo, row_lo if hi is lo else np.take(hi, row, axis=1),

@@ -323,11 +323,11 @@ class NeighborhoodProfile:
             raise ValueError("graph does not match the profiled point set")
         if budget is None:
             budget = EdgeBudget.computed(g)
-        k, cols = self.k, np.ascontiguousarray(self.coords.T)
-        inside_all, at_all = np.diff(self.inside_indptr), np.diff(self.at_indptr)
+        k = self.k
         min_edits = incomplete = 0
         for a, b in row_blocks(g.indptr, _REPORT_BLOCK):
-            degrees, first, inside, at = g.degrees[a:b], g.indptr[a:b], inside_all[a:b], at_all[a:b]
+            degrees, first = g.degrees[a:b], g.indptr[a:b]
+            inside, at = np.diff(self.inside_indptr[a : b + 1]), np.diff(self.at_indptr[a : b + 1])
             # each row's first k slots, a view where every row holds k; reads past a row's end are no slots
             slots = g.indices[first[0] : g.indptr[b]]
             if (degrees == k).all():
@@ -346,7 +346,8 @@ class NeighborhoodProfile:
             long = np.flatnonzero(degrees > k)
             v = np.concatenate([row, np.repeat(long, degrees[long] - k)])
             u = g.indices[np.concatenate([first[row] + j, concat_ranges(first[long] + k, g.indptr[a + 1 + long])])]
-            d2 = sum_squares(np.subtract(c[v + a], w := c[u], out=w) for c in cols)
+            x = self.coords.take(v + a, axis=0)
+            d2 = sum_squares(np.subtract(x, self.coords.take(u, axis=0), out=x).T)
             kth = self.kth[v + a]
             inside_hits += np.bincount(v[d2 < kth], minlength=b - a)
             at_hits += np.bincount(v[d2 == kth], minlength=b - a)

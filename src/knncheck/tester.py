@@ -7,20 +7,25 @@ some v in S. A graph that is a k-NN graph is never rejected, for any seed.
 
 Its cost is the number of distinct oracle reads of that sequential scan. The
 scan works on the graph's arrays a block of S at a time: 8 rows, then at most
-the rows before plus 8 (a stop at S position r evaluates at most 2r + 8 rows)
-and at most a float budget's worth of candidate gathers (1 row at least). It
-charges the OracleSession, in bulk, for the degrees, whole rows and coordinates
-the sequential scan reads up to its stop, so the session's QueryTally is its cost.
+the rows before plus 8 (a stop at S position r evaluates at most 2r + 8 rows),
+at most a float budget's worth of candidate gathers, and rows times the
+block's widest row within the same budget (1 row at least). A block's rows
+are padded (row, slot) matrices gathered from ``g.coords``, which the scan
+never copies. It charges the OracleSession, in bulk, for the degrees, whole
+rows and coordinates the sequential scan reads up to its stop, so the
+session's QueryTally is its cost.
 
-Every block of S finds its witness candidates by the one query
+Every block is first probed: each row against the first 8 draws of T. A
+corrupted row's r_k tends to be wide, so one of those draws is often its
+witness, and the rows after the first probe hit are never evaluated. The rows
+before it find their witness candidates by the one query
 :func:`core.leaf_pairs` on a k-d leaf index (:func:`core.leaf_index`, leaves
 of at most 64 points) over the distinct T values, or, when they cover half
 the vertices, over all vertices, kept per coordinate array and so shared by
 every graph over one point set, until the scan turns long.
 Box bounds only rule leaves out, and every candidate is re-checked with the
 same distance arithmetic (:func:`core.sum_squares`), so verdicts and tallies
-equal those of the sequential scan. Its per-pair gathers are 1-d takes from
-coordinate-major columns, copied once per run; it has no layout option.
+equal those of the sequential scan; it has no layout option.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .core import (
     GeometricGraph,
     OracleSession,
     QueryTally,
-    concat_ranges,
     dist2_row,
     leaf_index,
     leaf_pairs,
@@ -61,9 +65,13 @@ KISSING_NUMBERS = (2, 6, 12, 24, 44, 78, 134, 240)
 _LN10 = math.log(10.0)
 
 # rows in vertex block 0 of the pair scan, and the most floats a later block
-# gathers per coordinate (1 MB); _PAIR_FLOATS // _LEAF_SIZE rows at most
+# gathers per coordinate (1 MB) or holds in its padded rows; _PAIR_FLOATS //
+# _LEAF_SIZE rows at most
 _FIRST_BLOCK = 8
 _PAIR_FLOATS = 1 << 17
+
+# draws of T that every block's rows are checked against before any leaf query
+_PROBE = 8
 
 # most points per leaf of the scan's indexes
 _LEAF_SIZE = 64
@@ -267,7 +275,16 @@ def _scan(
     plus _FIRST_BLOCK, so a stop at S position r evaluates at most 2r + 8 rows,
     and at most _PAIR_FLOATS // max(_LEAF_SIZE, f) rows, f being the floats per
     coordinate per row the block before gathered (S is random), and 1 at least.
-    The floor caps blocks at 2048 rows, within the r_k sort's int16 row keys.
+    A later block also keeps its rows times its widest row within _PAIR_FLOATS,
+    so that a row of degree near the cap lands in a small block.
+
+    :func:`_rows` holds a block as padded (row, slot) matrices gathered from
+    ``g.coords``. The probe then checks every row against the first _PROBE
+    draws of T, in the leaf path's u - v arithmetic, and checks u != v and u
+    not in N(v) only on the pairs inside r_k. The first row with a probe hit
+    has a witness, its first hit being its first witness draw of all of T;
+    only the rows before it go to the leaves, and one of them that has a
+    witness wins. A block with no probe hit goes to the leaves whole.
 
     A mask over the vertices marks T once per run; U is its set positions,
     ascending. If U holds half the vertices and :func:`_graph_index` has an
@@ -279,7 +296,8 @@ def _scan(
     is not below a row's r_k holds no u strictly inside it, and the u of
     every other leaf are re-checked with the arithmetic of r_k. Counting each
     u once, a row has a witness when its hits outnumber its guarded hits: v
-    itself and its neighbors that are in T and inside r_k.
+    itself and its neighbors that are in T and inside r_k. Its first witness
+    draw is searched from _PROBE on in doubling chunks of T.
     """
     g = session.graph
     low = np.flatnonzero(s_degs < k)
@@ -291,55 +309,60 @@ def _scan(
     if index is not None:
         leaves, first, p, levels = index
         first = first & in_t[leaves]
-    cols = np.ascontiguousarray(g.coords.T)
+    probe = t_draws[:_PROBE]
+    probe_cols = np.ascontiguousarray(g.coords.take(probe, axis=0).T)
     lo, size = 0, _FIRST_BLOCK
     while lo < limit:
         if index is None:  # build the index over U; () marks it built
             leaves, first, p, levels = leaf_index(g.coords.take(u_vals, axis=0), _LEAF_SIZE)
             leaves, index = u_vals[leaves], ()
-        block = s_vertices[lo : min(limit, lo + size)]
-        degs = s_degs[lo : lo + block.size]
-        nbrs = g.indices[concat_ranges(g.indptr[block], g.indptr[block + 1])]
-        owner = np.repeat(np.arange(block.size), degs)
-        starts = np.cumsum(degs) - degs
-        q = cols.take(block, axis=1)
-        nd = sum_squares(np.subtract(c.take(nbrs), qc.take(owner)) for c, qc in zip(cols, q))
-        # sorted by distance, then stably by row; int16 row keys take numpy's radix sort
-        o = np.argsort(nd)
-        rk = nd[o[np.argsort(owner.astype(np.int16)[o], kind="stable")][starts + k - 1]]
-        # (row, leaf) pairs that may hold a u strictly inside r_k: x < r_k iff x <= nextafter(r_k, -inf)
-        row, leaf = leaf_pairs(q, q, np.nextafter(rk, -np.inf), levels)
-        # their u: one gather per coordinate, with the row's coordinate subtracted in place
-        d2 = sum_squares(np.subtract(d := p[j][leaf], q[j].take(row)[:, None], out=d) for j in range(len(q)))
-        inside = (d2 < rk[row, None]) & first[leaf]
-        hits = np.bincount(row, np.count_nonzero(inside, axis=1), block.size)
-        # the guard requires u != v and u not in N(v); v's own distance is 0
-        ids = np.concatenate((nbrs, block))
-        rows = np.concatenate((owner, np.arange(block.size)))
-        guarded = in_t[ids] & (np.concatenate((nd, np.zeros(block.size))) < rk[rows])
-        witnessed = np.flatnonzero(hits > np.bincount(rows[guarded], minlength=block.size))
+        size = min(size, limit - lo)
+        if lo:  # rows times the widest row so far within the budget, a row at least
+            widest = np.maximum.accumulate(s_degs[lo : lo + size])
+            size = max(1, int(np.count_nonzero(widest * np.arange(1, size + 1) <= _PAIR_FLOATS)))
+        block, degs = s_vertices[lo : lo + size], s_degs[lo : lo + size]
+        q, nbrs, nd, rk = _rows(g, block, degs, k)
+        # the probe's pairs inside r_k, less u == v and u in N(v); padded slots hold v
+        cand, t = np.nonzero(sum_squares(c - qc[:, None] for c, qc in zip(probe_cols, q.T)) < rk[:, None])
+        if cand.size:
+            keep = (probe[t] != block[cand]) & ~(nbrs[cand] == probe[t, None]).any(axis=1)
+            cand, t = cand[keep], t[keep]
+        stop = int(cand[0]) if cand.size else block.size
 
         event = None
-        scanned = block.size
-        if witnessed.size:
-            r = int(witnessed[0])
-            scanned = r + 1
-            pairs = slice(*np.searchsorted(row, [r, r + 1]))
-            # row r's witnesses: its inside values, less its guarded ids; the first draw of one
-            found = np.zeros(g.n, dtype=bool)
-            found[leaves[leaf[pairs]][inside[pairs]]] = True
-            found[ids[guarded & (rows == r)]] = False
-            t_idx = int(np.argmax(found[t_draws]))
-            event = ("witness", lo + r, t_idx)
-        reads = (np.arange(block.size) < scanned) & ((block != u_vals[0]) | (u_vals.size > 1))
+        if stop:
+            qt = np.ascontiguousarray(q[:stop].T)
+            # (row, leaf) pairs that may hold a u strictly inside r_k: x < r_k iff x <= nextafter(r_k, -inf)
+            row, leaf = leaf_pairs(qt, qt, np.nextafter(rk[:stop], -np.inf), levels)
+            # their u: one gather per coordinate, with the row's coordinate subtracted in place
+            d2 = sum_squares(np.subtract(d := p[j][leaf], qt[j].take(row)[:, None], out=d) for j in range(len(qt)))
+            inside = (d2 < rk[row, None]) & first[leaf]
+            hits = np.bincount(row, np.count_nonzero(inside, axis=1), stop)
+            # the guard requires u != v and u not in N(v); v lies at 0, padded slots at inf
+            guarded = np.count_nonzero(in_t[nbrs[:stop]] & (nd[:stop] < rk[:stop, None]), axis=1)
+            witnessed = np.flatnonzero(hits > guarded + (in_t[block[:stop]] & (rk[:stop] > 0)))
+            if witnessed.size:
+                r = int(witnessed[0])
+                pairs = slice(*np.searchsorted(row, [r, r + 1]))
+                # row r's witnesses: its inside values, less v and its neighbors
+                found = np.zeros(g.n, dtype=bool)
+                found[leaves[leaf[pairs]][inside[pairs]]] = True
+                found[nbrs[r]] = found[block[r]] = False
+                event = ("witness", lo + r, _first_marked(found, t_draws))
+        if event is None and cand.size:
+            event = ("witness", lo + stop, int(t[0]))
+        scanned = event[1] - lo + 1 if event else block.size
+        # a v whose every draw of T equals v reads nothing beyond its degree
+        reads = slice(scanned) if u_vals.size > 1 else np.flatnonzero(block[:scanned] != u_vals[0])
         # the first v that reads anything reads T, up to the witness if it is the
         # stop. It is S position 0, or 1 when T has one distinct value, so block 0
         # must hold 2 rows or more. All of T marks the coordinates of U (n at most)
         t_read = t_draws[:0]
-        if lo == 0 and reads.any():
-            t_read = t_draws[: t_idx + 1] if event is not None and scanned == 1 else u_vals
+        if lo == 0 and block[reads].size:
+            t_read = t_draws[: event[2] + 1] if event is not None and scanned == 1 else u_vals
         session.charge_neighbor_rows(block[reads])
-        session.charge_coords(np.concatenate((block[reads], nbrs[reads[owner]], t_read)))
+        # padded slots hold v, whose coordinate a read row reads anyway
+        session.charge_coords(np.concatenate((block[reads], nbrs[reads].ravel(), t_read)))
         if event is not None:
             return event
         lo += block.size
@@ -353,6 +376,43 @@ def _scan(
 
     if low.size:
         return ("low-degree", limit, None)
+    return None
+
+
+def _rows(g: GeometricGraph, block: np.ndarray, degs: np.ndarray, k: int):
+    """(q, nbrs, nd, r_k) of a block of S: its points, and its rows as padded (row, slot) matrices.
+
+    nbrs holds each row's neighbor ids, then v itself past the row's degree;
+    nd their squared distances in the scan's arithmetic (neighbor - v,
+    :func:`core.sum_squares`), inf past the row's degree; and r_k each row's
+    k-th smallest of them.
+    """
+    slot = np.arange(degs.max())
+    nbrs = g.indices.take(g.indptr[block, None] + slot, mode="clip")
+    pad = slot >= degs[:, None] if degs.min() < slot.size else None
+    if pad is not None:
+        np.copyto(nbrs, block[:, None], where=pad)
+    q = g.coords.take(block, axis=0)
+    x = g.coords.take(nbrs, axis=0)
+    nd = sum_squares(x[..., j] - q[:, j, None] for j in range(g.delta))
+    if pad is not None:
+        nd[pad] = np.inf
+    return q, nbrs, nd, np.partition(nd, k - 1, axis=1)[:, k - 1]
+
+
+def _first_marked(found: np.ndarray, t_draws: np.ndarray) -> int | None:
+    """Index of the first draw of T that ``found`` marks, searched from _PROBE on in doubling chunks.
+
+    The probe has checked the draws before _PROBE against every row that the
+    leaves are asked about, so a stop row's first witness draw lies beyond
+    them; None if no draw is marked.
+    """
+    a = _PROBE
+    while a < t_draws.size:
+        hit = np.flatnonzero(found[t_draws[a : 2 * a]])
+        if hit.size:
+            return a + int(hit[0])
+        a *= 2
     return None
 
 

@@ -263,8 +263,10 @@ class TestLeafPairs:
 
         monkeypatch.setattr(core, "box_gap2", gap2_spy)
         _assert_leaf_pairs_equal_flat_pass(pts, 8, q.T, q.T, kth)
-        # the flat pass evaluates all 256 x 512 bounds, the descent a few per row
-        assert len(evaluated) == 6 and sum(evaluated) < 256 * 512 / 8
+        # the flat pass evaluates all 256 x 512 bounds, the descent a few per row, in
+        # steps of as many levels as keep their pairs within _FLAT_PAIRS, not 5 single ones
+        assert evaluated[0] == 256 * 16 and 2 <= len(evaluated) < 6 and sum(evaluated) < 256 * 512 / 8
+        assert all(size <= core._FLAT_PAIRS for size in evaluated[1:])
         evaluated.clear()
         _assert_leaf_pairs_equal_flat_pass(pts, 8, q.T, q.T, np.full(256, np.inf))
         # level 4 keeps every pair, so each of its nodes goes straight to its 32 leaves
@@ -296,6 +298,33 @@ class TestLeafPairs:
         monkeypatch.setattr(core, "box_gap2", gap2_spy)
         _assert_leaf_pairs_equal_flat_pass(pts, 8, lo, hi, kth)
         assert evaluated == [64 * 16, kept * 32]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 63, 64, 127])
+    def test_small_queries_skip_most_of_the_descent(self, monkeypatch, rows):
+        # the leaves are bounded at once when rows x leaves fit _FLAT_PAIRS, level 4
+        # otherwise; each step then goes as many levels down as keep the expanded
+        # pairs within _FLAT_PAIRS, where one level at a time would take 7 steps
+        rng = np.random.default_rng(rows)
+        pts = rng.random((8192, 2))
+        q = pts[rng.choice(8192, size=rows, replace=False)]
+        kth = np.partition(dist2_block(q, pts), 10, axis=1)[:, 10]
+        levels = leaf_index(pts, 8)[3]
+        assert len(levels) == 11 and 2 << 10 <= core._FLAT_PAIRS < 3 << 10
+        evaluated = []
+        gap2 = core.box_gap2
+
+        def gap2_spy(*args):
+            out = gap2(*args)
+            evaluated.append(out.size)
+            return out
+
+        monkeypatch.setattr(core, "box_gap2", gap2_spy)
+        _assert_leaf_pairs_equal_flat_pass(pts, 8, q.T, q.T, kth)
+        if rows <= 2:
+            assert evaluated == [rows << 10]
+        else:
+            assert evaluated[0] == rows << 4 and 2 <= len(evaluated) <= 3
+            assert all(size <= core._FLAT_PAIRS for size in evaluated[1:])
 
 
 @settings(max_examples=200, deadline=None)

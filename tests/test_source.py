@@ -75,10 +75,13 @@ def test_distances_go_through_core():
         assert ops == [] and banned.isdisjoint(_names_used(tree)), name
 
 
-def test_scan_blocks_fit_int16_row_keys():
-    # the scan sorts each block's neighbor distances by int16 row keys, and a
-    # block holds at most _PAIR_FLOATS // _LEAF_SIZE rows
-    assert tester._PAIR_FLOATS // tester._LEAF_SIZE <= 2**15
+def test_scan_blocks_keep_the_probe_within_the_budget():
+    # a block after block 0 holds at most _PAIR_FLOATS // _LEAF_SIZE rows, and
+    # the probe pairs each row with _PROBE draws of T, so its distances fit the
+    # float budget of a block; block 0 holds the first row that reads T, S
+    # position 0, or 1 when T's one value is S position 0
+    assert tester._PROBE <= tester._LEAF_SIZE
+    assert 2 <= tester._FIRST_BLOCK and tester._FIRST_BLOCK * tester._PROBE <= tester._PAIR_FLOATS
 
 
 def test_kernel_selections_hold_at_most_one_unit_of_rows(monkeypatch):

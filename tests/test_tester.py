@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -299,15 +300,15 @@ class TestRunTester:
 
 @pytest.fixture
 def block_rows(monkeypatch):
-    """Rows of each block of S that the scan evaluates, in order, as its leaf_pairs calls see them."""
+    """Rows of each block of S that the scan gathers, in order, whether or not they reach the leaves."""
     rows = []
-    query = tester.leaf_pairs
+    gather = tester._rows
 
-    def query_spy(lo, hi, r, levels):
-        rows.append(r.size)
-        return query(lo, hi, r, levels)
+    def rows_spy(g, block, degs, k):
+        rows.append(block.size)
+        return gather(g, block, degs, k)
 
-    monkeypatch.setattr(tester, "leaf_pairs", query_spy)
+    monkeypatch.setattr(tester, "_rows", rows_spy)
     return rows
 
 
@@ -670,22 +671,194 @@ class TestNaiveEquivalence:
         assert len(block_rows) == 6 and block_rows[5] < 256
 
 
+class TestProbeAndPaddedRows:
+    """The probe of every block against T's first _PROBE draws, and blocks held as padded
+    (row, slot) matrices; every run must equal naive_run_tester."""
+
+    N, K = 2000, 3
+
+    @staticmethod
+    def _marked(monkeypatch):
+        """A list that grows by one each time the leaf path searches T for a stop row's first witness draw."""
+        calls, search = [], tester._first_marked
+
+        def spy(found, t_draws):
+            calls.append(1)
+            return search(found, t_draws)
+
+        monkeypatch.setattr(tester, "_first_marked", spy)
+        return calls
+
+    @classmethod
+    def _witnessed(cls, n, cfg, pairs, near=()):
+        """(graph, [(v, u)]): an exact k-NN graph but for the v at each (S position, T position) of
+        ``pairs``. The draw u there is moved next to v, so that it is one of v's k nearest, and
+        v's row holds its (k+1)-th nearest in u's place: u is v's only witness. The draws at
+        T positions ``near`` are moved nearer still to the first v, into its row and inside r_k."""
+        s_prime, t = TestNaiveEquivalence._s_prime(n, cfg), TestNaiveEquivalence._t(n, cfg)
+        pts = np.random.default_rng(cfg.seed).random((n, 2))
+        stops = [(int(s_prime[a]), int(t[b])) for a, b in pairs]
+        for i, j in enumerate(near):
+            pts[t[j]] = pts[stops[0][0]] + [0.0, 1e-4 * (i + 1)]
+        for v, u in stops:
+            pts[u] = pts[v] + [1e-4 * (len(near) + 1.5), 0.0]
+        g = build_exact_knn_graph(pts, cls.K + 1)
+        adjacency = [row[: cls.K] for row in rows_of(g)]
+        for v, u in stops:
+            row = g.neighbors(v)
+            assert u in row[: cls.K]
+            adjacency[v] = row[row != u]
+        return graph_from_rows(g.coords, tuple(adjacency)), stops
+
+    @staticmethod
+    def _first_at(t, position, avoid):
+        """True when T's draw at ``position`` occurs there first and is none of ``avoid``."""
+        return t[position] not in t[:position] and t[position] not in avoid
+
+    def _config(self, n, s_prime, t_size, positions, fits):
+        """The first experiment config whose S' and T meet ``fits(s_prime, t)``; positions index T."""
+        for seed in range(500):
+            cfg = TestNaiveEquivalence._sized(n, self.K, 2, s_prime, t_size, seed)
+            sp, t = TestNaiveEquivalence._s_prime(n, cfg), TestNaiveEquivalence._t(n, cfg)
+            if t.size > max(positions) and fits(sp, t):
+                return cfg
+        raise AssertionError("no seed fits")
+
+    @pytest.mark.parametrize("v_pos", [0, 5, 20])
+    @pytest.mark.parametrize("w_pos", [tester._PROBE - 1, tester._PROBE, 300])
+    def test_first_witness_draw_around_the_probe(self, monkeypatch, v_pos, w_pos):
+        # at S position 0 the stop charges T only up to the witness draw, so the
+        # tally checks its T position as well as its value
+        cfg = self._config(self.N, 300, 700, [w_pos], lambda sp, t: self._first_at(t, w_pos, {sp[v_pos]}))
+        g, [(v, u)] = self._witnessed(self.N, cfg, [(v_pos, w_pos)])
+        marked = self._marked(monkeypatch)
+        verdict = TestNaiveEquivalence()._compare(g, cfg)
+        assert verdict.evidence == Evidence(v, u, "witness")
+        assert len(marked) == (w_pos >= tester._PROBE)
+
+    @pytest.mark.parametrize("w_pos", [tester._PROBE - 1, 40])
+    def test_v_and_its_neighbors_among_the_first_draws(self, monkeypatch, w_pos):
+        # v and two of its neighbors, inside r_k, are drawn before the witness
+        # and among the probe's draws: pairs inside r_k that are no witnesses
+        def fits(sp, t):
+            return (sp[0] in t[:4] and len(set(t[:6].tolist()) - {sp[0]}) >= 2
+                    and self._first_at(t, w_pos, set(t[:6].tolist()) | {sp[0]}))
+
+        cfg = self._config(200, 100, 300, [w_pos], fits)
+        t = TestNaiveEquivalence._t(200, cfg)
+        v = int(TestNaiveEquivalence._s_prime(200, cfg)[0])
+        near = [j for j in range(6) if t[j] != v and t[j] not in t[:j]][:2]
+        g, [(v, u)] = self._witnessed(200, cfg, [(0, w_pos)], near)
+        assert all(t[j] in g.neighbors(v) for j in near)
+        marked = self._marked(monkeypatch)
+        verdict = TestNaiveEquivalence()._compare(g, cfg)
+        assert verdict.evidence == Evidence(v, u, "witness")
+        assert len(marked) == (w_pos >= tester._PROBE)
+
+    @pytest.mark.parametrize("a_pos,b_pos", [(1, 6), (0, 1), (30, 40)])
+    def test_a_row_before_the_probed_row_witnessed_only_through_the_leaves(self, monkeypatch, a_pos, b_pos):
+        # row a's witness is drawn after the probe's draws and row b's among
+        # them: b has the probe's hit, a is found by the leaves, and a wins
+        far, near = 2 * tester._PROBE + 3, 2
+
+        def fits(sp, t):
+            return self._first_at(t, far, {sp[a_pos], sp[b_pos]}) and self._first_at(t, near, {sp[a_pos], sp[b_pos]})
+
+        cfg = self._config(self.N, 300, 700, [far], fits)
+        g, [(a, u), (b, w)] = self._witnessed(self.N, cfg, [(a_pos, far), (b_pos, near)])
+        marked = self._marked(monkeypatch)
+        verdict = TestNaiveEquivalence()._compare(g, cfg)
+        assert verdict.evidence == Evidence(a, u, "witness")
+        assert len(marked) == 1
+
+    @pytest.mark.parametrize("v_pos", [1, 2])
+    def test_t_with_one_distinct_value(self, v_pos):
+        # T draws one value, S position 0 itself, which reads nothing; the probe
+        # pairs row 0 with it (u == v) and finds the witness of v at v_pos
+        n = 40
+        for seed in range(2000):
+            cfg = TesterConfig(k=self.K, epsilon=0.5, delta=2, mode="experiment", c1=5.0, c2=0.01, seed=seed)
+            sp, t = TestNaiveEquivalence._s_prime(n, cfg), TestNaiveEquivalence._t(n, cfg)
+            if t.size and (t == t[0]).all() and sp[0] == t[0]:
+                break
+        else:
+            raise AssertionError("no seed fits")
+        g, [(v, u)] = self._witnessed(n, cfg, [(v_pos, 0)])
+        verdict = TestNaiveEquivalence()._compare(g, cfg)
+        assert verdict.evidence == Evidence(v, u, "witness")
+
+    @staticmethod
+    def _ragged(n, k, wide_at, wide, witness_at=None):
+        """(graph, cfg): exact rows of degrees k to k+5, and at S position ``wide_at`` a row
+        of the ``wide`` nearest points, less T's draw at ``witness_at``, moved next to it, if
+        given; a cap of wide + 1 keeps every row in S."""
+        cfg = TestNaiveEquivalence._sized(n, k, 2, 600, 400, 31)
+        cfg = TesterConfig(**{**vars(cfg), "degree_cap_override": wide + 1})
+        pts = np.random.default_rng(31).random((n, 2))
+        v = int(TestNaiveEquivalence._s_prime(n, cfg)[wide_at])
+        if witness_at is not None:
+            u = int(TestNaiveEquivalence._t(n, cfg)[witness_at])
+            pts[u] = pts[v] + 1e-4
+        g = build_exact_knn_graph(pts, k + 5)
+        adjacency = [row[: k + w % 6] for w, row in enumerate(rows_of(g))]
+        order = np.argsort(((pts - pts[v]) ** 2).sum(axis=1), kind="stable")[1:]
+        adjacency[v] = order[order != u][:wide] if witness_at is not None else order[:wide]
+        return graph_from_rows(g.coords, tuple(adjacency)), cfg, v
+
+    @pytest.mark.parametrize("witness_at", [None, 3, 50])
+    def test_degrees_from_k_to_k_plus_five_and_one_row_near_the_cap(self, block_rows, witness_at):
+        n, wide = 3000, 2900
+        g, cfg, v = self._ragged(n, self.K, 300, wide, witness_at)
+        verdict = TestNaiveEquivalence()._compare(g, cfg)
+        if witness_at is None:
+            assert verdict.decision == "accept" and verdict.s_size == verdict.s_prime_size
+        else:
+            assert verdict.evidence.vertex == v
+        degs = g.degrees[TestNaiveEquivalence._s_prime(n, cfg)]
+        assert set(degs.tolist()) == set(range(self.K, self.K + 6)) | {wide}
+        starts = np.cumsum([0] + block_rows[:-1])
+        assert block_rows[0] == tester._FIRST_BLOCK
+        assert all(rows * degs[lo : lo + rows].max() <= tester._PAIR_FLOATS
+                   for lo, rows in zip(starts[1:], block_rows[1:]))
+        # the wide row starts a block the budget cut short
+        assert 300 in starts and block_rows[list(starts).index(300)] <= tester._PAIR_FLOATS // wide
+
+    def test_padded_rows_stay_within_the_budget(self):
+        # the row near the cap lands in a block of at most _PAIR_FLOATS // 2900
+        # rows, so each padded (row, slot) array holds at most _PAIR_FLOATS
+        # entries; the block of 64 rows it would have joined holds 1.5 MB each
+        n, wide = 3000, 2900
+        g, cfg, _ = self._ragged(n, self.K, 300, wide)
+        for _ in range(2):  # record the coordinate array, then cache its index
+            run_tester(OracleSession(g), cfg)
+        tracemalloc.start()
+        try:
+            run_tester(OracleSession(g), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * tester._PAIR_FLOATS
+
+
 @pytest.fixture
 def scan_events(monkeypatch):
-    """("index", rows) for every leaf index the tester builds and ("block", rows) for every block of S, in order."""
+    """("index", rows) for every leaf index the tester builds and ("block", rows) for every block of S, in order.
+
+    A block is seen as the scan gathers its rows, whether or not they reach the leaves.
+    """
     events = []
-    index, query = tester.leaf_index, tester.leaf_pairs
+    index, gather = tester.leaf_index, tester._rows
 
     def index_spy(pts, leaf_size):
         events.append(("index", pts.shape[0]))
         return index(pts, leaf_size)
 
-    def query_spy(lo, hi, r, levels):
-        events.append(("block", r.size))
-        return query(lo, hi, r, levels)
+    def rows_spy(g, block, degs, k):
+        events.append(("block", block.size))
+        return gather(g, block, degs, k)
 
     monkeypatch.setattr(tester, "leaf_index", index_spy)
-    monkeypatch.setattr(tester, "leaf_pairs", query_spy)
+    monkeypatch.setattr(tester, "_rows", rows_spy)
     return events
 
 
